@@ -67,6 +67,7 @@ from .spectral import (
     AlphaMatrix,
     CharPolyContext,
     SpectralResult,
+    VertexResolvent,
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
@@ -80,6 +81,7 @@ from .spectral import (
     radius_of,
     spectral_radius,
     tridiag_charpoly_recurrence,
+    vertex_resolvent,
 )
 from .verify import (
     PropertyResult,

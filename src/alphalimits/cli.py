@@ -397,7 +397,10 @@ def main(argv=None) -> int:
         report, code = args.handler(args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    _emit(report, args.format, args.out)
+    try:
+        _emit(report, args.format, args.out)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return code
 
 

@@ -3,9 +3,12 @@
 Every limit value here is the root of an explicit polynomial or of a
 characteristic equation in lambda. Expressions carrying half-integer
 powers of x are stored as ordinary polynomials in t with x = t*t, so root
-isolation is plain bisection in t. Largest-root problems (the limiting
-value of growing pendant-path families) are bracketed by a descending
-scan from a degree bound and then bisected.
+isolation is plain bisection in t. The largest roots of the psi, omega2
+and Q-limit equations are bracketed by a descending scan and then
+bisected. The pendant-path limit operators work on any connected graph:
+they divide their characteristic equation by phi(G), which leaves the
+resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu from one
+eigendecomposition, and bisect on (max(2, rho(G)), degree bound].
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (
-    char_poly_eval,
-    char_poly_eval_deleted,
-    delta_of_lambda,
-    h_of_lambda,
-)
+from .spectral import delta_of_lambda, h_of_lambda, vertex_resolvent
 
 
 class BracketError(RuntimeError):
@@ -42,8 +40,8 @@ class RootConfig:
     scan_points: int = 512
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.scan_points < 2:
@@ -81,7 +79,12 @@ class HalfPoly:
 
 
 def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
-    """Bisection on [lo, hi]; endpoints may sit exactly on the root."""
+    """Bisection on [lo, hi]; endpoints may sit exactly on the root.
+
+    Stops once the bracket is narrower than cfg.tol, or once it can no
+    longer be halved in double precision; raises BracketError when
+    cfg.max_iter halvings reach neither.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -91,6 +94,8 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     for _ in range(cfg.max_iter):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         fmid = f(mid)
         if fmid == 0.0 or (hi - lo) < cfg.tol:
             return mid
@@ -98,7 +103,9 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    raise BracketError(
+        f"bracket [{lo}, {hi}] still wider than tol={cfg.tol} after "
+        f"{cfg.max_iter} iterations")
 
 
 def _largest_root_descending(f, hi: float, lo: float, cfg: RootConfig) -> float | None:
@@ -287,6 +294,7 @@ def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     Both companion-root routes are evaluated and must agree; the
     gamma-route value is returned.
     """
+    _check_alpha_unit(alpha)
     if n == 0:
         return 2.0
     e1 = _eta_from_root(gamma_n(n, alpha, cfg), alpha)
@@ -443,56 +451,76 @@ def omega2_closed_form(alpha: float, residue_tol: float = 1e-7) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scan_top(g: Graph, u: int, added_degree: int) -> float:
+def _degree_bound(g: Graph, u: int, added_degree: int) -> float:
+    """Strictly above the largest degree of g plus the paths at u, which
+    bounds every rho(G + pendant paths) and so the limit."""
     degs = g.degrees()
     return float(max(int(degs.max(initial=0)), int(degs[u]) + added_degree, 2)) + 0.25
+
+
+def _pendant_limit(g: Graph, u: int, alpha: float, paths: int,
+                   cfg: RootConfig) -> float:
+    """Largest root of (1 - a h) - paths * (a - (2a - 1) h) r(lambda) above 2.
+
+    This is the characteristic equation of G with `paths` pendant paths at
+    u grown without bound, divided by phi(G) > 0. The coefficient
+    a - (2a - 1) h = a (1 - h) + h (1 - a) is positive since h lies in
+    (0, 1] for lambda >= 2, and r(lambda) rises to +infinity as lambda
+    falls to rho(G), so the left side falls to -infinity there. Deleting u
+    from G + P_k leaves blocks with spectra at most max(2, rho(G)), so by
+    interlacing at most one eigenvalue of G + P_k, and hence at most one
+    root of the limit equation, lies above that point.
+    """
+    _check_alpha_unit(alpha)
+    if not g.is_connected():
+        raise ValueError("pendant-path limits need a connected graph")
+    r = vertex_resolvent(g, u, alpha)
+    rho = r.top
+
+    def eq(lam: float) -> float:
+        if lam <= rho:
+            return -math.inf  # at or below the pole
+        h = h_of_lambda(lam, alpha)
+        return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+
+    if rho < 2.0 and eq(2.0) >= 0.0:
+        return 2.0
+    top = _degree_bound(g, u, paths)
+    if eq(top) <= 0.0:
+        raise BracketError(
+            f"pendant equation not positive at the degree bound {top} "
+            f"(u={u}, alpha={alpha})")
+    return _bisect(eq, max(2.0, rho), top, cfg)
 
 
 def pendant_path_limit(g: Graph, u: int, alpha: float,
                        cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """Limit of rho as one pendant path at u grows without bound.
 
-    Largest root above 2 of
+    The largest root above 2 of
     (1 - a h) phi(G) - (a - (2a - 1) h) phi(G)_u = 0,
-    or 2 when the equation has no root there (the path-like case).
+    or 2 when the equation has no root there (the path-like case). It is
+    found as the root of (1 - a h) - (a - (2a - 1) h) r(lambda) on
+    (max(2, rho(G)), degree bound], with r(lambda) = phi(G)_u / phi(G)
+    the resolvent entry at u from one eigendecomposition of A_alpha(G).
+    G must be connected (ValueError otherwise: the resolvent would see only
+    the component of u). Raises BracketError when the equation is not
+    positive at the degree bound, instead of returning a wrong value.
     """
-    _check_alpha_unit(alpha)
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph")
-
-    def eq(lam: float) -> float:
-        h = h_of_lambda(lam, alpha)
-        return ((1 - alpha * h) * char_poly_eval(g, alpha, lam)
-                - (alpha - (2 * alpha - 1) * h) * char_poly_eval_deleted(g, u, alpha, lam))
-
-    top = _scan_top(g, u, 1)
-    r = _largest_root_descending(eq, top, 2.0, cfg)
-    return 2.0 if r is None else r
+    return _pendant_limit(g, u, alpha, 1, cfg)
 
 
 def two_pendant_paths_limit(g: Graph, u: int, alpha: float,
                             cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """Limit of rho as two pendant paths at u grow without bound.
 
-    Largest root above 2 of
+    The largest root above 2 of
     (1 - a h) ((1 - a h) phi(G) - 2a phi(G)_u + 2(2a - 1) h phi(G)_u) = 0,
-    or 2 when none exists.
+    or 2 when none exists. The factor 1 - a h is positive, so it is found
+    as the root of (1 - a h) - 2 (a - (2a - 1) h) r(lambda), by the same
+    resolvent route, bracket and errors as pendant_path_limit.
     """
-    _check_alpha_unit(alpha)
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph")
-
-    def eq(lam: float) -> float:
-        h = h_of_lambda(lam, alpha)
-        phi = char_poly_eval(g, alpha, lam)
-        phi_u = char_poly_eval_deleted(g, u, alpha, lam)
-        return (1 - alpha * h) * (
-            phi * (1 - alpha * h) - 2 * alpha * phi_u + 2 * (2 * alpha - 1) * phi_u * h
-        )
-
-    top = _scan_top(g, u, 2)
-    r = _largest_root_descending(eq, top, 2.0, cfg)
-    return 2.0 if r is None else r
+    return _pendant_limit(g, u, alpha, 2, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Spectral radii come from a
 dense symmetric eigensolver, characteristic polynomial values from LU
-determinants, and the path/truncated-path matrices also have closed-form
-evaluations used throughout the limit-point computations.
+determinants, the resolvent diagonal [(lam*I - A_alpha)^-1]_uu from one
+eigendecomposition, and the path/truncated-path matrices also have
+closed-form evaluations used throughout the limit-point computations.
 """
 
 from __future__ import annotations
@@ -113,6 +114,35 @@ def full_spectrum(m: AlphaMatrix, tol: float = 1e-12) -> SpectralResult:
 def radius_of(g: Graph, alpha: float) -> float:
     """Convenience: spectral radius of the alpha matrix of g."""
     return spectral_radius(assemble_a_alpha(g, alpha)).radius
+
+
+@dataclass(frozen=True)
+class VertexResolvent:
+    """r(lam) = [(lam*I - A_alpha(g))^-1]_uu for one vertex u.
+
+    With A_alpha(g) = Q diag(w) Q^T, r(lam) = sum_i Q_ui^2 / (lam - w_i),
+    which equals char_poly_eval_deleted / char_poly_eval at every lam off
+    the spectrum. Each evaluation is one O(n) dot product.
+    """
+
+    eigenvalues: np.ndarray  # ascending
+    weights: np.ndarray      # Q_ui^2, aligned with eigenvalues
+
+    @property
+    def top(self) -> float:
+        """Largest eigenvalue: the pole of r nearest to +infinity."""
+        return float(self.eigenvalues[-1])
+
+    def __call__(self, lam: float) -> float:
+        return float(np.dot(self.weights, 1.0 / (lam - self.eigenvalues)))
+
+
+def vertex_resolvent(g: Graph, u: int, alpha: float) -> VertexResolvent:
+    """The resolvent diagonal entry at u, from one dense eigendecomposition."""
+    if not (0 <= u < g.n_vertices):
+        raise ValueError(f"vertex {u} not in graph")
+    w, q = np.linalg.eigh(assemble_a_alpha(g, alpha).entries)
+    return VertexResolvent(w, q[u] ** 2)
 
 
 def char_poly_eval(g: Graph, alpha: float, lam: float) -> float:

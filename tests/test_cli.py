@@ -169,6 +169,24 @@ def test_unknown_family_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_non_finite_tol_is_a_usage_error(capsys):
+    for tol in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", "--alpha", "0.3", "--tol", tol])
+        assert exc.value.code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "path:5", "--out", str(dest)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("alphalimits: error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_identities_pass(capsys):
     code, out = run_cli(capsys, "verify", "identities", "--seed", "1")
     assert code == 0

@@ -2,8 +2,10 @@
 
 Derived reference values are cross-checked against independent routes:
 companion-matrix eigenvalues (numpy.roots) for polynomial roots, exact
-surd expressions where one exists, and frozen regression decimals that
-were produced by a separate bisection implementation.
+surd expressions where one exists, frozen regression decimals that
+were produced by a separate bisection implementation, and, for the
+pendant-path limits, the determinant form of their equation and the
+radii of long finite paths.
 """
 
 import math
@@ -11,7 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from alphalimits.graphs import cycle, path, star
+from alphalimits.graphs import Graph, attach_pendant_path, cycle, parse_graph, path, star
+from alphalimits.spectral import (
+    char_poly_eval,
+    char_poly_eval_deleted,
+    h_of_lambda,
+    radius_of,
+)
+from alphalimits.verify import random_connected_graph, random_tree
 from alphalimits import limits as L
 from alphalimits.limits import (
     BracketError,
@@ -67,8 +76,9 @@ def test_half_poly_evaluation():
 
 
 def test_root_config_validation():
-    with pytest.raises(ValueError):
-        RootConfig(tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RootConfig(tol=tol)
     with pytest.raises(ValueError):
         RootConfig(max_iter=0)
     with pytest.raises(ValueError):
@@ -78,6 +88,18 @@ def test_root_config_validation():
 def test_bisect_raises_without_sign_change():
     with pytest.raises(BracketError):
         L._bisect(lambda t: t * t + 1.0, 0.0, 1.0, L.DEFAULT_CONFIG)
+
+
+def test_bisect_raises_when_iterations_run_out():
+    with pytest.raises(BracketError):
+        gamma_n(3, 0.3, RootConfig(max_iter=5))
+
+
+def test_bisect_stops_at_double_resolution():
+    fine = RootConfig(tol=1e-300)
+    t = L._bisect(lambda x: x * x - 2.0, 1.0, 2.0, fine)
+    assert abs(t - math.sqrt(2.0)) <= math.ulp(t)
+    assert abs(psi(0.3, fine) - psi(0.3)) < 1e-13
 
 
 def test_classic_polynomial_values():
@@ -157,6 +179,13 @@ def test_eta_classic_approaches_the_supremum():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < SQRT_2_PLUS_SQRT5
     assert SQRT_2_PLUS_SQRT5 - vals[-1] < 1e-7
+
+
+def test_eta_zero_validates_alpha():
+    assert eta_n(0, 0.4) == 2.0
+    for alpha in (5.0, -1.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            eta_n(0, alpha)
 
 
 def test_gamma_edges():
@@ -310,6 +339,60 @@ def test_two_paths_dominate_one_path():
             one = pendant_path_limit(g, u, alpha)
             two = two_pendant_paths_limit(g, u, alpha)
             assert two >= one - 1e-12
+
+
+def test_pendant_limit_on_a_small_tree_at_high_alpha():
+    # A descending determinant scan returned the fallback 2.0 here.
+    g = parse_graph("11; 0-8,1-3,1-5,2-7,2-8,3-6,4-5,5-10,6-9,8-9")
+    alpha = 0.941875
+    limit = pendant_path_limit(g, 4, alpha)
+    assert abs(limit - radius_of(attach_pendant_path(g, 4, 200), alpha)) < 1e-9
+
+
+def test_pendant_limit_on_an_order_300_tree_at_high_alpha():
+    # Determinants of order 300 overflow; on this tree a scan over them
+    # stopped at 3.84, a smaller root.
+    g = random_tree(np.random.default_rng(3), 300)
+    alpha = 0.936
+    limit = pendant_path_limit(g, 0, alpha)
+    assert abs(limit - radius_of(attach_pendant_path(g, 0, 300), alpha)) < 1e-9
+
+
+def _determinant_equation(g, u, alpha, paths, lam):
+    """The pendant equation before division by phi(G), from two determinants."""
+    h = h_of_lambda(lam, alpha)
+    return ((1 - alpha * h) * char_poly_eval(g, alpha, lam)
+            - paths * (alpha - (2 * alpha - 1) * h)
+            * char_poly_eval_deleted(g, u, alpha, lam))
+
+
+@pytest.mark.parametrize("paths", (1, 2))
+def test_pendant_limits_solve_the_determinant_equation(paths):
+    op = pendant_path_limit if paths == 1 else two_pendant_paths_limit
+    rng = np.random.default_rng(20 + paths)
+    # Paths grown at the end of P_4, or two at a single vertex, make a
+    # longer path: the limit is 2.
+    cases = [(path(4) if paths == 1 else path(1), 0, 0.3)]
+    for _ in range(12):
+        g = random_connected_graph(rng)
+        cases.append((g, int(rng.integers(g.n_vertices)), float(rng.uniform(0.0, 0.95))))
+    for g, u, alpha in cases:
+        limit = op(g, u, alpha)
+        eq = lambda lam: _determinant_equation(g, u, alpha, paths, lam)
+        if limit > 2.0:
+            assert eq(limit - 1e-9) < 0.0 < eq(limit + 1e-9)
+        else:
+            assert limit == 2.0 and eq(2.0) >= 0.0
+        top = float(g.degrees().max()) + paths + 1.0
+        assert all(eq(lam) > 0.0 for lam in np.linspace(limit + 1e-9, top, 500))
+
+
+def test_pendant_limits_need_a_connected_graph():
+    g = Graph(4, frozenset({(0, 1), (2, 3)}))
+    with pytest.raises(ValueError):
+        pendant_path_limit(g, 0, 0.3)
+    with pytest.raises(ValueError):
+        two_pendant_paths_limit(g, 0, 0.3)
 
 
 # ---------------------------------------------------------------------------
