@@ -80,6 +80,7 @@ from .spectral import (
     path_charpoly_closed,
     radius_of,
     spectral_radius,
+    star_radius,
     tridiag_charpoly_recurrence,
     vertex_resolvent,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -29,10 +28,12 @@ from .graphs import (
     wheel5,
 )
 from .limits import RootConfig
-from .spectral import radius_of
+from .spectral import radius_of, star_radius
 from .verify import run_suite
 
 MAX_ORDER = 2000
+MAX_TABLE_N = 500
+MAX_TRIALS = 10000
 GAP_NEGATIVE_FLOOR = -1e-10
 GAP_INCREASE_SLACK = 1e-12
 
@@ -157,8 +158,7 @@ def cmd_radius(args) -> tuple:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     rho = radius_of(g, alpha)
     dmax = float(g.degrees().max()) if g.n_edges else 0.0
-    rad = alpha * alpha * (dmax + 1) ** 2 + 4 * dmax * (1 - 2 * alpha)
-    lower = 0.5 * (alpha * (dmax + 1) + math.sqrt(max(rad, 0.0)))
+    lower = star_radius(dmax, alpha)
     report = Report(
         columns=("graph", "alpha", "rho", "lower_bound", "upper_bound"),
         rows=[(args.graph, alpha, rho, lower, dmax)],
@@ -173,6 +173,8 @@ def cmd_table(args) -> tuple:
     for a in alphas:
         if not (0.0 <= a < 1.0):
             raise ValueError(f"table alpha must lie in [0,1), got {a}")
+    if args.n_max > MAX_TABLE_N:
+        raise ValueError(f"n-max {args.n_max} > cap {MAX_TABLE_N}")
     cfg = RootConfig(tol=args.tol)
     table = limits.limit_table(args.kind, args.n_max, alphas, cfg)
     rows = [("term", r.n, r.alpha, r.gamma, r.eta) for r in table.rows]
@@ -314,6 +316,8 @@ def cmd_convergence(args) -> tuple:
 def cmd_verify(args) -> tuple:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"trials {args.trials} > cap {MAX_TRIALS}")
     results = run_suite(args.suite, args.seed, args.trials)
     rows = [(args.suite, r.name, "pass" if r.passed else "FAIL", r.checked,
              r.detail) for r in results]

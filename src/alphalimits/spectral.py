@@ -2,11 +2,15 @@
 
 The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
-value at alpha=1/2 is the signless Laplacian. Spectral radii come from a
-dense symmetric eigensolver, characteristic polynomial values from LU
-determinants, the resolvent diagonal [(lam*I - A_alpha)^-1]_uu from one
-eigendecomposition, and the path/truncated-path matrices also have
-closed-form evaluations used throughout the limit-point computations.
+value at alpha=1/2 is the signless Laplacian. radius_of takes a tree of
+order TREE_MIN_ORDER or more by leaf-to-root elimination in O(n) memory
+and O(n) time per bisection step, and returns the upper end of a one-ulp
+bracket; every other graph, and the matrix-level spectral_radius and
+full_spectrum, use a dense symmetric eigensolver. Characteristic polynomial
+values come from LU determinants, the resolvent diagonal
+[(lam*I - A_alpha)^-1]_uu from one eigendecomposition, and the
+path/truncated-path matrices also have closed-form evaluations used
+throughout the limit-point computations.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import numpy as np
 from .graphs import Graph
 
 DEGENERATE_DELTA = 1e-9
+# Order from which radius_of sends trees to leaf-to-root elimination.
+TREE_MIN_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,94 @@ def full_spectrum(m: AlphaMatrix, tol: float = 1e-12) -> SpectralResult:
 
 
 def radius_of(g: Graph, alpha: float) -> float:
-    """Convenience: spectral radius of the alpha matrix of g."""
+    """Spectral radius of A_alpha(g), by the cheaper of two routes.
+
+    A tree of order TREE_MIN_ORDER or more goes to leaf-to-root
+    elimination: bisection on whether lam*I - A_alpha is positive definite,
+    from the bracket [0, max degree] until its ends are adjacent doubles.
+    The result is the upper end: a double at which the elimination finds
+    the matrix definite, one ulp above a double at which it does not (or
+    the max degree itself). It agrees with the dense value to rounding
+    (within 1e-12 on the tested orders 128-1602) and is the max degree
+    exactly at alpha = 1. Any other graph, and every graph below
+    TREE_MIN_ORDER, where dense is faster, gets the dense eigensolve of
+    spectral_radius bit for bit.
+    """
+    if g.n_vertices >= TREE_MIN_ORDER:
+        tree = _leaves_first(g)
+        if tree is not None:
+            _validate_alpha(alpha)
+            return _tree_radius(tree, alpha)
     return spectral_radius(assemble_a_alpha(g, alpha)).radius
+
+
+def _leaves_first(g: Graph) -> list | None:
+    """(vertex, parent, degree) triples, every child before its parent.
+
+    The root (vertex 0) comes last with parent n, a spare slot. Returns
+    None unless g is a tree: n - 1 edges and every vertex reached by BFS.
+    """
+    n = g.n_vertices
+    if g.n_edges != n - 1:
+        return None
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    parent[0] = n
+    bfs = [0]
+    for u in bfs:  # grows while it is walked: a BFS queue
+        for w in adj[u]:
+            if parent[w] == -1:
+                parent[w] = u
+                bfs.append(w)
+    if len(bfs) != n:
+        return None
+    return [(v, parent[v], len(adj[v])) for v in reversed(bfs)]
+
+
+def _tree_radius(tree: list, alpha: float) -> float:
+    """rho(A_alpha(tree)), the upper end of a one-ulp bisection bracket.
+
+    lam > rho iff lam*I - A_alpha is positive definite. Eliminating leaves
+    first leaves the pivot f_v = lam - alpha*deg(v) - sum over children c
+    of (1-alpha)^2 / f_c at every vertex, and the matrix is positive
+    definite iff every pivot is positive (Jacobs & Trevisan, "Locating the
+    eigenvalues of trees", LAA 434, 2011). rho <= max degree for every
+    alpha in [0,1], so [0, max degree] brackets it.
+    """
+    steps = [(v, p, alpha * d) for v, p, d in tree]
+    c = (1.0 - alpha) ** 2
+    size = len(steps) + 1
+
+    def definite(lam: float) -> bool:
+        acc = [0.0] * size
+        for v, p, d in steps:
+            f = lam - d - acc[v]
+            if f <= 0.0:
+                return False
+            acc[p] += c / f
+        return True
+
+    lo, hi = 0.0, float(max(d for _, _, d in tree))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if definite(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def star_radius(k: float, alpha: float) -> float:
+    """rho(A_alpha(K_{1,k})), a lower bound for every graph of maximum degree k.
+
+    The star K_{1,k} is a subgraph of any graph with a vertex of degree k.
+    """
+    rad = alpha * alpha * (k + 1) ** 2 + 4 * k * (1 - 2 * alpha)
+    return 0.5 * (alpha * (k + 1) + math.sqrt(max(rad, 0.0)))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .spectral import (
     h_of_lambda,
     path_charpoly_closed,
     radius_of,
+    star_radius,
 )
 
 STRICT_MARGIN = 1e-12
@@ -143,8 +144,7 @@ def check_radius_bounds(graphs: list, alphas: list) -> PropertyResult:
     for g, alpha in zip(graphs, alphas):
         dmax = float(g.degrees().max())
         rho = radius_of(g, alpha)
-        rad = alpha * alpha * (dmax + 1) ** 2 + 4 * dmax * (1 - 2 * alpha)
-        lower = 0.5 * (alpha * (dmax + 1) + math.sqrt(max(rad, 0.0)))
+        lower = star_radius(dmax, alpha)
         checked += 1
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
             bad.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "

@@ -157,6 +157,20 @@ def test_convergence_rejects_orders_over_cap(capsys):
     assert exc.value.code == 2
 
 
+def test_table_rejects_n_max_over_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "versionI", "--n-max", "501"])
+    assert exc.value.code == 2
+    assert "n-max 501 > cap 500" in capsys.readouterr().err
+
+
+def test_verify_rejects_trials_over_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemmas", "--trials", "10001"])
+    assert exc.value.code == 2
+    assert "trials 10001 > cap 10000" in capsys.readouterr().err
+
+
 def test_table_rejects_zero_terms_for_classic(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "classic", "--n-max", "0"])

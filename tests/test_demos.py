@@ -1,0 +1,18 @@
+"""Each walkthrough in demos/ runs to the end."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 3
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script, capsys):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

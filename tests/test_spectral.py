@@ -4,9 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphalimits.graphs import cycle, path, star, wheel5
+from alphalimits import spectral
+from alphalimits.graphs import (
+    Graph,
+    attach_pendant_path,
+    cycle,
+    p2_two_paths,
+    path,
+    star,
+    wheel5,
+)
 from alphalimits.spectral import (
+    TREE_MIN_ORDER,
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
@@ -19,8 +31,11 @@ from alphalimits.spectral import (
     path_charpoly_closed,
     radius_of,
     spectral_radius,
+    star_radius,
     tridiag_charpoly_recurrence,
 )
+
+TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 
 
 def test_a_alpha_entries_exact():
@@ -196,3 +211,138 @@ def test_charpoly_context_relations():
             assert abs(ctx.s - ctx.t - ctx.delta) < 1e-12
             assert abs(ctx.s * ctx.t - (1 - alpha) ** 2) < 1e-12
             assert abs(ctx.delta ** 2 - (lam - 4 * alpha + 2) * (lam - 2)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# radius_of: leaf-to-root elimination for trees from TREE_MIN_ORDER up
+# ---------------------------------------------------------------------------
+
+
+def dense_radius(g, alpha):
+    return spectral_radius(assemble_a_alpha(g, alpha)).radius
+
+
+def seeded_tree(seed, n):
+    rng = np.random.default_rng(seed)
+    return Graph(n, frozenset((int(rng.integers(0, v)), v) for v in range(1, n)))
+
+
+@st.composite
+def random_trees(draw, min_n, max_n):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    edges = set()
+    for v in range(1, n):
+        edges.add((draw(st.integers(min_value=0, max_value=v - 1)), v))
+    return Graph(n, frozenset(edges))
+
+
+def no_dense(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("dense eigensolve on a tree above the crossover")
+    monkeypatch.setattr(spectral, "spectral_radius", fail)
+
+
+def no_elimination(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("tree elimination below the crossover or off a tree")
+    monkeypatch.setattr(spectral, "_tree_radius", fail)
+
+
+# The four convergence families at orders 128, about 500, and 802-1602.
+CONVERGENCE_FAMILIES = {
+    "p2nn": (lambda s: p2_two_paths(s, s)[0], (63, 250, 800)),
+    "p2mn": (lambda s: p2_two_paths(s, 2)[0], (124, 500, 800)),
+    "k13": (lambda s: attach_pendant_path(star(3), 0, s), (124, 500, 800)),
+    "p5u": (lambda s: attach_pendant_path(path(5), 2, s), (123, 500, 800)),
+}
+
+
+@pytest.mark.parametrize("family, size", [
+    (family, size) for family, (_, sizes) in sorted(CONVERGENCE_FAMILIES.items())
+    for size in sizes])
+def test_tree_radius_matches_dense_on_convergence_families(family, size):
+    g = CONVERGENCE_FAMILIES[family][0](size)
+    assert TREE_MIN_ORDER <= g.n_vertices <= 1602
+    for alpha in TREE_ALPHAS:
+        assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_radius_matches_dense_on_seeded_trees(seed):
+    g = seeded_tree(seed, (128, 129, 200, 400, 700, 1000)[seed])
+    for alpha in TREE_ALPHAS:
+        assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(random_trees(TREE_MIN_ORDER, 300), st.sampled_from(TREE_ALPHAS))
+def test_tree_radius_matches_dense_property(g, alpha):
+    assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+
+
+def test_trees_above_crossover_skip_the_dense_solve(monkeypatch):
+    no_dense(monkeypatch)
+    for g in (path(TREE_MIN_ORDER), seeded_tree(0, 500), p2_two_paths(800, 800)[0]):
+        assert radius_of(g, 0.3) > 0
+
+
+def test_tree_radius_path_anchor():
+    for n in (TREE_MIN_ORDER, 500, 1602):
+        assert abs(radius_of(path(n), 0.0) - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
+
+
+def test_tree_radius_star_anchor():
+    for k in (TREE_MIN_ORDER - 1, 300, 1000):
+        for alpha in TREE_ALPHAS:
+            rad = alpha * alpha * (k + 1) ** 2 + 4 * k * (1 - 2 * alpha)
+            expect = 0.5 * (alpha * (k + 1) + math.sqrt(rad))
+            assert abs(radius_of(star(k), alpha) - expect) <= 1e-12 * expect
+
+
+def test_tree_radius_at_alpha_one_is_max_degree_exactly():
+    for g in (path(TREE_MIN_ORDER), star(TREE_MIN_ORDER - 1), seeded_tree(3, 600),
+              attach_pendant_path(star(3), 0, 800)):
+        assert radius_of(g, 1.0) == float(g.degrees().max())
+
+
+def test_tree_radius_validates_alpha():
+    for alpha in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            radius_of(path(TREE_MIN_ORDER), alpha)
+
+
+def test_unicyclic_graph_above_crossover_stays_dense(monkeypatch):
+    g = Graph(200, path(200).edges | {(0, 199)})
+    no_elimination(monkeypatch)
+    for alpha in TREE_ALPHAS:
+        assert radius_of(g, alpha) == dense_radius(g, alpha)
+
+
+def test_disconnected_graph_with_n_minus_one_edges_stays_dense(monkeypatch):
+    # a 150-cycle and a 50-path: 150 + 49 = 199 edges on 200 vertices
+    edges = cycle(150).edges | {(150 + i, 151 + i) for i in range(49)}
+    g = Graph(200, frozenset(edges))
+    assert g.n_edges == g.n_vertices - 1
+    no_elimination(monkeypatch)
+    for alpha in TREE_ALPHAS:
+        assert radius_of(g, alpha) == dense_radius(g, alpha)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_trees(2, TREE_MIN_ORDER - 1), st.sampled_from(TREE_ALPHAS))
+def test_graphs_below_crossover_get_the_dense_value_exactly(g, alpha):
+    assert radius_of(g, alpha) == dense_radius(g, alpha)
+
+
+def test_small_graphs_never_reach_elimination(monkeypatch):
+    no_elimination(monkeypatch)
+    for g in (path(TREE_MIN_ORDER - 1), star(TREE_MIN_ORDER - 2), wheel5(), cycle(9)):
+        for alpha in TREE_ALPHAS:
+            assert radius_of(g, alpha) == dense_radius(g, alpha)
+
+
+def test_star_radius_is_the_star_and_a_lower_bound():
+    for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
+        for k in (1, 3, 7):
+            assert abs(star_radius(k, alpha) - dense_radius(star(k), alpha)) < 1e-12
+        assert star_radius(4, alpha) <= radius_of(wheel5(), alpha) + 1e-12
