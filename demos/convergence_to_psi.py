@@ -23,6 +23,9 @@ from alphalimits import (
 alpha = 0.25
 
 # Two equal pendant paths on one edge: the radius climbs to Psi(alpha).
+# Below 1e-12 a gap is rounding noise, so a ratio of two gaps is shown
+# only while both lie above it; later rows are marked saturated.
+SATURATION_FLOOR = 1e-12
 print(f"rho of the two-equal-paths tree vs Psi({alpha})")
 target = psi(alpha)
 prev_gap = None
@@ -30,8 +33,13 @@ for m in (5, 10, 20, 40, 80, 160):
     g, _ = p2_two_paths(m, m)
     rho = radius_of(g, alpha)
     gap = target - rho
-    ratio = "" if prev_gap is None else f"  gap ratio {gap / prev_gap:.4f}"
-    print(f"  m={m:4d}  rho={rho:.12f}  gap={gap:.3e}{ratio}")
+    if abs(gap) <= SATURATION_FLOOR:
+        note = "  saturated at rounding level"
+    elif prev_gap is not None and abs(prev_gap) > SATURATION_FLOOR:
+        note = f"  gap ratio {gap / prev_gap:.4f}"
+    else:
+        note = ""
+    print(f"  m={m:4d}  rho={rho:.12f}  gap={gap:.3e}{note}")
     prev_gap = gap
 print(f"  Psi({alpha}) = {target:.12f}")
 print()

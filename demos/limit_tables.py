@@ -16,7 +16,7 @@ table = limit_table("classic", 8)
 print("classic sequence (alpha = 0)")
 for row in table.rows:
     print(f"  n={row.n:2d}  root={row.gamma:.12f}  eta={row.eta:.12f}")
-_, limit0, _ = table.limits[0]
+_, limit0 = table.limits[0]
 print(f"  limit sqrt(2+sqrt5) = {limit0:.12f}")
 print()
 

@@ -44,8 +44,6 @@ from .limits import (
     eta_n,
     gamma_n,
     gamma_tilde_n,
-    guo_wang_poly,
-    half_alpha_poly,
     laplacian_guo_wang,
     laplacian_new,
     limit_table,
@@ -54,7 +52,6 @@ from .limits import (
     omega2,
     omega2_closed_form,
     pendant_path_limit,
-    phi_hoffman,
     phi_version1,
     phi_version2,
     psi,
@@ -65,7 +62,6 @@ from .limits import (
 )
 from .spectral import (
     AlphaMatrix,
-    CharPolyContext,
     SpectralResult,
     VertexResolvent,
     assemble_a_alpha,
@@ -73,7 +69,6 @@ from .spectral import (
     bn_charpoly_closed,
     char_poly_eval,
     char_poly_eval_deleted,
-    charpoly_context,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,

@@ -178,12 +178,12 @@ def cmd_table(args) -> tuple:
     cfg = RootConfig(tol=args.tol)
     table = limits.limit_table(args.kind, args.n_max, alphas, cfg)
     rows = [("term", r.n, r.alpha, r.gamma, r.eta) for r in table.rows]
-    rows += [("limit", None, a, None, v) for a, v, _ in table.limits]
+    rows += [("limit", None, a, None, v) for a, v in table.limits]
     series = []
     for a in sorted({r.alpha for r in table.rows}):
         pts = [(r.n, r.eta) for r in table.rows if r.alpha == a]
         series.append((f"{args.kind} alpha={_fmt(float(a))}", pts))
-    for a, v, _ in table.limits:
+    for a, v in table.limits:
         series.append((f"limit alpha={_fmt(float(a))}", [(args.n_max, v)]))
     report = Report(
         columns=("label", "n", "alpha", "root", "value"),

@@ -3,7 +3,11 @@
 Every limit value here is the root of an explicit polynomial or of a
 characteristic equation in lambda. Expressions carrying half-integer
 powers of x are stored as ordinary polynomials in t with x = t*t, so root
-isolation is plain bisection in t. The largest roots of the psi, omega2
+isolation is plain bisection in t. Two builders, phi_version1 and
+phi_version2, give every sequence polynomial: Hoffman's classical
+polynomial is phi_version2 at alpha 0, and the signless Laplacian
+polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
+their usual integer forms. The largest roots of the psi, omega2
 and Q-limit equations are bracketed by a descending scan and then
 bisected. The pendant-path limit operators work on any connected graph:
 they divide their characteristic equation by phi(G), which leaves the
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +41,17 @@ class RootConfig:
 
     tol: float = 1e-13
     max_iter: int = 200
-    scan_points: int = 512
 
     def __post_init__(self):
         if not (0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.scan_points < 2:
-            raise ValueError("scan_points must be at least 2")
 
 
 DEFAULT_CONFIG = RootConfig()
+# Grid points of the descending scan that brackets a largest root.
+SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class HalfPoly:
     """
 
     coeffs: tuple
-    alpha: float | None = None
 
     def eval_t(self, t):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coeffs))
@@ -110,7 +112,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
 
 def _largest_root_descending(f, hi: float, lo: float, cfg: RootConfig) -> float | None:
     """First sign change scanning from hi down to lo, refined by bisection."""
-    grid = np.linspace(hi, lo, cfg.scan_points)
+    grid = np.linspace(hi, lo, SCAN_POINTS)
     prev_x = grid[0]
     prev_v = f(prev_x)
     if prev_v == 0.0:
@@ -128,17 +130,6 @@ def _largest_root_descending(f, hi: float, lo: float, cfg: RootConfig) -> float 
 # ---------------------------------------------------------------------------
 # defining polynomials
 # ---------------------------------------------------------------------------
-
-
-def phi_hoffman(n: int) -> HalfPoly:
-    """x^(n+1) - (1 + x + ... + x^(n-1)), the classical sequence polynomial."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = np.zeros(2 * n + 3)
-    c[2 * n + 2] = 1.0
-    for k in range(n):
-        c[2 * k] -= 1.0
-    return HalfPoly(tuple(c), None)
 
 
 def phi_version1(n: int, alpha: float) -> HalfPoly:
@@ -159,7 +150,7 @@ def phi_version1(n: int, alpha: float) -> HalfPoly:
         c[2 * i + 4] += 1 - 2 * a + 2 * a * a
     c[2] += a * a
     c[0] -= (1 - a) ** 2
-    return HalfPoly(tuple(c), alpha)
+    return HalfPoly(tuple(c))
 
 
 def phi_version2(n: int, alpha: float) -> HalfPoly:
@@ -180,39 +171,7 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
     for i in range(1, n):
         c[2 * i] -= 1 - 2 * a + 2 * a * a
     c[0] -= (1 - a) ** 2
-    return HalfPoly(tuple(c), alpha)
-
-
-def guo_wang_poly(n: int) -> HalfPoly:
-    """x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2, for the Q-limits."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = np.zeros(2 * n + 3)
-    c[2 * n + 2] = 1.0
-    for k in range(n):
-        c[2 * k + 2] -= 1.0
-        c[2 * k + 1] -= 2.0
-        c[2 * k] -= 1.0
-    return HalfPoly(tuple(c), None)
-
-
-def half_alpha_poly(n: int) -> HalfPoly:
-    """x^(n+1) + 2 * sum_{i=0}^{n-1} x^(n-i+1/2) + 2 * sum_{i=0}^{n-2} x^(i+2) + x - 1.
-
-    Four times phi_version1(n, 1/2); its root in (0,1) gives the signless
-    Laplacian limit sequence.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    c = np.zeros(2 * n + 3)
-    c[2 * n + 2] = 1.0
-    for i in range(n):
-        c[2 * (n - i) + 1] += 2.0
-    for i in range(n - 1):
-        c[2 * i + 4] += 2.0
-    c[2] += 1.0
-    c[0] -= 1.0
-    return HalfPoly(tuple(c), 0.5)
+    return HalfPoly(tuple(c))
 
 
 def difference_poly_f(x: float, alpha: float) -> float:
@@ -240,8 +199,11 @@ def _check_alpha_unit(alpha: float) -> None:
 
 
 def beta_n(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Unique root >= 1 of the classical sequence polynomial; beta_1 = 1."""
-    p = phi_hoffman(n)
+    """Unique root >= 1 of x^(n+1) - (1 + x + ... + x^(n-1)); beta_1 = 1.
+
+    That is Hoffman's classical sequence polynomial, phi_version2(n, 0).
+    """
+    p = phi_version2(n, 0.0)
     t = _bisect(p.eval_t, 1.0, math.sqrt(2.0), cfg)
     return t * t
 
@@ -291,19 +253,16 @@ def _eta_from_root(x: float, alpha: float) -> float:
 def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """2a + (1-a) (sqrt(g) + 1/sqrt(g)) at g = gamma_n(alpha).
 
-    Both companion-root routes are evaluated and must agree; the
-    gamma-route value is returned.
+    g is the root of phi_version1(n, alpha) in (0,1). Every coefficient of
+    that polynomial is non-negative except its constant -(1-a)^2, so it has
+    exactly one positive root, and bisection returns only at a sign change.
+    The companion route through gamma_tilde_n is compared with this one in
+    verify (route-equality), not here.
     """
     _check_alpha_unit(alpha)
     if n == 0:
         return 2.0
-    e1 = _eta_from_root(gamma_n(n, alpha, cfg), alpha)
-    e2 = _eta_from_root(1.0 / gamma_tilde_n(n, alpha, cfg), alpha)
-    if abs(e1 - e2) > 1e-10:
-        raise BracketError(
-            f"companion-root routes disagree at n={n}, alpha={alpha}: {e1} vs {e2}"
-        )
-    return e1
+    return _eta_from_root(gamma_n(n, alpha, cfg), alpha)
 
 
 def new_version_sequence(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
@@ -315,12 +274,16 @@ def new_version_sequence(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
 
 
 def laplacian_guo_wang(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
-    """(mu_n, kappa_n): largest root of the Q-limit polynomial, kappa = 2 + sqrt(mu) + 1/sqrt(mu)."""
+    """(mu_n, kappa_n): largest root of the Q-limit polynomial, kappa = 2 + sqrt(mu) + 1/sqrt(mu).
+
+    The Q-limit polynomial x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2
+    is 4 phi_version2(n, 1/2); its root is scanned for on t in [1, 2].
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0, 4.0
-    p = guo_wang_poly(n)
+    p = phi_version2(n, 0.5)
     t = _largest_root_descending(p.eval_t, 2.0, 1.0, cfg)
     if t is None:
         raise BracketError(f"no root of the Q-limit polynomial found for n={n}")
@@ -328,12 +291,17 @@ def laplacian_guo_wang(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
 
 
 def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
-    """(theta_n, xi_n) from the half-alpha polynomial; theta_0 = 1, xi_0 = 4."""
+    """(theta_n, xi_n) from the half-alpha polynomial; theta_0 = 1, xi_0 = 4.
+
+    theta_n is the root in (0,1) of phi_version1(n, 1/2), a quarter of
+    x^(n+1) + 2 sum_{i=0}^{n-1} x^(n-i+1/2) + 2 sum_{i=0}^{n-2} x^(i+2) + x - 1,
+    and xi_n = 2 eta_n(1/2).
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0, 4.0
-    p = half_alpha_poly(n)
+    p = phi_version1(n, 0.5)
     t = _bisect(p.eval_t, 0.0, 1.0, cfg)
     return t * t, 2.0 + t + 1.0 / t
 
@@ -552,6 +520,12 @@ EPSILON_SURD = ((54 - 6 * math.sqrt(33.0)) ** (1.0 / 3.0)
                 + (54 + 6 * math.sqrt(33.0)) ** (1.0 / 3.0)) / 3.0
 
 TABLE_KINDS = ("classic", "versionI", "versionII", "new", "laplacian")
+# Kinds whose table runs at one fixed alpha: (alpha, limiting value).
+_FIXED_LIMITS = {
+    "classic": (0.0, math.sqrt(2.0 + math.sqrt(5.0))),
+    "new": (0.0, math.sqrt(2.0 + math.sqrt(5.0))),
+    "laplacian": (0.5, 2.0 + EPSILON_SURD),
+}
 
 
 @dataclass(frozen=True)
@@ -560,56 +534,49 @@ class TableRow:
     alpha: float
     gamma: float
     eta: float
-    formula_tag: str
 
 
 @dataclass(frozen=True)
 class LimitTable:
     rows: tuple
-    limits: tuple = field(default_factory=tuple)  # (alpha, value, label) triples
+    limits: tuple = ()  # (alpha, value) pairs
+
+
+def _table_term(kind: str, n: int, alpha: float, cfg: RootConfig) -> tuple:
+    """(root, eta-like value) of row n of a table of the given kind."""
+    if kind == "classic":
+        b = beta_n(n, cfg)
+        return b, _eta_from_root(b, 0.0)
+    if kind == "new":
+        return new_version_sequence(n, cfg)
+    if kind == "laplacian":
+        return laplacian_new(n, cfg)
+    if kind == "versionI":
+        root = gamma_n(n, alpha, cfg)
+        return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
+    root = gamma_tilde_n(n, alpha, cfg)
+    return root, 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
 
 
 def limit_table(kind: str, n_max: int, alphas=(0.0,),
                 cfg: RootConfig = DEFAULT_CONFIG) -> LimitTable:
     """Rows (n, alpha, root, eta-like value) plus the limiting value rows.
 
-    classic and new run at alpha 0 regardless of the alphas argument, and
-    laplacian is the signless Laplacian sequence (2 eta at alpha 1/2).
+    classic and new start at n = 1 and run at alpha 0 regardless of the
+    alphas argument, with limit sqrt(2 + sqrt 5); laplacian is the signless
+    Laplacian sequence (2 eta at alpha 1/2), with limit 2 + EPSILON_SURD;
+    versionI and versionII start at n = 0 and end in psi(alpha).
     """
     if kind not in TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
-    rows = []
-    limits = []
-    if kind == "classic":
-        if n_max < 1:
-            raise ValueError("classic table needs n_max >= 1")
-        for n in range(1, n_max + 1):
-            b = beta_n(n, cfg)
-            rows.append(TableRow(n, 0.0, b, _eta_from_root(b, 0.0), kind))
-        limits.append((0.0, math.sqrt(2.0 + math.sqrt(5.0)), "limit"))
-    elif kind == "new":
-        if n_max < 1:
-            raise ValueError("new-version table needs n_max >= 1")
-        for n in range(1, n_max + 1):
-            d, z = new_version_sequence(n, cfg)
-            rows.append(TableRow(n, 0.0, d, z, kind))
-        limits.append((0.0, math.sqrt(2.0 + math.sqrt(5.0)), "limit"))
-    elif kind == "laplacian":
-        if n_max < 0:
-            raise ValueError("laplacian table needs n_max >= 0")
-        for n in range(0, n_max + 1):
-            th, xi = laplacian_new(n, cfg)
-            rows.append(TableRow(n, 0.5, th, xi, kind))
-        limits.append((0.5, 2.0 + EPSILON_SURD, "limit"))
-    else:
-        for alpha in alphas:
-            for n in range(0, n_max + 1):
-                if kind == "versionI":
-                    root = gamma_n(n, alpha, cfg)
-                    e = 2.0 if n == 0 else _eta_from_root(root, alpha)
-                else:
-                    root = gamma_tilde_n(n, alpha, cfg)
-                    e = 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
-                rows.append(TableRow(n, alpha, root, e, kind))
-            limits.append((alpha, psi(alpha, cfg), "limit"))
-    return LimitTable(tuple(rows), tuple(limits))
+    n_min = 1 if kind in ("classic", "new") else 0
+    if n_max < n_min:
+        raise ValueError(f"{kind} table needs n_max >= {n_min}")
+    fixed = _FIXED_LIMITS.get(kind)
+    if fixed is not None:
+        alphas = (fixed[0],)
+    rows = tuple(TableRow(n, alpha, *_table_term(kind, n, alpha, cfg))
+                 for alpha in alphas for n in range(n_min, n_max + 1))
+    limits = (fixed,) if fixed is not None else tuple(
+        (alpha, psi(alpha, cfg)) for alpha in alphas)
+    return LimitTable(rows, limits)

@@ -43,24 +43,6 @@ class AlphaMatrix:
 class SpectralResult:
     radius: float
     eigenvalues: np.ndarray | None
-    method: str
-
-
-@dataclass(frozen=True)
-class CharPolyContext:
-    """The quantities delta, h, s, t attached to a point (lambda, alpha).
-
-    delta^2 = (lam - 4*alpha + 2)(lam - 2), s and t are the two roots of
-    z^2 - (lam - 2*alpha) z + (1-alpha)^2, so s + t = lam - 2*alpha,
-    s - t = delta and s*t = (1-alpha)^2.
-    """
-
-    lam: float
-    alpha: float
-    delta: float
-    h: float
-    s: float
-    t: float
 
 
 def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
@@ -93,28 +75,23 @@ def _check_symmetric(m: AlphaMatrix) -> np.ndarray:
     return e
 
 
-def spectral_radius(m: AlphaMatrix, tol: float = 1e-12) -> SpectralResult:
+def spectral_radius(m: AlphaMatrix) -> SpectralResult:
     """Largest eigenvalue magnitude via the dense symmetric solver.
 
-    The solver works at machine precision; tol is only validated as a
-    positive accuracy floor to keep the contract explicit. For the
-    nonnegative matrices of connected graphs the radius is the Perron
-    value, i.e. the top eigenvalue itself.
+    The solver works at machine precision. For the nonnegative matrices of
+    connected graphs the radius is the Perron value, i.e. the top
+    eigenvalue itself.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     e = _check_symmetric(m)
     w = np.linalg.eigvalsh(e)
-    return SpectralResult(float(np.max(np.abs(w))), None, "dense_eigvalsh")
+    return SpectralResult(float(np.max(np.abs(w))), None)
 
 
-def full_spectrum(m: AlphaMatrix, tol: float = 1e-12) -> SpectralResult:
+def full_spectrum(m: AlphaMatrix) -> SpectralResult:
     """All eigenvalues, sorted ascending."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     e = _check_symmetric(m)
     w = np.linalg.eigvalsh(e)
-    return SpectralResult(float(np.max(np.abs(w))), w, "dense_eigvalsh")
+    return SpectralResult(float(np.max(np.abs(w))), w)
 
 
 def radius_of(g: Graph, alpha: float) -> float:
@@ -275,18 +252,6 @@ def delta_of_lambda(lam: float, alpha: float) -> float:
 def h_of_lambda(lam: float, alpha: float) -> float:
     """(lam - delta) / (2*alpha*(lam-2) + 2)."""
     return (lam - delta_of_lambda(lam, alpha)) / (2.0 * alpha * (lam - 2.0) + 2.0)
-
-
-def charpoly_context(lam: float, alpha: float) -> CharPolyContext:
-    d = delta_of_lambda(lam, alpha)
-    return CharPolyContext(
-        lam=lam,
-        alpha=alpha,
-        delta=d,
-        h=h_of_lambda(lam, alpha),
-        s=(lam - 2.0 * alpha + d) / 2.0,
-        t=(lam - 2.0 * alpha - d) / 2.0,
-    )
 
 
 def tridiag_charpoly_recurrence(diag, offdiag, lam: float) -> float:

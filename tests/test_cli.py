@@ -177,6 +177,22 @@ def test_table_rejects_zero_terms_for_classic(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["classic", "versionI", "versionII", "new", "laplacian"])
+def test_table_rejects_negative_n_max(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", kind, "--n-max", "-3"])
+    assert exc.value.code == 2
+    assert "table needs n_max >=" in capsys.readouterr().err
+
+
+def test_convergence_honours_a_coarse_tol(capsys):
+    code, out = run_cli(capsys, "convergence", "p2mn", "--n-fixed", "2",
+                        "--sizes", "10,20", "--tol", "1e-9")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 2
+
+
 def test_unknown_family_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["radius", "hypercube:4"])

@@ -2,7 +2,10 @@
 
 Each file in tests/golden/ holds the stdout of one example. A change that
 must not move any output leaves them as they are; a change that moves an
-output on purpose regenerates the file and says why.
+output on purpose regenerates the file and says why. The three table
+examples beyond the README's cover the versionI, versionII and new
+branches of limit_table, the first with the ten alphas of the north-star
+command.
 """
 
 from pathlib import Path
@@ -12,7 +15,11 @@ import pytest
 from alphalimits.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+TEN_ALPHAS = tuple(arg for k in range(10) for arg in ("--alpha", f"0.{k}"))
 EXAMPLES = {
+    "table_versionI_ten_alphas": ("table", "versionI", "--n-max", "30", *TEN_ALPHAS),
+    "table_versionII": ("table", "versionII", "--n-max", "30", "--alpha", "0.3"),
+    "table_new": ("table", "new", "--n-max", "10"),
     "radius_wheel5": ("radius", "wheel5", "--alpha", "0.3333333333333333"),
     "table_classic": ("table", "classic", "--n-max", "10"),
     "table_laplacian_json": ("table", "laplacian", "--n-max", "8", "--format", "json"),

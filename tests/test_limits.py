@@ -33,8 +33,6 @@ from alphalimits.limits import (
     eta_n,
     gamma_n,
     gamma_tilde_n,
-    guo_wang_poly,
-    half_alpha_poly,
     laplacian_guo_wang,
     laplacian_new,
     limit_table,
@@ -43,7 +41,6 @@ from alphalimits.limits import (
     omega2,
     omega2_closed_form,
     pendant_path_limit,
-    phi_hoffman,
     phi_version1,
     phi_version2,
     psi,
@@ -81,8 +78,6 @@ def test_root_config_validation():
             RootConfig(tol=tol)
     with pytest.raises(ValueError):
         RootConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        RootConfig(scan_points=1)
 
 
 def test_bisect_raises_without_sign_change():
@@ -103,7 +98,7 @@ def test_bisect_stops_at_double_resolution():
 
 
 def test_classic_polynomial_values():
-    p = phi_hoffman(3)  # x^4 - x^2 - x - 1
+    p = phi_version2(3, 0.0)  # x^4 - x^2 - x - 1
     assert abs(p(2.0) - (16.0 - 4.0 - 2.0 - 1.0)) < 1e-12
     assert abs(p(1.0) - (1 - 3)) < 1e-12
 
@@ -156,7 +151,7 @@ def test_classic_to_version1_transform():
     for n in (1, 3, 8):
         for x in (0.2, 0.6, 0.9):
             lhs = phi_version1(n, 0.0)(x)
-            rhs = -(x ** (n + 1)) * phi_hoffman(n)(1.0 / x)
+            rhs = -(x ** (n + 1)) * phi_version2(n, 0.0)(1.0 / x)
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -212,6 +207,23 @@ def test_gamma_reciprocal_duality():
     for n in (1, 3, 9, 22):
         for alpha in (0.0, 0.2, 0.55, 0.9):
             assert abs(gamma_n(n, alpha) * gamma_tilde_n(n, alpha) - 1.0) < 1e-11
+
+
+def test_eta_honours_a_coarse_tol():
+    # the gamma route alone: no fixed-width comparison with a second route
+    cfg = RootConfig(tol=1e-6)
+    t = math.sqrt(gamma_n(30, 0.9, cfg))
+    assert eta_n(30, 0.9, cfg) == 2 * 0.9 + (1 - 0.9) * (t + 1.0 / t)
+
+
+def test_eta_never_takes_the_companion_route(monkeypatch):
+    def companion(*args):
+        raise AssertionError("eta_n reached gamma_tilde_n")
+
+    monkeypatch.setattr(L, "gamma_tilde_n", companion)
+    for n, alpha in ((1, 0.0), (5, 0.3), (30, 0.9)):
+        t = math.sqrt(gamma_n(n, alpha))
+        assert eta_n(n, alpha) == 2 * alpha + (1 - alpha) * (t + 1.0 / t)
 
 
 def test_eta_frozen_regression_values():
@@ -412,9 +424,37 @@ def test_laplacian_sequence_anchors():
     assert abs(kap1 - (2.0 + root + 1.0 / root)) < 1e-12
 
 
+def guo_wang_coeffs(n):
+    """x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2 in t = sqrt(x)."""
+    geometric = [1.0 - k % 2 for k in range(2 * n - 1)]  # 1 + t^2 + ... + t^(2n-2)
+    c = np.zeros(2 * n + 3)
+    c[2 * n + 2] = 1.0
+    prod = np.polynomial.polynomial.polymul(geometric, [1.0, 2.0, 1.0])
+    c[:len(prod)] -= prod
+    return c
+
+
+def half_alpha_coeffs(n):
+    """x^(n+1) + 2 sum_{i<n} x^(n-i+1/2) + 2 sum_{i<n-1} x^(i+2) + x - 1 in t."""
+    c = np.zeros(2 * n + 3)
+    c[2 * n + 2] = 1.0
+    for i in range(n):
+        c[2 * (n - i) + 1] += 2.0
+    for i in range(n - 1):
+        c[2 * i + 4] += 2.0
+    c[2] += 1.0
+    c[0] -= 1.0
+    return c
+
+
+def test_guo_wang_poly_is_four_times_version2():
+    for n in (1, 2, 3, 7, 20):
+        four = 4.0 * np.asarray(phi_version2(n, 0.5).coeffs)
+        assert np.array_equal(guo_wang_coeffs(n), four)
+
+
 def test_laplacian_guo_wang_against_companion_matrix():
-    coeffs = guo_wang_poly(3).coeffs
-    t_root = roots_oracle(list(coeffs))[-1]
+    t_root = roots_oracle(list(guo_wang_coeffs(3)))[-1]
     mu3, _ = laplacian_guo_wang(3)
     assert abs(mu3 - t_root * t_root) < 5e-12
 
@@ -445,18 +485,18 @@ def test_laplacian_sequences_agree():
 
 
 def test_half_alpha_poly_is_four_times_version1():
-    for n in (1, 2, 7):
-        a = np.asarray(half_alpha_poly(n).coeffs)
-        b = 4.0 * np.asarray(phi_version1(n, 0.5).coeffs)
-        assert np.allclose(a, b, atol=1e-15)
+    for n in (1, 2, 7, 20):
+        four = 4.0 * np.asarray(phi_version1(n, 0.5).coeffs)
+        assert np.array_equal(half_alpha_coeffs(n), four)
 
 
 def test_guo_wang_transform_to_half_alpha():
-    # x^(n+1) f_n(1/x) = -phi_n(x) with phi_n the half-alpha polynomial
+    # x^(n+1) f_n(1/x) = -phi_n(x) with f_n the Q-limit polynomial and phi_n
+    # the half-alpha polynomial, both four times their alpha = 1/2 builders
     for n in (1, 3, 6):
         for x in (0.25, 0.5, 0.85):
-            lhs = x ** (n + 1) * guo_wang_poly(n)(1.0 / x)
-            rhs = -half_alpha_poly(n)(x)
+            lhs = x ** (n + 1) * phi_version2(n, 0.5)(1.0 / x)
+            rhs = -phi_version1(n, 0.5)(x)
             assert abs(lhs - rhs) < 1e-11
 
 

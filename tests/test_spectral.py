@@ -24,7 +24,6 @@ from alphalimits.spectral import (
     bn_charpoly_closed,
     char_poly_eval,
     char_poly_eval_deleted,
-    charpoly_context,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,
@@ -95,8 +94,6 @@ def test_trace_identity():
 
 
 def test_spectral_radius_input_validation():
-    with pytest.raises(ValueError):
-        spectral_radius(assemble_a_alpha(path(3), 0.2), tol=0.0)
     bad = assemble_a_alpha(path(3), 0.2)
     lopsided = bad.entries.copy()
     lopsided[0, 1] = 0.5
@@ -201,16 +198,6 @@ def test_delta_and_h():
         assert abs(h_of_lambda(lam, 0.0) - expect) < 1e-13
     with pytest.raises(ValueError):
         delta_of_lambda(1.0, 0.0)
-
-
-def test_charpoly_context_relations():
-    for alpha in (0.1, 0.5, 0.9):
-        for lam in (2.3, 3.7):
-            ctx = charpoly_context(lam, alpha)
-            assert abs(ctx.s + ctx.t - (lam - 2 * alpha)) < 1e-12
-            assert abs(ctx.s - ctx.t - ctx.delta) < 1e-12
-            assert abs(ctx.s * ctx.t - (1 - alpha) ** 2) < 1e-12
-            assert abs(ctx.delta ** 2 - (lam - 4 * alpha + 2) * (lam - 2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
