@@ -519,14 +519,6 @@ def theta_from_lambda(lam: float, alpha: float) -> float:
 EPSILON_SURD = ((54 - 6 * math.sqrt(33.0)) ** (1.0 / 3.0)
                 + (54 + 6 * math.sqrt(33.0)) ** (1.0 / 3.0)) / 3.0
 
-TABLE_KINDS = ("classic", "versionI", "versionII", "new", "laplacian")
-# Kinds whose table runs at one fixed alpha: (alpha, limiting value).
-_FIXED_LIMITS = {
-    "classic": (0.0, math.sqrt(2.0 + math.sqrt(5.0))),
-    "new": (0.0, math.sqrt(2.0 + math.sqrt(5.0))),
-    "laplacian": (0.5, 2.0 + EPSILON_SURD),
-}
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -542,41 +534,62 @@ class LimitTable:
     limits: tuple = ()  # (alpha, value) pairs
 
 
-def _table_term(kind: str, n: int, alpha: float, cfg: RootConfig) -> tuple:
-    """(root, eta-like value) of row n of a table of the given kind."""
-    if kind == "classic":
-        b = beta_n(n, cfg)
-        return b, _eta_from_root(b, 0.0)
-    if kind == "new":
-        return new_version_sequence(n, cfg)
-    if kind == "laplacian":
-        return laplacian_new(n, cfg)
-    if kind == "versionI":
-        root = gamma_n(n, alpha, cfg)
-        return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
+def _classic_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
+    b = beta_n(n, cfg)
+    return b, _eta_from_root(b, 0.0)
+
+
+def _version1_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
+    root = gamma_n(n, alpha, cfg)
+    return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
+
+
+def _version2_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
     root = gamma_tilde_n(n, alpha, cfg)
     return root, 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
+
+
+@dataclass(frozen=True)
+class _TableKind:
+    """Everything limit_table knows about one kind of table."""
+
+    n_min: int
+    term: object  # (n, alpha, cfg) -> (root, eta-like value) of row n
+    fixed: tuple | None = None  # (alpha, limit) of a kind run at one alpha
+
+
+_HOFFMAN_LIMIT = (0.0, math.sqrt(2.0 + math.sqrt(5.0)))
+_TABLES = {
+    "classic": _TableKind(1, _classic_term, _HOFFMAN_LIMIT),
+    "versionI": _TableKind(0, _version1_term),
+    "versionII": _TableKind(0, _version2_term),
+    "new": _TableKind(1, lambda n, alpha, cfg: new_version_sequence(n, cfg),
+                      _HOFFMAN_LIMIT),
+    "laplacian": _TableKind(0, lambda n, alpha, cfg: laplacian_new(n, cfg),
+                            (0.5, 2.0 + EPSILON_SURD)),
+}
+TABLE_KINDS = tuple(_TABLES)
 
 
 def limit_table(kind: str, n_max: int, alphas=(0.0,),
                 cfg: RootConfig = DEFAULT_CONFIG) -> LimitTable:
     """Rows (n, alpha, root, eta-like value) plus the limiting value rows.
 
-    classic and new start at n = 1 and run at alpha 0 regardless of the
-    alphas argument, with limit sqrt(2 + sqrt 5); laplacian is the signless
+    Each kind's first n, row term and limit are its _TABLES entry. classic
+    and new start at n = 1 and run at alpha 0 regardless of the alphas
+    argument, with limit sqrt(2 + sqrt 5); laplacian is the signless
     Laplacian sequence (2 eta at alpha 1/2), with limit 2 + EPSILON_SURD;
     versionI and versionII start at n = 0 and end in psi(alpha).
     """
-    if kind not in TABLE_KINDS:
+    spec = _TABLES.get(kind)
+    if spec is None:
         raise ValueError(f"unknown table kind {kind!r}")
-    n_min = 1 if kind in ("classic", "new") else 0
-    if n_max < n_min:
-        raise ValueError(f"{kind} table needs n_max >= {n_min}")
-    fixed = _FIXED_LIMITS.get(kind)
-    if fixed is not None:
-        alphas = (fixed[0],)
-    rows = tuple(TableRow(n, alpha, *_table_term(kind, n, alpha, cfg))
-                 for alpha in alphas for n in range(n_min, n_max + 1))
-    limits = (fixed,) if fixed is not None else tuple(
+    if n_max < spec.n_min:
+        raise ValueError(f"{kind} table needs n_max >= {spec.n_min}")
+    if spec.fixed is not None:
+        alphas = (spec.fixed[0],)
+    rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
+                 for alpha in alphas for n in range(spec.n_min, n_max + 1))
+    limits = (spec.fixed,) if spec.fixed is not None else tuple(
         (alpha, psi(alpha, cfg)) for alpha in alphas)
     return LimitTable(rows, limits)

@@ -491,12 +491,14 @@ def test_half_alpha_poly_is_four_times_version1():
 
 
 def test_guo_wang_transform_to_half_alpha():
-    # x^(n+1) f_n(1/x) = -phi_n(x) with f_n the Q-limit polynomial and phi_n
-    # the half-alpha polynomial, both four times their alpha = 1/2 builders
+    # x^(n+1) f_n(1/x) = -phi_n(x) with f_n the Guo-Wang polynomial and phi_n
+    # the half-alpha polynomial, each built from its paper formula above
     for n in (1, 3, 6):
+        guo_wang = HalfPoly(tuple(guo_wang_coeffs(n)))
+        half_alpha = HalfPoly(tuple(half_alpha_coeffs(n)))
         for x in (0.25, 0.5, 0.85):
-            lhs = x ** (n + 1) * phi_version2(n, 0.5)(1.0 / x)
-            rhs = -phi_version1(n, 0.5)(x)
+            lhs = x ** (n + 1) * guo_wang(1.0 / x)
+            rhs = -half_alpha(x)
             assert abs(lhs - rhs) < 1e-11
 
 
