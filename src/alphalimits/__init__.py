@@ -16,6 +16,7 @@ from .graphs import (
     double_snake,
     edge_in_internal_path,
     format_graph,
+    internal_path_edges,
     internal_paths,
     is_bipartite,
     is_double_snake,
@@ -73,9 +74,12 @@ from .spectral import (
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
+    radii_of,
     radius_of,
     spectral_radius,
+    stack_radii,
     star_radius,
+    subdivision_stack,
     tridiag_charpoly_recurrence,
     vertex_resolvent,
 )

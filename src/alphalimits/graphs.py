@@ -268,16 +268,17 @@ def internal_paths(g: Graph) -> list:
     return found
 
 
-def edge_in_internal_path(g: Graph, e: tuple, paths: list | None = None) -> bool:
-    """Whether edge e lies on some internal path of g."""
+def internal_path_edges(g: Graph, paths: list | None = None) -> set:
+    """Every edge (u, v), u < v, that lies on some internal path of g."""
     if paths is None:
         paths = internal_paths(g)
-    u, v = min(e), max(e)
-    for p in paths:
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            if (min(a, b), max(a, b)) == (u, v):
-                return True
-    return False
+    return {(min(a, b), max(a, b))
+            for p in paths for a, b in zip(p.vertices, p.vertices[1:])}
+
+
+def edge_in_internal_path(g: Graph, e: tuple, paths: list | None = None) -> bool:
+    """Whether edge e lies on some internal path of g."""
+    return (min(e), max(e)) in internal_path_edges(g, paths)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -3,9 +3,12 @@
 Two suites back the `verify` subcommand. The lemma suite samples seeded
 random connected graphs of order 4 to 12 and checks the spectral-radius
 bounds, the two monotonicity statements and the subdivision direction on
-every edge. The identity suite evaluates the polynomial and closed-form
-identities on deterministic grids, plus the bipartite spectra check on
-random trees. Every check reports a PropertyResult; a failing result
+every edge. It solves each rho(G, alpha) once and shares it between the
+checks, takes the other radii in batches stacked by order, and builds each
+graph's subdivided matrices as one stack by index arithmetic on its own
+matrix, with no Graph per edge. The identity suite evaluates the
+polynomial and closed-form identities on deterministic grids, plus the
+bipartite spectra check on random trees. Every check reports a PropertyResult; a failing result
 carries a serialized counterexample.
 """
 
@@ -19,8 +22,8 @@ import numpy as np
 from . import limits
 from .graphs import (
     Graph,
-    edge_in_internal_path,
     format_graph,
+    internal_path_edges,
     internal_paths,
     is_bipartite,
     is_double_snake,
@@ -37,8 +40,10 @@ from .spectral import (
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
-    radius_of,
+    radii_of,
+    stack_radii,
     star_radius,
+    subdivision_stack,
 )
 
 STRICT_MARGIN = 1e-12
@@ -137,13 +142,16 @@ def _is_cycle(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_radius_bounds(graphs: list, alphas: list) -> PropertyResult:
-    """Degree-based lower and upper bounds on the spectral radius."""
+def check_radius_bounds(graphs: list, alphas: list, rhos: list) -> PropertyResult:
+    """Degree-based lower and upper bounds on the spectral radius.
+
+    rhos[i] is rho(A_alpha(graphs[i])) at alphas[i]; the subgraph and
+    subdivision checks take the same list.
+    """
     bad = []
     checked = 0
-    for g, alpha in zip(graphs, alphas):
+    for g, alpha, rho in zip(graphs, alphas, rhos):
         dmax = float(g.degrees().max())
-        rho = radius_of(g, alpha)
         lower = star_radius(dmax, alpha)
         checked += 1
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
@@ -152,27 +160,27 @@ def check_radius_bounds(graphs: list, alphas: list) -> PropertyResult:
     return PropertyResult("radius-bounds", not bad, checked, "; ".join(bad[:3]))
 
 
-def check_subgraph_monotonicity(graphs: list, alphas: list,
+def check_subgraph_monotonicity(graphs: list, alphas: list, rhos: list,
                                 rng: np.random.Generator) -> PropertyResult:
     """A connected proper subgraph has strictly smaller radius."""
     bad = []
-    checked = 0
-    for g, alpha in zip(graphs, alphas):
-        h = _proper_connected_subgraph(g, rng)
-        if h is None:
-            continue
-        checked += 1
-        if radius_of(g, alpha) - radius_of(h, alpha) <= STRICT_MARGIN:
+    # All subgraphs are drawn first, in graph order, as each draws from rng.
+    subs = [(g, alpha, rho, _proper_connected_subgraph(g, rng))
+            for g, alpha, rho in zip(graphs, alphas, rhos)]
+    subs = [s for s in subs if s[3] is not None]
+    rho_hs = radii_of((h, alpha) for _, alpha, _, h in subs)
+    for (g, alpha, rho, h), rho_h in zip(subs, rho_hs):
+        if rho - rho_h <= STRICT_MARGIN:
             bad.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
-    return PropertyResult("subgraph-strict", not bad, checked, "; ".join(bad[:3]))
+    return PropertyResult("subgraph-strict", not bad, len(subs), "; ".join(bad[:3]))
 
 
-def check_alpha_monotonicity(graphs: list, pair=(0.2, 0.7)) -> PropertyResult:
-    """Radius grows with alpha; constant exactly on regular graphs."""
-    lo, hi = pair
+def check_alpha_monotonicity(graphs: list) -> PropertyResult:
+    """Radius grows with alpha from 0.2 to 0.7; constant exactly on regular graphs."""
+    lo, hi = 0.2, 0.7
     bad = []
-    for g in graphs:
-        r_lo, r_hi = radius_of(g, lo), radius_of(g, hi)
+    radii = radii_of([(g, lo) for g in graphs] + [(g, hi) for g in graphs])
+    for g, r_lo, r_hi in zip(graphs, radii, radii[len(graphs):]):
         if is_regular(g):
             if abs(r_hi - r_lo) > EQUALITY_TOL:
                 bad.append(f"regular but moved: {format_graph(g)}")
@@ -181,23 +189,23 @@ def check_alpha_monotonicity(graphs: list, pair=(0.2, 0.7)) -> PropertyResult:
     return PropertyResult("alpha-monotone", not bad, len(graphs), "; ".join(bad[:3]))
 
 
-def check_subdivision_direction(graphs: list, alphas: list) -> PropertyResult:
+def check_subdivision_direction(graphs: list, alphas: list, rhos: list) -> PropertyResult:
     """Subdividing internal-path edges lowers the radius, other edges raise it.
 
     Cycles are the equality case of the raising direction; the double
-    snake at alpha 0 is the equality case of the lowering direction.
+    snake at alpha 0 is the equality case of the lowering direction. The
+    radii of one graph's subdivisions come from one stacked eigensolve.
     """
     bad = []
     checked = 0
-    for g, alpha in zip(graphs, alphas):
-        paths = internal_paths(g)
-        rho = radius_of(g, alpha)
+    for g, alpha, rho in zip(graphs, alphas, rhos):
+        internal = internal_path_edges(g)
         cycle = _is_cycle(g)
         snake_zero = is_double_snake(g) and alpha == 0.0
-        for e in sorted(g.edges):
-            rho_sub = radius_of(subdivide_edge(g, e), alpha)
+        rho_subs = stack_radii(subdivision_stack(g, alpha))
+        for e, rho_sub in zip(sorted(g.edges), rho_subs):
             checked += 1
-            if edge_in_internal_path(g, e, paths):
+            if e in internal:
                 ok = (abs(rho_sub - rho) <= EQUALITY_TOL if snake_zero
                       else rho - rho_sub > STRICT_MARGIN)
             else:
@@ -216,11 +224,12 @@ def run_lemma_suite(seed: int, trials: int = 200) -> list:
     rng = np.random.default_rng(seed)
     graphs = [random_connected_graph(rng) for _ in range(trials)]
     alphas = [LEMMA_ALPHAS[i % len(LEMMA_ALPHAS)] for i in range(trials)]
+    rhos = radii_of(zip(graphs, alphas))
     return [
-        check_radius_bounds(graphs, alphas),
-        check_subgraph_monotonicity(graphs, alphas, rng),
+        check_radius_bounds(graphs, alphas, rhos),
+        check_subgraph_monotonicity(graphs, alphas, rhos, rng),
         check_alpha_monotonicity(graphs),
-        check_subdivision_direction(graphs, alphas),
+        check_subdivision_direction(graphs, alphas, rhos),
     ]
 
 

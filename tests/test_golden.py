@@ -5,7 +5,7 @@ must not move any output leaves them as they are; a change that moves an
 output on purpose regenerates the file and says why. The three table
 examples beyond the README's cover the versionI, versionII and new
 branches of limit_table, the first with the ten alphas of the north-star
-command.
+command; the lemma example covers the lemma suite on its own.
 """
 
 from pathlib import Path
@@ -29,6 +29,7 @@ EXAMPLES = {
     "convergence_p2mn": ("convergence", "p2mn", "--alpha", "0",
                          "--sizes", "50,100,200", "--n-fixed", "2"),
     "verify_all": ("verify", "all", "--seed", "7", "--trials", "200"),
+    "verify_lemmas_seed3": ("verify", "lemmas", "--seed", "3", "--trials", "20"),
 }
 
 

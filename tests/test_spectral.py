@@ -15,6 +15,7 @@ from alphalimits.graphs import (
     p2_two_paths,
     path,
     star,
+    subdivide_edge,
     wheel5,
 )
 from alphalimits.spectral import (
@@ -28,9 +29,12 @@ from alphalimits.spectral import (
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
+    radii_of,
     radius_of,
     spectral_radius,
+    stack_radii,
     star_radius,
+    subdivision_stack,
     tridiag_charpoly_recurrence,
 )
 
@@ -333,3 +337,56 @@ def test_star_radius_is_the_star_and_a_lower_bound():
         for k in (1, 3, 7):
             assert abs(star_radius(k, alpha) - dense_radius(star(k), alpha)) < 1e-12
         assert star_radius(4, alpha) <= radius_of(wheel5(), alpha) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched radii: one eigensolve call per stack, bit for bit radius_of
+# ---------------------------------------------------------------------------
+
+BATCH_ALPHAS = (0.0, 0.2, 0.5, 0.8, 1.0)
+
+
+def test_radii_of_equals_radius_of_exactly():
+    graphs = [wheel5(), path(4), cycle(9), star(5), seeded_tree(1, 12),
+              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, TREE_MIN_ORDER + 72)]
+    pairs = [(g, alpha) for alpha in BATCH_ALPHAS for g in graphs]
+    radii = radii_of(pairs)
+    assert len(radii) == len(pairs)
+    for (g, alpha), r in zip(pairs, radii):
+        assert type(r) is float
+        assert r == radius_of(g, alpha)
+
+
+def test_radii_of_sends_large_trees_to_elimination(monkeypatch):
+    no_dense(monkeypatch)
+    g = seeded_tree(4, 300)
+    assert radii_of([(g, 0.3)]) == [radius_of(g, 0.3)]
+
+
+@pytest.mark.parametrize("g", [wheel5(), cycle(5), seeded_tree(5, 9),
+                               p2_two_paths(1, 2)[0]])
+def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
+    edges = sorted(g.edges)
+    for alpha in BATCH_ALPHAS:
+        stack = subdivision_stack(g, alpha)
+        assert stack.shape == (len(edges), g.n_vertices + 1, g.n_vertices + 1)
+        for e, m in zip(edges, stack):
+            assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha).entries)
+        assert stack_radii(stack) == [radius_of(subdivide_edge(g, e), alpha) for e in edges]
+
+
+def test_subdivision_stack_of_an_edgeless_graph_is_empty():
+    stack = subdivision_stack(Graph(3), 0.5)
+    assert stack.shape == (0, 4, 4)
+    assert stack_radii(stack) == []
+
+
+def test_stack_radii_rejects_non_symmetric_and_non_square_input():
+    stack = np.stack([assemble_a_alpha(wheel5(), 0.3).entries] * 3)
+    stack[1, 0, 2] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        stack_radii(stack)
+    with pytest.raises(ValueError, match="square"):
+        stack_radii(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        stack_radii(np.zeros((3, 3)))
