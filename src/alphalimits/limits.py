@@ -59,13 +59,18 @@ class HalfPoly:
     """Polynomial in t representing an expression in x with x = t*t.
 
     Integer powers x^k sit at t^(2k), half powers x^(k+1/2) at t^(2k+1).
-    Evaluation at x >= 0 goes through t = sqrt(x).
+    Evaluation at x >= 0 goes through t = sqrt(x). Coefficients are Python
+    floats, so evaluation at a float overflows to inf without a warning.
     """
 
     coeffs: tuple
 
     def eval_t(self, t):
-        return np.polynomial.polynomial.polyval(t, np.asarray(self.coeffs))
+        """Horner's rule in t, at a float or elementwise on an array."""
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * t + c
+        return acc
 
     def __call__(self, x):
         return self.eval_t(np.sqrt(x))
@@ -92,7 +97,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    if (flo < 0) == (fhi < 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
     for _ in range(cfg.max_iter):
         mid = 0.5 * (lo + hi)
@@ -101,7 +106,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
         fmid = f(mid)
         if fmid == 0.0 or (hi - lo) < cfg.tol:
             return mid
-        if flo * fmid < 0:
+        if (flo < 0) != (fmid < 0):
             hi = mid
         else:
             lo, flo = mid, fmid
@@ -141,8 +146,8 @@ def phi_version1(n: int, alpha: float) -> HalfPoly:
     _check_alpha_unit(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = alpha
-    c = np.zeros(2 * n + 3)
+    a = float(alpha)
+    c = [0.0] * (2 * n + 3)
     c[2 * n + 2] += (1 - a) ** 2
     for i in range(n):
         c[2 * (n - i) + 1] += 2 * a * (1 - a)
@@ -162,8 +167,8 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
     _check_alpha_unit(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = alpha
-    c = np.zeros(2 * n + 3)
+    a = float(alpha)
+    c = [0.0] * (2 * n + 3)
     c[2 * n + 2] += (1 - a) ** 2
     c[2 * n] -= a * a
     for i in range(1, n + 1):

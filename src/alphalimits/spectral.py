@@ -4,8 +4,11 @@ The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. radius_of takes a tree of
 order TREE_MIN_ORDER or more by leaf-to-root elimination in O(n) memory
-and O(n) time per bisection step, and returns the upper end of a one-ulp
-bracket; every other graph, and the matrix-level spectral_radius and
+and O(n) time per pass: Newton's method on the last pivot of an
+elimination rooted at a max-degree vertex finds the radius in about ten
+passes, and the pivot test of the elimination rooted at vertex 0
+certifies the same one-ulp bracket a plain bisection ends on, returning
+its upper end; every other graph, and the matrix-level spectral_radius and
 full_spectrum, use a dense symmetric eigensolver. Many small radii are
 cheaper batched: radii_of stacks graphs by order and stack_radii solves a
 whole stack in one eigensolve call, equal to the one-by-one values bit for
@@ -29,6 +32,8 @@ from .graphs import Graph
 DEGENERATE_DELTA = 1e-9
 # Order from which radius_of sends trees to leaf-to-root elimination.
 TREE_MIN_ORDER = 128
+# Predicted relative error at which the tree-radius Newton search stops.
+NEWTON_ERROR = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,21 @@ def radius_of(g: Graph, alpha: float) -> float:
     """Spectral radius of A_alpha(g), by the cheaper of two routes.
 
     A tree of order TREE_MIN_ORDER or more goes to leaf-to-root
-    elimination: bisection on whether lam*I - A_alpha is positive definite,
-    from the bracket [0, max degree] until its ends are adjacent doubles.
-    The result is the upper end: a double at which the elimination finds
-    the matrix definite, one ulp above a double at which it does not (or
-    the max degree itself). It agrees with the dense value to rounding
-    (within 1e-12 on the tested orders 128-1602) and is the max degree
-    exactly at alpha = 1. Any other graph, and every graph below
-    TREE_MIN_ORDER, where dense is faster, gets the dense eigensolve of
-    spectral_radius bit for bit.
+    elimination. The result is what bisection on whether lam*I - A_alpha
+    is positive definite, from [0, max degree] to adjacent doubles,
+    returns: the upper end, a double at which the elimination rooted at
+    vertex 0 finds the matrix definite, one ulp above a double at which it
+    does not (or the max degree itself). That pivot test is monotone in
+    lam, so the passing doubles form an up-set, and any bracket around its
+    least element ends on the same double; a Newton estimate finds such a
+    bracket in a few passes. Rooted at a max-degree vertex u, the last
+    pivot f_u = phi(G)/phi(G - u) is increasing and concave above the
+    radius of G - u, so Newton's method climbs to rho from below (see
+    _tree_radius). The value agrees with the dense one to rounding (within
+    1e-12 on the tested orders 128-1602) and is the max degree exactly at
+    alpha = 1. Any other graph, and every graph below TREE_MIN_ORDER, where
+    dense is faster, gets the dense eigensolve of spectral_radius bit for
+    bit.
     """
     if g.n_vertices >= TREE_MIN_ORDER:
         tree = _leaves_first(g)
@@ -178,11 +189,15 @@ def radius_of(g: Graph, alpha: float) -> float:
     return spectral_radius(assemble_a_alpha(g, alpha)).radius
 
 
-def _leaves_first(g: Graph) -> list | None:
-    """(vertex, parent, degree) triples, every child before its parent.
+def _leaves_first(g: Graph) -> tuple | None:
+    """Two leaves-first orders of a tree: (check, search), or None.
 
-    The root (vertex 0) comes last with parent n, a spare slot. Returns
-    None unless g is a tree: n - 1 edges and every vertex reached by BFS.
+    Each order is a list of (vertex, parent, degree) triples with every
+    child before its parent and the root last, its parent n a spare slot.
+    check is rooted at vertex 0; search is rooted at a vertex u of maximum
+    degree (the lowest index on ties), and is check itself when u = 0.
+    Returns None unless g is a tree: n - 1 edges and every vertex reached
+    by BFS.
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
@@ -191,9 +206,20 @@ def _leaves_first(g: Graph) -> list | None:
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
+    degree = [len(a) for a in adj]
+    check = _bfs_leaves_first(adj, degree, 0)
+    if check is None:
+        return None
+    hub = degree.index(max(degree))
+    return check, (check if hub == 0 else _bfs_leaves_first(adj, degree, hub))
+
+
+def _bfs_leaves_first(adj: list, degree: list, root: int) -> list | None:
+    """Reversed BFS order from root as (vertex, parent, degree) triples."""
+    n = len(adj)
     parent = [-1] * n
-    parent[0] = n
-    bfs = [0]
+    parent[root] = n
+    bfs = [root]
     for u in bfs:  # grows while it is walked: a BFS queue
         for w in adj[u]:
             if parent[w] == -1:
@@ -201,38 +227,133 @@ def _leaves_first(g: Graph) -> list | None:
                 bfs.append(w)
     if len(bfs) != n:
         return None
-    return [(v, parent[v], len(adj[v])) for v in reversed(bfs)]
+    return [(v, parent[v], degree[v]) for v in reversed(bfs)]
 
 
-def _tree_radius(tree: list, alpha: float) -> float:
-    """rho(A_alpha(tree)), the upper end of a one-ulp bisection bracket.
+def _definite(steps: list, c: float, lam: float) -> bool:
+    """Whether every pivot of one leaves-first elimination at lam is positive.
+
+    steps holds (vertex, parent, alpha*degree) triples in leaves-first
+    order; the pivot is f_v = lam - alpha*deg(v) - sum over children w of
+    c / f_w, with c = (1-alpha)^2.
+    """
+    acc = [0.0] * (len(steps) + 1)
+    for v, p, d in steps:
+        f = lam - d - acc[v]
+        if f <= 0.0:
+            return False
+        acc[p] += c / f
+    return True
+
+
+def _root_pivot(steps: list, c: float, lam: float) -> tuple | None:
+    """(f_u, f_u') at the root u of one leaves-first elimination at lam.
+
+    None once a pivot below the root is not positive. Next to each pivot
+    the pass carries its derivative in lam, f_v' = 1 + sum over children w
+    of c * f_w' / f_w^2.
+    """
+    acc = [0.0] * (len(steps) + 1)
+    slope = [0.0] * (len(steps) + 1)
+    for v, p, d in steps[:-1]:
+        f = lam - d - acc[v]
+        if f <= 0.0:
+            return None
+        q = c / f
+        acc[p] += q
+        slope[p] += q * (1.0 + slope[v]) / f
+    u, _, d = steps[-1]
+    return lam - d - acc[u], 1.0 + slope[u]
+
+
+def _newton_point(steps: list, c: float, start: float, top: float) -> float:
+    """An estimate of rho by Newton's method on the root pivot f_u.
+
+    steps is the search order, rooted at u. A probe where a pivot below u
+    fails lies under rho(G - u), and one where f_u > 0 lies above rho:
+    either halves the bracket, which starts as [0, top]. Anywhere else f_u
+    is increasing and concave (see _tree_radius), so the Newton point lies
+    in (lam, rho]. With steps d_k, the error left after step k is about
+    d_k^3 / d_(k-1)^2 (the bracket width standing in for d_(k-1) after a
+    halving); the search stops once that is below NEWTON_ERROR * lam.
+    """
+    lo, hi = 0.0, top
+    lam, prev = start, top
+    while True:
+        pivot = _root_pivot(steps, c, lam)
+        if pivot is None:
+            lo = lam
+        elif pivot[0] > 0.0:
+            hi = lam
+        else:
+            lo = lam
+            step = -pivot[0] / pivot[1]
+            nxt = lam + step
+            if not nxt < hi:
+                return hi
+            ratio = step / prev
+            if step * ratio * ratio <= NEWTON_ERROR * lam:
+                return nxt
+            lam, prev = nxt, step
+            continue
+        lam, prev = 0.5 * (lo + hi), hi - lo
+        if lam == lo or lam == hi:
+            return hi
+
+
+def _tree_radius(tree: tuple, alpha: float) -> float:
+    """rho(A_alpha(tree)), the least double at which elimination finds
+    lam*I - A_alpha positive definite, or the max degree if it is less.
 
     lam > rho iff lam*I - A_alpha is positive definite. Eliminating leaves
     first leaves the pivot f_v = lam - alpha*deg(v) - sum over children c
     of (1-alpha)^2 / f_c at every vertex, and the matrix is positive
     definite iff every pivot is positive (Jacobs & Trevisan, "Locating the
     eigenvalues of trees", LAA 434, 2011). rho <= max degree for every
-    alpha in [0,1], so [0, max degree] brackets it.
+    alpha in [0,1].
+
+    Search. Rooted at a max-degree vertex u, the pivots below u are all
+    positive on (rho(G - u), inf), where rho(G - u) is the top eigenvalue
+    of A_alpha with row and column u deleted, and rho(G - u) < rho. There
+    f_u = phi(G) / phi(G - u) = lam - alpha*deg(u) - (1-alpha)^2 * sum over
+    children c of [(lam*I - B_c)^-1]_cc, with B_c the block of c's
+    subtree; each such resolvent entry is a sum of q^2 / (lam - mu) over
+    eigenvalues mu < lam, so positive, decreasing and convex, and f_u is
+    increasing and concave. Its tangent lies above it, so Newton's method
+    from any point of (rho(G - u), rho] climbs monotonically to rho. The
+    search starts at star_radius(max degree), a lower bound on rho.
+
+    Certification. The vertex-0 order is the only judge, as in a plain
+    bisection on [0, max degree]. Each pivot is built from IEEE operations
+    monotone in lam, so the doubles at which every pivot is positive form
+    an up-set, and its least element (capped at the max degree) is the
+    value returned. From the Newton point the check steps down or up,
+    1, 8, 64, ... ulps, until it holds a failing double and a passing one
+    (0 and the max degree count as such untested), then bisects that
+    bracket to adjacent doubles and returns the upper end. The value is
+    therefore the one bisection from [0, max degree] returns, bit for bit;
+    the search only decides how many eliminations it takes.
     """
-    steps = [(v, p, alpha * d) for v, p, d in tree]
+    check, search = ([(v, p, alpha * d) for v, p, d in order] for order in tree)
     c = (1.0 - alpha) ** 2
-    size = len(steps) + 1
-
-    def definite(lam: float) -> bool:
-        acc = [0.0] * size
-        for v, p, d in steps:
-            f = lam - d - acc[v]
-            if f <= 0.0:
-                return False
-            acc[p] += c / f
-        return True
-
-    lo, hi = 0.0, float(max(d for _, _, d in tree))
+    top = float(max(d for _, _, d in tree[0]))
+    x = min(_newton_point(search, c, star_radius(top, alpha), top), top)
+    step = math.ulp(x)
+    if x == top or _definite(check, c, x):
+        lo, hi = max(x - step, 0.0), x
+        while lo > 0.0 and _definite(check, c, lo):
+            step *= 8.0
+            lo, hi = max(lo - step, 0.0), lo
+    else:
+        lo, hi = x, min(x + step, top)
+        while hi < top and not _definite(check, c, hi):
+            step *= 8.0
+            lo, hi = hi, min(hi + step, top)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if definite(mid):
+        if _definite(check, c, mid):
             hi = mid
         else:
             lo = mid

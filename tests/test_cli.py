@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,21 @@ def test_convergence_rejects_orders_over_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "p2nn", "--sizes", "1500"])
     assert exc.value.code == 2
+
+
+def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
+    # At n = 500 the bracket search of gamma_tilde_n evaluates phi_version2
+    # where t^1002 is past the double range: inf, but no warning.
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "alphalimits.cli",
+         "table", "versionII", "--n-max", "500", "--alpha", "0.9"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.count("\nterm,") == 501
 
 
 def test_table_rejects_n_max_over_cap(capsys):

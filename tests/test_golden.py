@@ -5,7 +5,10 @@ must not move any output leaves them as they are; a change that moves an
 output on purpose regenerates the file and says why. The three table
 examples beyond the README's cover the versionI, versionII and new
 branches of limit_table, the first with the ten alphas of the north-star
-command; the lemma example covers the lemma suite on its own.
+command; the lemma example covers the lemma suite on its own. The k13 and
+p5u examples, like the larger p2nn and p2mn ones, reach orders of
+TREE_MIN_ORDER and more, so every convergence family is pinned on the
+tree-elimination route.
 """
 
 from pathlib import Path
@@ -28,6 +31,10 @@ EXAMPLES = {
                          "--sizes", "10,20,40,80"),
     "convergence_p2mn": ("convergence", "p2mn", "--alpha", "0",
                          "--sizes", "50,100,200", "--n-fixed", "2"),
+    "convergence_k13": ("convergence", "k13", "--alpha", "0.5",
+                        "--sizes", "200,400,800"),
+    "convergence_p5u": ("convergence", "p5u", "--alpha", "0.25",
+                        "--sizes", "200,400,800"),
     "verify_all": ("verify", "all", "--seed", "7", "--trials", "200"),
     "verify_lemmas_seed3": ("verify", "lemmas", "--seed", "3", "--trials", "20"),
 }

@@ -12,6 +12,7 @@ from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
     cycle,
+    join_by_path,
     p2_two_paths,
     path,
     star,
@@ -239,6 +240,46 @@ def no_elimination(monkeypatch):
     monkeypatch.setattr(spectral, "_tree_radius", fail)
 
 
+def reference_radius(g, alpha):
+    """Plain bisection on [0, max degree] with the vertex-0 pivot test.
+
+    The tree route before the Newton search, kept as the reference that
+    radius_of must equal bit for bit.
+    """
+    steps = [(v, p, alpha * d) for v, p, d in spectral._leaves_first(g)[0]]
+    c = (1.0 - alpha) ** 2
+
+    def definite(lam):
+        acc = [0.0] * (len(steps) + 1)
+        for v, p, d in steps:
+            f = lam - d - acc[v]
+            if f <= 0.0:
+                return False
+            acc[p] += c / f
+        return True
+
+    lo, hi = 0.0, float(g.degrees().max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if definite(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def count_eliminations(monkeypatch):
+    """Counter of elimination passes, pivot test and Newton pass alike."""
+    counter = {"passes": 0}
+    for name in ("_definite", "_root_pivot"):
+        def counted(*args, _pass=getattr(spectral, name)):
+            counter["passes"] += 1
+            return _pass(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    return counter
+
+
 # The four convergence families at orders 128, about 500, and 802-1602.
 CONVERGENCE_FAMILIES = {
     "p2nn": (lambda s: p2_two_paths(s, s)[0], (63, 250, 800)),
@@ -255,20 +296,70 @@ def test_tree_radius_matches_dense_on_convergence_families(family, size):
     g = CONVERGENCE_FAMILIES[family][0](size)
     assert TREE_MIN_ORDER <= g.n_vertices <= 1602
     for alpha in TREE_ALPHAS:
-        assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+        rho = radius_of(g, alpha)
+        assert rho == reference_radius(g, alpha)
+        assert abs(rho - dense_radius(g, alpha)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_radius_matches_dense_on_seeded_trees(seed):
     g = seeded_tree(seed, (128, 129, 200, 400, 700, 1000)[seed])
     for alpha in TREE_ALPHAS:
-        assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+        rho = radius_of(g, alpha)
+        assert rho == reference_radius(g, alpha)
+        assert abs(rho - dense_radius(g, alpha)) <= 1e-12
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(random_trees(TREE_MIN_ORDER, 300), st.sampled_from(TREE_ALPHAS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_trees(TREE_MIN_ORDER, 400), st.sampled_from(TREE_ALPHAS))
 def test_tree_radius_matches_dense_property(g, alpha):
-    assert abs(radius_of(g, alpha) - dense_radius(g, alpha)) <= 1e-12
+    rho = radius_of(g, alpha)
+    assert rho == reference_radius(g, alpha)
+    assert abs(rho - dense_radius(g, alpha)) <= 1e-12
+
+
+def test_tree_radius_equals_reference_with_tied_hubs():
+    # Two equal stars joined by a long path: removing one hub leaves the
+    # other, so rho(G - u) sits just below rho, and at alpha = 1 on it.
+    for k, m in ((5, 200), (40, 100), (TREE_MIN_ORDER, 10)):
+        g = join_by_path(star(k), 0, star(k), 0, m)
+        for alpha in TREE_ALPHAS:
+            assert radius_of(g, alpha) == reference_radius(g, alpha)
+
+
+def test_tree_radius_equals_reference_on_stars():
+    # The Newton search starts at star_radius, which is rho itself here.
+    for k in (TREE_MIN_ORDER - 1, 300):
+        for alpha in TREE_ALPHAS:
+            assert radius_of(star(k), alpha) == reference_radius(star(k), alpha)
+
+
+def test_tree_radius_at_order_1602_takes_few_eliminations(monkeypatch):
+    g = p2_two_paths(800, 800)[0]
+    counter = count_eliminations(monkeypatch)
+    for alpha in TREE_ALPHAS:
+        counter["passes"] = 0
+        radius_of(g, alpha)
+        assert 1 <= counter["passes"] <= 15, (alpha, counter["passes"])
+
+
+def test_leaves_first_orders():
+    # vertex 3, the centre of the star, is the one vertex of degree 5
+    g = join_by_path(path(3), 2, star(4), 0, TREE_MIN_ORDER)
+    check, search = spectral._leaves_first(g)
+    for order in (check, search):
+        assert sorted(v for v, _, _ in order) == list(range(g.n_vertices))
+        seen = set()
+        for v, p, d in order:
+            assert d == len(g.neighbors(v)) and v not in seen
+            assert all(w in seen for w in g.neighbors(v) if w != p)
+            seen.add(v)
+    assert check[-1][:2] == (0, g.n_vertices)
+    hub = int(np.argmax(g.degrees()))
+    assert search[-1][:2] == (hub, g.n_vertices) and hub == 3
+    g0 = attach_pendant_path(star(3), 0, TREE_MIN_ORDER)
+    check, search = spectral._leaves_first(g0)
+    assert search is check
 
 
 def test_trees_above_crossover_skip_the_dense_solve(monkeypatch):
