@@ -7,11 +7,11 @@ isolation is plain bisection in t. Two builders, phi_version1 and
 phi_version2, give every sequence polynomial: Hoffman's classical
 polynomial is phi_version2 at alpha 0, and the signless Laplacian
 polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
-their usual integer forms. The largest roots of the psi, omega2
-and Q-limit equations are bracketed by a descending scan and then
-bisected. The pendant-path limit operators work on any connected graph:
-they divide their characteristic equation by phi(G), which leaves the
-resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu from one
+their usual integer forms. The psi, omega2 and Q-limit equations change
+sign once on a fixed bracket (see their docstrings), so each root is one
+bisection there. The pendant-path limit operators work on any connected
+graph: they divide their characteristic equation by phi(G), which leaves
+the resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu from one
 eigendecomposition, and bisect on (max(2, rho(G)), degree bound].
 """
 
@@ -37,21 +37,18 @@ class BranchSelectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Tolerances for root isolation (tol applies to the t variable)."""
+    """Bisection stops below tol in the bisected variable: t = sqrt(x) for
+    the sequence polynomials, lambda for psi, omega2 and the pendant limits."""
 
     tol: float = 1e-13
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 DEFAULT_CONFIG = RootConfig()
-# Grid points of the descending scan that brackets a largest root.
-SCAN_POINTS = 512
+MAX_HALVINGS = 200  # _bisect raises after this many halvings
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
 
     Stops once the bracket is narrower than cfg.tol, or once it can no
     longer be halved in double precision; raises BracketError when
-    cfg.max_iter halvings reach neither.
+    MAX_HALVINGS halvings reach neither.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -99,7 +96,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
         return hi
     if (flo < 0) == (fhi < 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -112,24 +109,7 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
             lo, flo = mid, fmid
     raise BracketError(
         f"bracket [{lo}, {hi}] still wider than tol={cfg.tol} after "
-        f"{cfg.max_iter} iterations")
-
-
-def _largest_root_descending(f, hi: float, lo: float, cfg: RootConfig) -> float | None:
-    """First sign change scanning from hi down to lo, refined by bisection."""
-    grid = np.linspace(hi, lo, SCAN_POINTS)
-    prev_x = grid[0]
-    prev_v = f(prev_x)
-    if prev_v == 0.0:
-        return float(prev_x)
-    for x in grid[1:]:
-        v = f(x)
-        if v == 0.0:
-            return float(x)
-        if prev_v * v < 0:
-            return _bisect(f, float(x), float(prev_x), cfg)
-        prev_x, prev_v = x, v
-    return None
+        f"{MAX_HALVINGS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +262,15 @@ def laplacian_guo_wang(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
     """(mu_n, kappa_n): largest root of the Q-limit polynomial, kappa = 2 + sqrt(mu) + 1/sqrt(mu).
 
     The Q-limit polynomial x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2
-    is 4 phi_version2(n, 1/2); its root is scanned for on t in [1, 2].
+    is 4 phi_version2(n, 1/2). Only its leading coefficient in t is
+    positive, so it has one positive root, bisected for on t in [1, 2].
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0, 4.0
     p = phi_version2(n, 0.5)
-    t = _largest_root_descending(p.eval_t, 2.0, 1.0, cfg)
-    if t is None:
-        raise BracketError(f"no root of the Q-limit polynomial found for n={n}")
+    t = _bisect(p.eval_t, 1.0, 2.0, cfg)
     return t * t, 2.0 + t + 1.0 / t
 
 
@@ -325,16 +304,19 @@ def _psi_equation(lam: float, alpha: float) -> float:
 
 
 def psi(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Supremum of the eta_n sequence: largest root of the quadratic-in-lambda
-    pendant-pair equation on (2, 3]; psi(1) = 3 by continuity."""
+    """Supremum of the eta_n sequence: root of the pendant-pair equation on (2, 3].
+
+    At lambda = (1-a)(theta + 1/theta) + 2a, theta in (0, 1), the equation is
+    (a - 1) F(theta) / (theta^2 (1 - a + a theta)) with F(theta) =
+    difference_poly_f(theta^2, a). Only the constant of F is negative, so F
+    rises on theta > 0 and the equation, from a - 1 at lambda = 2, changes
+    sign once on (2, inf): one bisection on [2, 3.2]. psi(1) = 3.
+    """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     if alpha == 1.0:
         return 3.0
-    r = _largest_root_descending(lambda l: _psi_equation(l, alpha), 3.2, 2.0, cfg)
-    if r is None:
-        raise BracketError(f"no root of the psi equation found for alpha={alpha}")
-    return r
+    return _bisect(lambda l: _psi_equation(l, alpha), 2.0, 3.2, cfg)
 
 
 def _psi_surds(alpha: float) -> dict:
@@ -385,12 +367,16 @@ def _omega2_equation(lam: float, alpha: float) -> float:
 
 
 def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Limit of the five-path-with-center-tail family: largest root on (2, 3.5]."""
+    """Limit of the five-path-with-center-tail family: the root on (2, 3.5].
+
+    Under psi's substitution the equation is (1-a)^3 G G2 / theta^5 with
+    G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a) and
+    G2 = -(G + 2(1-a)) < 0 on theta > 0. G rises there, so the equation
+    changes sign once on (2, inf): one bisection on [2, 3.5]. At a = 0,
+    G = F and omega2(0) = psi(0).
+    """
     _check_alpha_unit(alpha)
-    r = _largest_root_descending(lambda l: _omega2_equation(l, alpha), 3.5, 2.0, cfg)
-    if r is None:
-        raise BracketError(f"no root of the omega2 equation found for alpha={alpha}")
-    return r
+    return _bisect(lambda l: _omega2_equation(l, alpha), 2.0, 3.5, cfg)
 
 
 def omega2_closed_form(alpha: float, residue_tol: float = 1e-7) -> float:

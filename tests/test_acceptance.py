@@ -346,3 +346,42 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
         detail = "; ".join(problems)
     line = record_criterion(10, ok, detail)
     assert ok, line
+
+
+# Exact certificate for the psi and omega2 values that the goldens print.
+# Under lambda = 2a + (1-a)(t + 1/t) each lambda-equation vanishes at the root
+# in (0, 1) of a quartic in t (see the psi and omega2 docstrings). Every double
+# alpha is a dyadic rational p/d, so the quartics, scaled by d^2 and d, have
+# integer coefficients at the alpha the program actually used.
+
+
+def _psi_quartic_exact(a: Fraction) -> list:
+    """d^2 F(t), F = (1-a)^2 t^4 + 2a(1-a) t^3 + (1-2a+2a^2) t^2 - (1-a)^2."""
+    p, d = a.numerator, a.denominator
+    return [-(d - p) ** 2, 0, d * d - 2 * p * d + 2 * p * p, 2 * p * (d - p),
+            (d - p) ** 2]
+
+
+def _omega2_quartic_exact(a: Fraction) -> list:
+    """d G(t), G = (1-a) t^4 + a t^3 + (1-a) t^2 + a t - (1-a)."""
+    p, d = a.numerator, a.denominator
+    return [-(d - p), p, d - p, p, d - p]
+
+
+def test_psi_and_omega2_lie_within_1e_13_of_their_exact_roots():
+    from alphalimits.cli import PSI_DEFAULT_GRID
+
+    # the default psi grid holds every alpha of the psi, table and
+    # convergence goldens: 0.0 .. 0.9 for the tables, 0.25 for p2nn and p5u
+    problems = []
+    for af in PSI_DEFAULT_GRID:
+        a = Fraction(af)
+        for name, value, c in (("psi", psi(af), _psi_quartic_exact(a)),
+                               ("omega2", omega2(af), _omega2_quartic_exact(a))):
+            if not _is_increasing_with_root_in_unit_interval(c):
+                problems.append(f"{name} quartic at alpha={af} has no single root in (0,1)")
+                continue
+            dev, _ = _deviation_from_root(value, c, a)
+            if dev > 1e-13:
+                problems.append(f"{name}({af}) off by {dev:.1e}")
+    assert not problems, "; ".join(problems)

@@ -76,8 +76,6 @@ def test_root_config_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             RootConfig(tol=tol)
-    with pytest.raises(ValueError):
-        RootConfig(max_iter=0)
 
 
 def test_bisect_raises_without_sign_change():
@@ -85,9 +83,10 @@ def test_bisect_raises_without_sign_change():
         L._bisect(lambda t: t * t + 1.0, 0.0, 1.0, L.DEFAULT_CONFIG)
 
 
-def test_bisect_raises_when_iterations_run_out():
+def test_bisect_raises_when_iterations_run_out(monkeypatch):
+    monkeypatch.setattr(L, "MAX_HALVINGS", 5)
     with pytest.raises(BracketError):
-        gamma_n(3, 0.3, RootConfig(max_iter=5))
+        gamma_n(3, 0.3)
 
 
 def test_bisect_stops_at_double_resolution():
@@ -308,6 +307,72 @@ def test_omega2_anchors_and_closed_form():
         o = omega2(a)
         assert abs(o - omega2_closed_form(a)) < 1e-7
         assert o >= psi(a) - 1e-9
+
+
+def _quartics(theta, a):
+    """F and G of the psi and omega2 docstrings, and the absolute-value
+    forms that bound their rounding."""
+    f = difference_poly_f(theta * theta, a)
+    f_abs = f + 2 * (1 - a) ** 2
+    g = (1 - a) * theta**4 + a * theta**3 + (1 - a) * theta**2 + a * theta - (1 - a)
+    g_abs = g + 2 * (1 - a)
+    return f, f_abs, g, g_abs
+
+
+def test_lambda_equations_factor_through_the_theta_quartics():
+    # the identities behind the one-sign-change argument of psi and omega2;
+    # residuals are measured against the size of the terms, which the
+    # lambda form cancels to O(1 - a)
+    for a in np.linspace(0.0, 0.95, 20):
+        a = float(a)
+        for theta in np.linspace(0.05, 0.95, 19):
+            theta = float(theta)
+            lam = theta_substitution(theta, a)
+            f, f_abs, g, g_abs = _quartics(theta, a)
+            den = theta**2 * (1 - a + a * theta)
+            psi_rhs = (a - 1) * f / den
+            assert abs(L._psi_equation(lam, a) - psi_rhs) <= 1e-12 * (1 - a) * f_abs / den
+            omega2_rhs = (1 - a) ** 3 * g * -g_abs / theta**5
+            assert (abs(L._omega2_equation(lam, a) - omega2_rhs)
+                    <= 1e-12 * (1 - a) ** 3 * g_abs * g_abs / theta**5)
+
+
+def test_lambda_equations_change_sign_across_their_brackets():
+    # the brackets psi and omega2 bisect on, up to alpha = 1 - 2^-39
+    alphas = [float(a) for a in np.linspace(0.0, 1.0, 2001)[:-1]]
+    alphas += [1.0 - 2.0**-k for k in range(1, 40)]
+    for a in alphas:
+        assert L._psi_equation(2.0, a) < 0.0 < L._psi_equation(3.2, a)
+        assert L._omega2_equation(2.0, a) < 0.0 < L._omega2_equation(3.5, a)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("root, equation", ((psi, "_psi_equation"),
+                                            (omega2, "_omega2_equation")))
+def test_psi_and_omega2_are_one_bisection(monkeypatch, root, equation):
+    # a 512-point scan took about 435 evaluations per root
+    calls = _count_calls(monkeypatch, L, equation)
+    for a in np.linspace(0.0, 0.95, 40):
+        calls.clear()
+        root(float(a))
+        assert 0 < len(calls) <= 64
+
+
+def test_laplacian_guo_wang_is_one_bisection(monkeypatch):
+    calls = _count_calls(monkeypatch, HalfPoly, "eval_t")
+    laplacian_guo_wang(30)
+    assert 0 < len(calls) <= 64
 
 
 # ---------------------------------------------------------------------------
