@@ -5,11 +5,17 @@ Report shape rendered as CSV, JSON or plot-ready TSV. Output is
 deterministic for fixed flags and seed: no timestamps, 15 significant
 digits, sorted metadata. Exit codes: 0 success, 1 property failure,
 2 usage error.
+
+The argument parser is built once per process and shared: `main(argv)` may
+be called repeatedly in process (by scripts, tests and benchmark drivers),
+and each call parses into a fresh namespace and looks its handler up in
+`HANDLERS` by subcommand name, so nothing carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -337,7 +343,15 @@ def cmd_verify(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# Looked up per call, not bound into the cached parser by set_defaults, so a
+# handler rebound on this module (as a tracer does) takes effect at once.
+HANDLERS = {"radius": cmd_radius, "table": cmd_table, "psi": cmd_psi,
+            "convergence": cmd_convergence, "verify": cmd_verify}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; it holds no state across parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="alphalimits",
         description="Limit points of alpha-adjacency spectral radii: "
@@ -359,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "p2:4,6, lollipop:9, dsnake:8) or 'n; u-v,...'")
     p.add_argument("--alpha", type=float, default=0.0)
     common(p, tol=False)
-    p.set_defaults(handler=cmd_radius)
 
     p = sub.add_parser("table", help="limit-point sequence tables")
     p.add_argument("kind", choices=limits.TABLE_KINDS)
@@ -367,13 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="repeatable; default 0")
     common(p)
-    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("psi", help="limiting value, closed form and omegas")
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="repeatable; default 0.00..0.95 step 0.05")
     common(p)
-    p.set_defaults(handler=cmd_psi)
 
     p = sub.add_parser("convergence", help="finite-family approach to a limit")
     p.add_argument("family", choices=FAMILIES)
@@ -383,14 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-fixed", type=int, default=None,
                    help="fixed short-path order for p2mn")
     common(p)
-    p.set_defaults(handler=cmd_convergence)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("suite", choices=("lemmas", "identities", "all"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     common(p, tol=False)
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -398,7 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
+        report, code = HANDLERS[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:

@@ -19,16 +19,19 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
         for e in self.edges:
             u, v = e
+            if u > v:
+                u, v = v, u
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge {e} out of range for {self.n_vertices} vertices")
-            norm.add((min(u, v), max(u, v)))
+            if u < 0 or v >= n:
+                raise ValueError(f"edge {e} out of range for {n} vertices")
+            norm.add((u, v))
         object.__setattr__(self, "edges", frozenset(norm))
 
     @property
@@ -36,11 +39,11 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_vertices, dtype=int)
+        d = [0] * self.n_vertices
         for u, v in self.edges:
             d[u] += 1
             d[v] += 1
-        return d
+        return np.array(d, dtype=int)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices))

@@ -29,6 +29,7 @@ from .graphs import (
     is_double_snake,
     is_regular,
     p2_two_paths,
+    path,
     subdivide_edge,
 )
 from .spectral import (
@@ -435,13 +436,12 @@ def check_theta_h_identity() -> PropertyResult:
 
 def check_closed_form_charpoly() -> PropertyResult:
     """Path and deleted-path closed forms track the determinant route."""
-    from .graphs import path
-
     bad = []
     checked = 0
     lams = np.linspace(2.05, 4.0, 8)
     for k in (2, 3, 5, 10, 25, 50):
         g = path(k)
+        g_b = path(k + 1)
         for alpha in ALPHA_GRID:
             for lam in lams:
                 det = char_poly_eval(g, alpha, float(lam))
@@ -451,7 +451,7 @@ def check_closed_form_charpoly() -> PropertyResult:
                     bad.append(f"path k={k} alpha={alpha} lam={lam:.3f}")
                 if alpha == 0.0:
                     continue
-                det_b = char_poly_eval_deleted(path(k + 1), 0, alpha, float(lam))
+                det_b = char_poly_eval_deleted(g_b, 0, alpha, float(lam))
                 closed_b = bn_charpoly_closed(k, alpha, float(lam))
                 checked += 1
                 if abs(det_b - closed_b) > 1e-9 * max(abs(det_b), 1.0):

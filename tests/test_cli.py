@@ -294,3 +294,49 @@ def test_out_flag_writes_file(tmp_path, capsys):
     _, header, rows = parse_csv(text)
     assert header[0] == "graph"
     assert len(rows) == 1
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    from alphalimits import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(20):
+        assert main(["radius", "path:4"]) == 0
+    capsys.readouterr()
+    # one top-level parser and its five subcommand parsers, built once
+    assert len(built) <= 1 + len(cli.HANDLERS)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_errors_and_version_leave_the_shared_parser_clean(capsys):
+    _, alone = run_cli(capsys, "table", "classic", "--n-max", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "classic", "--n-max", "3", "--no-such-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("alphalimits ")
+    code, after = run_cli(capsys, "table", "classic", "--n-max", "3")
+    assert code == 0
+    assert after == alone
+
+
+def test_appended_alphas_do_not_leak_between_calls(capsys):
+    _, first = run_cli(capsys, "psi", "--alpha", "0.3", "--alpha", "0.4")
+    assert len(parse_csv(first)[2]) == 2
+    code, out = run_cli(capsys, "psi", "--alpha", "0.5")
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["alphas"] == "0.5"
+    assert len(rows) == 1 and float(rows[0][0]) == 0.5

@@ -45,3 +45,13 @@ def test_readme_example_output_is_unchanged(name, capsys):
     assert main(list(EXAMPLES[name])) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_examples_twice_in_one_process_match_their_goldens(capsys):
+    """Forward then reverse through every example: nothing leaks between
+    calls through the shared parser or any other process-wide state."""
+    names = sorted(EXAMPLES)
+    for name in names + names[::-1]:
+        assert main(list(EXAMPLES[name])) == 0, name
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN / f"{name}.out").read_bytes(), name

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphalimits.graphs import (
     Graph,
@@ -38,6 +40,46 @@ def test_graph_normalizes_edge_orientation():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == frozenset({(0, 2), (1, 2)})
     assert g.n_edges == 2
+
+
+def test_reversed_and_duplicate_edges_normalise_to_one():
+    g = Graph(2, frozenset({(1, 0), (0, 1)}))
+    assert g.edges == frozenset({(0, 1)})
+    assert g.n_edges == 1
+    assert g.degrees().tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((2, 2), "self-loop at vertex 2"),
+    ((-1, 2), "edge (-1, 2) out of range for 4 vertices"),
+    ((2, -1), "edge (2, -1) out of range for 4 vertices"),
+    ((5, 2), "edge (5, 2) out of range for 4 vertices"),
+    ((4, 4), "self-loop at vertex 4"),
+])
+def test_bad_edges_raise_their_messages(edge, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(4, frozenset({(0, 1), edge}))
+    assert str(exc.value) == message
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 15))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=40))
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_lists())
+def test_degrees_count_edge_endpoints(case):
+    n, edges = case
+    g = Graph(n, frozenset(edges))
+    assert g.edges == frozenset((min(e), max(e)) for e in edges)
+    d = g.degrees()
+    assert d.dtype == np.dtype(int)
+    ends = np.array(sorted(g.edges), dtype=int).reshape(-1)
+    assert np.array_equal(d, np.bincount(ends, minlength=n))
 
 
 def test_path_and_cycle_shapes():
