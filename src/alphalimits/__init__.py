@@ -62,8 +62,6 @@ from .limits import (
     two_pendant_paths_limit,
 )
 from .spectral import (
-    AlphaMatrix,
-    SpectralResult,
     VertexResolvent,
     assemble_a_alpha,
     assemble_laplacian,
@@ -76,7 +74,6 @@ from .spectral import (
     path_charpoly_closed,
     radii_of,
     radius_of,
-    spectral_radius,
     stack_radii,
     star_radius,
     subdivision_stack,

@@ -126,9 +126,18 @@ FAMILY_ARITY = {"path": 1, "cycle": 1, "wheel5": 0, "p2": 2, "lollipop": 1,
 
 
 def parse_graph_spec(spec: str) -> Graph:
-    """`family:params` expression or a literal `n; u-v,...` edge list."""
-    if ";" in spec:
-        return parse_graph(spec)
+    """`family:params` expression or a literal `n; u-v,...` edge list.
+
+    Orders are capped at MAX_ORDER: a family parameter above it is refused
+    before anything is built, and so is a built graph of higher order.
+    """
+    g = parse_graph(spec) if ";" in spec else _family_spec(spec)
+    if g.n_vertices > MAX_ORDER:
+        raise ValueError(f"order {g.n_vertices} > cap {MAX_ORDER} in {spec!r}")
+    return g
+
+
+def _family_spec(spec: str) -> Graph:
     name, _, params = spec.partition(":")
     if name not in FAMILY_ARITY:
         raise ValueError(f"unknown graph family {name!r} in {spec!r}")
@@ -139,6 +148,8 @@ def parse_graph_spec(spec: str) -> Graph:
     if len(args) != FAMILY_ARITY[name]:
         raise ValueError(
             f"{name} takes {FAMILY_ARITY[name]} parameter(s), got {len(args)} in {spec!r}")
+    if any(a > MAX_ORDER for a in args):
+        raise ValueError(f"parameter {max(args)} > cap {MAX_ORDER} in {spec!r}")
     if name == "path":
         return path(args[0])
     if name == "cycle":
@@ -160,8 +171,6 @@ def parse_graph_spec(spec: str) -> Graph:
 def cmd_radius(args) -> tuple:
     g = parse_graph_spec(args.graph)
     alpha = args.alpha
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     rho = radius_of(g, alpha)
     dmax = float(g.degrees().max()) if g.n_edges else 0.0
     lower = star_radius(dmax, alpha)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import delta_of_lambda, h_of_lambda, vertex_resolvent
+from .spectral import _validate_alpha, delta_of_lambda, h_of_lambda, vertex_resolvent
 
 
 class BracketError(RuntimeError):
@@ -123,7 +123,7 @@ def phi_version1(n: int, alpha: float) -> HalfPoly:
     (1-a)^2 x^(n+1) + 2a(1-a) * sum_{i=0}^{n-1} x^(n-i+1/2)
     + (1-2a+2a^2) * sum_{i=0}^{n-2} x^(i+2) + a^2 x - (1-a)^2.
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if n < 1:
         raise ValueError("n must be at least 1")
     a = float(alpha)
@@ -144,7 +144,7 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
     (1-a)^2 x^(n+1) - a^2 x^n - 2a(1-a) * sum_{i=1}^{n} x^(n-i+1/2)
     - (1-2a+2a^2) * sum_{i=1}^{n-1} x^i - (1-a)^2.
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if n < 1:
         raise ValueError("n must be at least 1")
     a = float(alpha)
@@ -173,11 +173,6 @@ def difference_poly_f(x: float, alpha: float) -> float:
             + x * x + x - 1)
 
 
-def _check_alpha_unit(alpha: float) -> None:
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0,1), got {alpha}")
-
-
 # ---------------------------------------------------------------------------
 # the eta sequences and their relatives
 # ---------------------------------------------------------------------------
@@ -201,7 +196,7 @@ def eta_classic(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 
 def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """The root of phi_version1 in (0,1]; gamma_0 = 1 by definition."""
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -213,7 +208,7 @@ def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 
 def gamma_tilde_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """The root of phi_version2 in [1, inf); equals 1/gamma_n."""
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -244,7 +239,7 @@ def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     The companion route through gamma_tilde_n is compared with this one in
     verify (route-equality), not here.
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if n == 0:
         return 2.0
     return _eta_from_root(gamma_n(n, alpha, cfg), alpha)
@@ -312,8 +307,7 @@ def psi(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     rises on theta > 0 and the equation, from a - 1 at lambda = 2, changes
     sign once on (2, inf): one bisection on [2, 3.2]. psi(1) = 3.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    _validate_alpha(alpha)
     if alpha == 1.0:
         return 3.0
     return _bisect(lambda l: _psi_equation(l, alpha), 2.0, 3.2, cfg)
@@ -340,7 +334,7 @@ def psi_closed_form(alpha: float, residue_tol: float = 1e-8) -> float:
     (-a)^(1/3) = a^(1/3) e^(i pi/3) for a > 0. The combination must come
     out real; a larger imaginary residue raises BranchSelectionError.
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     g = _psi_surds(alpha)
     val = (1.5 * alpha
            + cmath.sqrt(g["g0"] + g["g1"] / g["g4"] + g["g2"] / cmath.sqrt(g["g5"]) - g["g4"]) / math.sqrt(6.0)
@@ -354,7 +348,7 @@ def psi_closed_form(alpha: float, residue_tol: float = 1e-8) -> float:
 
 def omega1(alpha: float) -> float:
     """Limit of the star-with-tail family: (5a + 3 sqrt(2 - 4a + 3a^2)) / 2."""
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     return 0.5 * (5.0 * alpha + 3.0 * math.sqrt(2.0 - 4.0 * alpha + 3.0 * alpha**2))
 
 
@@ -375,13 +369,13 @@ def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     changes sign once on (2, inf): one bisection on [2, 3.5]. At a = 0,
     G = F and omega2(0) = psi(0).
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     return _bisect(lambda l: _omega2_equation(l, alpha), 2.0, 3.5, cfg)
 
 
 def omega2_closed_form(alpha: float, residue_tol: float = 1e-7) -> float:
     """Quartic-solution surd form of omega2; cross-check for the root route."""
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     a = alpha
     h1 = 4 - 8 * a - 3 * a * a
     h2 = 19 * a * a + 8 * a - 4
@@ -430,7 +424,7 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int,
     interlacing at most one eigenvalue of G + P_k, and hence at most one
     root of the limit equation, lies above that point.
     """
-    _check_alpha_unit(alpha)
+    _validate_alpha(alpha, upper_open=True)
     if not g.is_connected():
         raise ValueError("pendant-path limits need a connected graph")
     r = vertex_resolvent(g, u, alpha)

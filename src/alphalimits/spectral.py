@@ -2,22 +2,22 @@
 
 The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
-value at alpha=1/2 is the signless Laplacian. radius_of takes a tree of
-order TREE_MIN_ORDER or more by leaf-to-root elimination in O(n) memory
-and O(n) time per pass: Newton's method on the last pivot of an
+value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
+arrays. Radii take one of two routes, chosen in radii_of alone. A tree of
+order TREE_MIN_ORDER or more goes to leaf-to-root elimination in O(n)
+memory and O(n) time per pass: Newton's method on the last pivot of an
 elimination rooted at a max-degree vertex finds the radius in about ten
 passes, and the pivot test of the elimination rooted at vertex 0
 certifies the same one-ulp bracket a plain bisection ends on, returning
-its upper end; every other graph, and the matrix-level spectral_radius and
-full_spectrum, use a dense symmetric eigensolver. Many small radii are
-cheaper batched: radii_of stacks graphs by order and stack_radii solves a
-whole stack in one eigensolve call, equal to the one-by-one values bit for
-bit; subdivision_stack builds every edge subdivision of a graph as one
-such stack straight from its matrix. Characteristic polynomial
-values come from LU determinants, the resolvent diagonal
-[(lam*I - A_alpha)^-1]_uu from one eigendecomposition, and the
-path/truncated-path matrices also have closed-form evaluations used
-throughout the limit-point computations.
+its upper end. Every other graph is stacked with the others of its order
+and solved densely: full_spectrum is the one checked symmetric
+eigensolve, of a matrix or of a (k, n, n) stack, and stack_radii reads
+each slice's radius off it. radius_of is radii_of for one graph, and
+subdivision_stack builds every edge subdivision of a graph as one stack
+straight from its matrix. Characteristic polynomial values come from LU
+determinants, the resolvent diagonal [(lam*I - A_alpha)^-1]_uu from one
+eigendecomposition, and the path/truncated-path matrices also have
+closed-form evaluations used throughout the limit-point computations.
 """
 
 from __future__ import annotations
@@ -30,28 +30,10 @@ import numpy as np
 from .graphs import Graph
 
 DEGENERATE_DELTA = 1e-9
-# Order from which radius_of sends trees to leaf-to-root elimination.
+# Order from which radii_of sends trees to leaf-to-root elimination.
 TREE_MIN_ORDER = 128
 # Predicted relative error at which the tree-radius Newton search stops.
 NEWTON_ERROR = 2.0 ** -50
-
-
-@dataclass(frozen=True)
-class AlphaMatrix:
-    """Dense symmetric matrix tagged with the alpha it was assembled at."""
-
-    entries: np.ndarray
-    alpha: float
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    radius: float
-    eigenvalues: np.ndarray | None
 
 
 def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
@@ -60,80 +42,68 @@ def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
         raise ValueError(f"alpha must lie in [0,{hi}, got {alpha}")
 
 
-def assemble_a_alpha(g: Graph, alpha: float) -> AlphaMatrix:
+def assemble_a_alpha(g: Graph, alpha: float) -> np.ndarray:
     """alpha*D(g) + (1-alpha)*A(g), assembled exactly."""
     _validate_alpha(alpha)
     a = g.adjacency() * (1.0 - alpha)
     np.fill_diagonal(a, alpha * g.degrees())
-    return AlphaMatrix(a, alpha)
+    return a
 
 
-def assemble_laplacian(g: Graph, signless: bool = False) -> AlphaMatrix:
+def assemble_laplacian(g: Graph, signless: bool = False) -> np.ndarray:
     """D - A, or D + A when signless (equal to 2*A_{1/2} entrywise)."""
     a = g.adjacency()
     d = np.diag(g.degrees().astype(float))
-    return AlphaMatrix(d + a if signless else d - a, 0.5 if signless else 1.0)
+    return d + a if signless else d - a
 
 
-def _check_symmetric(m: AlphaMatrix) -> np.ndarray:
-    e = np.asarray(m.entries, dtype=float)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(e, e.T):
-        raise ValueError("matrix must be symmetric")
-    return e
+def full_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix in a
+    (k, n, n) stack, by the dense symmetric solver at machine precision.
 
-
-def spectral_radius(m: AlphaMatrix) -> SpectralResult:
-    """Largest eigenvalue magnitude via the dense symmetric solver.
-
-    The solver works at machine precision. For the nonnegative matrices of
-    connected graphs the radius is the Perron value, i.e. the top
-    eigenvalue itself.
+    Each slice of a stack is solved on its own, so its row equals the
+    spectrum of that slice alone bit for bit.
     """
-    e = _check_symmetric(m)
-    w = np.linalg.eigvalsh(e)
-    return SpectralResult(float(np.max(np.abs(w))), None)
-
-
-def full_spectrum(m: AlphaMatrix) -> SpectralResult:
-    """All eigenvalues, sorted ascending."""
-    e = _check_symmetric(m)
-    w = np.linalg.eigvalsh(e)
-    return SpectralResult(float(np.max(np.abs(w))), w)
+    e = np.asarray(m, dtype=float)
+    if e.ndim not in (2, 3) or e.shape[-1] != e.shape[-2]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(e, e.swapaxes(-1, -2)):
+        raise ValueError("matrix must be symmetric")
+    return np.linalg.eigvalsh(e)
 
 
 def stack_radii(stack: np.ndarray) -> list:
-    """Spectral radius of each symmetric matrix in a (k, n, n) stack.
+    """Spectral radius (largest eigenvalue magnitude) of each matrix in a
+    (k, n, n) stack, as Python floats, from one full_spectrum call.
 
-    One dense eigensolve call for the whole stack; each radius equals
-    spectral_radius of its slice bit for bit, as a Python float.
+    For the nonnegative matrices of connected graphs the radius is the
+    Perron value, the top eigenvalue itself.
     """
-    e = np.asarray(stack, dtype=float)
-    if e.ndim != 3 or e.shape[1] != e.shape[2]:
+    if np.ndim(stack) != 3:
         raise ValueError("stack must hold square matrices")
-    if not np.array_equal(e, e.swapaxes(-1, -2)):
-        raise ValueError("matrix must be symmetric")
-    return np.abs(np.linalg.eigvalsh(e)).max(axis=1).tolist()
+    return np.abs(full_spectrum(stack)).max(axis=1).tolist()
 
 
 def radii_of(pairs) -> list:
-    """radius_of(g, alpha) for every (g, alpha) pair, in input order.
+    """rho(A_alpha(g)) for every (g, alpha) pair, in input order.
 
-    Graphs below TREE_MIN_ORDER are assembled and stacked by order, one
-    stack_radii call per order; larger ones go to radius_of one by one.
-    Every value equals radius_of's bit for bit.
+    The one choice of route: a tree of order TREE_MIN_ORDER or more goes
+    to leaf-to-root elimination (_tree_radius); every other graph is
+    assembled and stacked with the others of its order, one stack_radii
+    call per order. Each dense value is the one its slice gives alone.
     """
     pairs = list(pairs)
     out = [0.0] * len(pairs)
     by_order = {}
     for i, (g, alpha) in enumerate(pairs):
-        if g.n_vertices >= TREE_MIN_ORDER:
-            out[i] = radius_of(g, alpha)
+        tree = _leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
+        if tree is not None:
+            _validate_alpha(alpha)
+            out[i] = _tree_radius(tree, alpha)
         else:
             by_order.setdefault(g.n_vertices, []).append(i)
     for idx in by_order.values():
-        stack = np.stack([assemble_a_alpha(*pairs[i]).entries for i in idx])
+        stack = np.array([assemble_a_alpha(*pairs[i]) for i in idx])
         for i, r in zip(idx, stack_radii(stack)):
             out[i] = r
     return out
@@ -150,7 +120,7 @@ def subdivision_stack(g: Graph, alpha: float) -> np.ndarray:
     """
     n = g.n_vertices
     padded = np.zeros((n + 1, n + 1))
-    padded[:n, :n] = assemble_a_alpha(g, alpha).entries
+    padded[:n, :n] = assemble_a_alpha(g, alpha)
     u, v = np.array(sorted(g.edges), dtype=int).reshape(-1, 2).T
     k = np.arange(len(u))
     stack = np.repeat(padded[None], len(u), axis=0)
@@ -162,31 +132,17 @@ def subdivision_stack(g: Graph, alpha: float) -> np.ndarray:
 
 
 def radius_of(g: Graph, alpha: float) -> float:
-    """Spectral radius of A_alpha(g), by the cheaper of two routes.
+    """Spectral radius of A_alpha(g): radii_of for the one pair.
 
     A tree of order TREE_MIN_ORDER or more goes to leaf-to-root
-    elimination. The result is what bisection on whether lam*I - A_alpha
-    is positive definite, from [0, max degree] to adjacent doubles,
-    returns: the upper end, a double at which the elimination rooted at
-    vertex 0 finds the matrix definite, one ulp above a double at which it
-    does not (or the max degree itself). That pivot test is monotone in
-    lam, so the passing doubles form an up-set, and any bracket around its
-    least element ends on the same double; a Newton estimate finds such a
-    bracket in a few passes. Rooted at a max-degree vertex u, the last
-    pivot f_u = phi(G)/phi(G - u) is increasing and concave above the
-    radius of G - u, so Newton's method climbs to rho from below (see
-    _tree_radius). The value agrees with the dense one to rounding (within
-    1e-12 on the tested orders 128-1602) and is the max degree exactly at
-    alpha = 1. Any other graph, and every graph below TREE_MIN_ORDER, where
-    dense is faster, gets the dense eigensolve of spectral_radius bit for
-    bit.
+    elimination, which returns the upper end of the one-ulp bracket that
+    plain bisection on the vertex-0 pivot test, from [0, max degree], ends
+    on (see _tree_radius): within 1e-12 of the dense value on the tested
+    orders 128-1602, and the max degree exactly at alpha = 1. Any other
+    graph, and every graph below TREE_MIN_ORDER, where dense is faster,
+    gets the value of stack_radii on a one-matrix stack.
     """
-    if g.n_vertices >= TREE_MIN_ORDER:
-        tree = _leaves_first(g)
-        if tree is not None:
-            _validate_alpha(alpha)
-            return _tree_radius(tree, alpha)
-    return spectral_radius(assemble_a_alpha(g, alpha)).radius
+    return radii_of([(g, alpha)])[0]
 
 
 def _leaves_first(g: Graph) -> tuple | None:
@@ -393,13 +349,13 @@ def vertex_resolvent(g: Graph, u: int, alpha: float) -> VertexResolvent:
     """The resolvent diagonal entry at u, from one dense eigendecomposition."""
     if not (0 <= u < g.n_vertices):
         raise ValueError(f"vertex {u} not in graph")
-    w, q = np.linalg.eigh(assemble_a_alpha(g, alpha).entries)
+    w, q = np.linalg.eigh(assemble_a_alpha(g, alpha))
     return VertexResolvent(w, q[u] ** 2)
 
 
 def char_poly_eval(g: Graph, alpha: float, lam: float) -> float:
     """det(lam*I - A_alpha(g)) by LU factorization with partial pivoting."""
-    m = assemble_a_alpha(g, alpha).entries
+    m = assemble_a_alpha(g, alpha)
     return float(np.linalg.det(lam * np.eye(g.n_vertices) - m))
 
 
@@ -413,7 +369,7 @@ def char_poly_eval_deleted(g: Graph, u: int, alpha: float, lam: float) -> float:
         raise ValueError(f"vertex {u} not in graph")
     if g.n_vertices == 1:
         return 1.0
-    m = assemble_a_alpha(g, alpha).entries
+    m = assemble_a_alpha(g, alpha)
     keep = [i for i in range(g.n_vertices) if i != u]
     sub = m[np.ix_(keep, keep)]
     return float(np.linalg.det(lam * np.eye(len(keep)) - sub))

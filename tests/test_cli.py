@@ -340,3 +340,47 @@ def test_appended_alphas_do_not_leak_between_calls(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["alphas"] == "0.5"
     assert len(rows) == 1 and float(rows[0][0]) == 0.5
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("2001;", "order 2001 > cap 2000 in '2001;'"),
+    ("cycle:2001", "parameter 2001 > cap 2000 in 'cycle:2001'"),
+    ("p2:1000,1000", "order 2002 > cap 2000 in 'p2:1000,1000'"),
+])
+def test_radius_caps_the_order(spec, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", spec])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"alphalimits: error: {message}\n"
+
+
+def test_radius_refuses_a_family_parameter_before_building(monkeypatch, capsys):
+    from alphalimits import cli
+
+    def fail(*args):
+        raise AssertionError("graph built before the cap check")
+    monkeypatch.setattr(cli, "path", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "path:1000000000"])
+    assert exc.value.code == 2
+
+
+def test_radius_at_the_order_cap_runs_on_the_elimination_route(monkeypatch, capsys):
+    from alphalimits import spectral
+
+    def fail(*args):
+        raise AssertionError("dense eigensolve on a tree above the crossover")
+    monkeypatch.setattr(spectral, "stack_radii", fail)
+    code, out = run_cli(capsys, "radius", "path:2000")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert abs(float(rows[0][2]) - 2 * math.cos(math.pi / 2001)) < 1e-12
+
+
+@pytest.mark.parametrize("spec, alpha", [("path:3", "1.5"), ("path:200", "nan")])
+def test_radius_rejects_alpha_outside_the_unit_interval(spec, alpha, capsys):
+    # path:200 is a tree above the crossover, so the check is the tree route's
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", spec, "--alpha", alpha])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"alphalimits: error: alpha must lie in [0,1], got {alpha}\n"

@@ -32,7 +32,6 @@ from alphalimits.spectral import (
     path_charpoly_closed,
     radii_of,
     radius_of,
-    spectral_radius,
     stack_radii,
     star_radius,
     subdivision_stack,
@@ -43,9 +42,7 @@ TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 
 
 def test_a_alpha_entries_exact():
-    m = assemble_a_alpha(wheel5(), 1.0 / 3.0)
-    assert m.alpha == 1.0 / 3.0
-    eig = m.entries
+    eig = assemble_a_alpha(wheel5(), 1.0 / 3.0)
     assert eig[0, 0] == (1.0 / 3.0) * 4
     for i in range(1, 5):
         assert eig[i, i] == 1.0
@@ -55,9 +52,9 @@ def test_a_alpha_entries_exact():
 
 def test_a_alpha_endpoints_are_adjacency_and_degree():
     g = star(3)
-    a0 = assemble_a_alpha(g, 0.0).entries
+    a0 = assemble_a_alpha(g, 0.0)
     assert np.array_equal(a0, g.adjacency())
-    a1 = assemble_a_alpha(g, 1.0).entries
+    a1 = assemble_a_alpha(g, 1.0)
     assert np.array_equal(a1, np.diag(g.degrees().astype(float)))
     with pytest.raises(ValueError):
         assemble_a_alpha(g, 1.5)
@@ -65,17 +62,17 @@ def test_a_alpha_endpoints_are_adjacency_and_degree():
 
 def test_laplacians():
     g = wheel5()
-    ell = assemble_laplacian(g, signless=False).entries
+    ell = assemble_laplacian(g, signless=False)
     assert np.allclose(ell.sum(axis=1), 0.0)
     assert list(np.diag(ell)) == [4.0, 3.0, 3.0, 3.0, 3.0]
-    q = assemble_laplacian(g, signless=True).entries
-    assert np.array_equal(q, 2.0 * assemble_a_alpha(g, 0.5).entries)
+    q = assemble_laplacian(g, signless=True)
+    assert np.array_equal(q, 2.0 * assemble_a_alpha(g, 0.5))
 
 
 def test_wheel_radius_surds():
-    rho_third = spectral_radius(assemble_a_alpha(wheel5(), 1.0 / 3.0)).radius
+    rho_third = radius_of(wheel5(), 1.0 / 3.0)
     assert abs(rho_third - (11.0 + math.sqrt(73.0)) / 6.0) < 1e-12
-    rho_quarters = spectral_radius(assemble_a_alpha(wheel5(), 0.75)).radius
+    rho_quarters = radius_of(wheel5(), 0.75)
     assert abs(rho_quarters - (23.0 + math.sqrt(17.0)) / 8.0) < 1e-12
 
 
@@ -86,24 +83,25 @@ def test_cycles_have_radius_two():
 
 
 def test_p2_spectrum_and_radius():
-    res = full_spectrum(assemble_a_alpha(path(2), 0.0))
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0])
-    assert abs(spectral_radius(assemble_a_alpha(path(2), 0.0)).radius - 1.0) < 1e-14
+    assert np.allclose(full_spectrum(assemble_a_alpha(path(2), 0.0)), [-1.0, 1.0])
+    assert abs(radius_of(path(2), 0.0) - 1.0) < 1e-14
 
 
 def test_trace_identity():
     g = wheel5()
     for alpha in (0.0, 0.3, 0.7, 1.0):
-        eigs = full_spectrum(assemble_a_alpha(g, alpha)).eigenvalues
+        eigs = full_spectrum(assemble_a_alpha(g, alpha))
         assert abs(sum(eigs) - alpha * g.degrees().sum()) < 1e-10
 
 
 def test_spectral_radius_input_validation():
-    bad = assemble_a_alpha(path(3), 0.2)
-    lopsided = bad.entries.copy()
+    lopsided = assemble_a_alpha(path(3), 0.2)
     lopsided[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        spectral_radius(type(bad)(lopsided, bad.alpha))
+    with pytest.raises(ValueError, match="symmetric"):
+        full_spectrum(lopsided)
+    for shape in ((3, 4), (3,), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="square"):
+            full_spectrum(np.zeros(shape))
 
 
 def test_char_poly_p2_formula():
@@ -211,7 +209,8 @@ def test_delta_and_h():
 
 
 def dense_radius(g, alpha):
-    return spectral_radius(assemble_a_alpha(g, alpha)).radius
+    """The independent reference: one plain eigvalsh of the assembled matrix."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(assemble_a_alpha(g, alpha)))))
 
 
 def seeded_tree(seed, n):
@@ -231,7 +230,7 @@ def random_trees(draw, min_n, max_n):
 def no_dense(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("dense eigensolve on a tree above the crossover")
-    monkeypatch.setattr(spectral, "spectral_radius", fail)
+    monkeypatch.setattr(spectral, "stack_radii", fail)
 
 
 def no_elimination(monkeypatch):
@@ -393,17 +392,25 @@ def test_tree_radius_validates_alpha():
             radius_of(path(TREE_MIN_ORDER), alpha)
 
 
+def unicyclic_200():
+    return Graph(200, path(200).edges | {(0, 199)})
+
+
+def cycle_plus_path_200():
+    # a 150-cycle and a 50-path: 150 + 49 = 199 edges on 200 vertices
+    edges = cycle(150).edges | {(150 + i, 151 + i) for i in range(49)}
+    return Graph(200, frozenset(edges))
+
+
 def test_unicyclic_graph_above_crossover_stays_dense(monkeypatch):
-    g = Graph(200, path(200).edges | {(0, 199)})
+    g = unicyclic_200()
     no_elimination(monkeypatch)
     for alpha in TREE_ALPHAS:
         assert radius_of(g, alpha) == dense_radius(g, alpha)
 
 
 def test_disconnected_graph_with_n_minus_one_edges_stays_dense(monkeypatch):
-    # a 150-cycle and a 50-path: 150 + 49 = 199 edges on 200 vertices
-    edges = cycle(150).edges | {(150 + i, 151 + i) for i in range(49)}
-    g = Graph(200, frozenset(edges))
+    g = cycle_plus_path_200()
     assert g.n_edges == g.n_vertices - 1
     no_elimination(monkeypatch)
     for alpha in TREE_ALPHAS:
@@ -439,7 +446,8 @@ BATCH_ALPHAS = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 def test_radii_of_equals_radius_of_exactly():
     graphs = [wheel5(), path(4), cycle(9), star(5), seeded_tree(1, 12),
-              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, TREE_MIN_ORDER + 72)]
+              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, TREE_MIN_ORDER + 72),
+              unicyclic_200(), cycle_plus_path_200()]
     pairs = [(g, alpha) for alpha in BATCH_ALPHAS for g in graphs]
     radii = radii_of(pairs)
     assert len(radii) == len(pairs)
@@ -462,7 +470,7 @@ def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
         stack = subdivision_stack(g, alpha)
         assert stack.shape == (len(edges), g.n_vertices + 1, g.n_vertices + 1)
         for e, m in zip(edges, stack):
-            assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha).entries)
+            assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha))
         assert stack_radii(stack) == [radius_of(subdivide_edge(g, e), alpha) for e in edges]
 
 
@@ -473,7 +481,7 @@ def test_subdivision_stack_of_an_edgeless_graph_is_empty():
 
 
 def test_stack_radii_rejects_non_symmetric_and_non_square_input():
-    stack = np.stack([assemble_a_alpha(wheel5(), 0.3).entries] * 3)
+    stack = np.stack([assemble_a_alpha(wheel5(), 0.3)] * 3)
     stack[1, 0, 2] += 1.0
     with pytest.raises(ValueError, match="symmetric"):
         stack_radii(stack)
@@ -481,3 +489,15 @@ def test_stack_radii_rejects_non_symmetric_and_non_square_input():
         stack_radii(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError, match="square"):
         stack_radii(np.zeros((3, 3)))
+
+
+def test_full_spectrum_of_a_stack_equals_each_slice_alone():
+    graphs = [wheel5(), cycle(5), seeded_tree(6, 5), p2_two_paths(1, 2)[0]]
+    stack = np.stack([assemble_a_alpha(g, alpha) for g in graphs for alpha in BATCH_ALPHAS])
+    rows = full_spectrum(stack)
+    assert rows.shape == stack.shape[:2]
+    for row, m in zip(rows, stack):
+        assert np.array_equal(row, full_spectrum(m))
+    stack[3, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        full_spectrum(stack)
