@@ -57,7 +57,6 @@ from .limits import (
     phi_version2,
     psi,
     psi_closed_form,
-    theta_from_lambda,
     theta_substitution,
     two_pendant_paths_limit,
 )
@@ -67,7 +66,6 @@ from .spectral import (
     assemble_laplacian,
     bn_charpoly_closed,
     char_poly_eval,
-    char_poly_eval_deleted,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,

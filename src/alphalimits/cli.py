@@ -289,9 +289,15 @@ def cmd_convergence(args) -> tuple:
         raise ValueError("sizes must be strictly ascending")
     if any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive")
+    # Every family's order is at least its size, so these caps are checked
+    # before the target is solved or any graph is built.
+    if max(sizes) > MAX_ORDER:
+        raise ValueError(f"size {max(sizes)} > cap {MAX_ORDER}")
     n_fixed = args.n_fixed
     if family == "p2mn" and n_fixed is None:
         raise ValueError("p2mn needs --n-fixed")
+    if n_fixed is not None and n_fixed > MAX_ORDER:
+        raise ValueError(f"n-fixed {n_fixed} > cap {MAX_ORDER}")
     cfg = RootConfig(tol=args.tol)
     target = _family_target(family, alpha, n_fixed, cfg)
     rows = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import _validate_alpha, delta_of_lambda, h_of_lambda, vertex_resolvent
+from .spectral import _validate_alpha, h_of_lambda, vertex_resolvent
 
 
 class BracketError(RuntimeError):
@@ -373,8 +373,11 @@ def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     return _bisect(lambda l: _omega2_equation(l, alpha), 2.0, 3.5, cfg)
 
 
-def omega2_closed_form(alpha: float, residue_tol: float = 1e-7) -> float:
-    """Quartic-solution surd form of omega2; cross-check for the root route."""
+def omega2_closed_form(alpha: float) -> float:
+    """Quartic-solution surd form of omega2; cross-check for the root route.
+
+    An imaginary residue above 1e-7 raises BranchSelectionError.
+    """
     _validate_alpha(alpha, upper_open=True)
     a = alpha
     h1 = 4 - 8 * a - 3 * a * a
@@ -392,7 +395,7 @@ def omega2_closed_form(alpha: float, residue_tol: float = 1e-7) -> float:
     h7 = 13 * a * a - 8 * a + 4
     s1 = cmath.sqrt(h1 + h5)
     val = 2 * a + 0.5 * s1 + 0.5 * cmath.sqrt(h7 - h5 + h6 / (4.0 * s1))
-    if abs(val.imag) > residue_tol:
+    if abs(val.imag) > 1e-7:
         raise BranchSelectionError(
             f"imaginary residue {val.imag:.3e} at alpha={alpha}"
         )
@@ -486,15 +489,6 @@ def theta_substitution(theta: float, alpha: float) -> float:
     if theta <= 0:
         raise ValueError("theta must be positive")
     return (1.0 - alpha) * theta + (1.0 - alpha) / theta + 2.0 * alpha
-
-
-def theta_from_lambda(lam: float, alpha: float) -> float:
-    """The branch of the inverse substitution inside (0,1); needs lambda > 2."""
-    if lam <= 2.0:
-        raise ValueError("inverse substitution needs lambda > 2")
-    if alpha >= 1.0:
-        raise ValueError("inverse substitution needs alpha < 1")
-    return ((lam - 2.0 * alpha) - delta_of_lambda(lam, alpha)) / (2.0 * (1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------

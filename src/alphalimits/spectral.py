@@ -14,10 +14,12 @@ and solved densely: full_spectrum is the one checked symmetric
 eigensolve, of a matrix or of a (k, n, n) stack, and stack_radii reads
 each slice's radius off it. radius_of is radii_of for one graph, and
 subdivision_stack builds every edge subdivision of a graph as one stack
-straight from its matrix. Characteristic polynomial values come from LU
-determinants, the resolvent diagonal [(lam*I - A_alpha)^-1]_uu from one
-eigendecomposition, and the path/truncated-path matrices also have
-closed-form evaluations used throughout the limit-point computations.
+straight from its matrix. The resolvent diagonal [(lam*I - A_alpha)^-1]_uu
+comes from one eigendecomposition. The characteristic polynomials of the
+path matrix and of the deleted-end path B_{n+1} have s,t closed forms,
+which verify checks against the exact three-term tridiagonal recurrence.
+char_poly_eval, an LU determinant, has no caller in the package; the
+benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 """
 
 from __future__ import annotations
@@ -329,8 +331,9 @@ class VertexResolvent:
     """r(lam) = [(lam*I - A_alpha(g))^-1]_uu for one vertex u.
 
     With A_alpha(g) = Q diag(w) Q^T, r(lam) = sum_i Q_ui^2 / (lam - w_i),
-    which equals char_poly_eval_deleted / char_poly_eval at every lam off
-    the spectrum. Each evaluation is one O(n) dot product.
+    which equals det(lam*I - M_u) / det(lam*I - A_alpha(g)) at every lam
+    off the spectrum, with M_u the principal minor of A_alpha(g) without
+    row and column u. Each evaluation is one O(n) dot product.
     """
 
     eigenvalues: np.ndarray  # ascending
@@ -357,22 +360,6 @@ def char_poly_eval(g: Graph, alpha: float, lam: float) -> float:
     """det(lam*I - A_alpha(g)) by LU factorization with partial pivoting."""
     m = assemble_a_alpha(g, alpha)
     return float(np.linalg.det(lam * np.eye(g.n_vertices) - m))
-
-
-def char_poly_eval_deleted(g: Graph, u: int, alpha: float, lam: float) -> float:
-    """Same determinant with row and column u removed first.
-
-    The diagonal keeps the degrees of the full graph, so this is the
-    principal minor of A_alpha(g), not the matrix of the deleted subgraph.
-    """
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph")
-    if g.n_vertices == 1:
-        return 1.0
-    m = assemble_a_alpha(g, alpha)
-    keep = [i for i in range(g.n_vertices) if i != u]
-    sub = m[np.ix_(keep, keep)]
-    return float(np.linalg.det(lam * np.eye(len(keep)) - sub))
 
 
 # ---------------------------------------------------------------------------

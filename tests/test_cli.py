@@ -161,6 +161,23 @@ def test_convergence_rejects_orders_over_cap(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", (
+    ("p2nn", "--sizes", "10,3000000"),
+    ("p2mn", "--sizes", "10", "--n-fixed", "2001"),
+))
+def test_convergence_refuses_caps_before_target_and_graphs(argv, monkeypatch, capsys):
+    from alphalimits import cli, limits
+
+    def fail(*args):
+        raise AssertionError("target solved or graph built before the cap check")
+    for owner, name in ((cli, "_family_graph"), (limits, "eta_n"), (limits, "psi")):
+        monkeypatch.setattr(owner, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", *argv])
+    assert exc.value.code == 2
+    assert "> cap 2000" in capsys.readouterr().err
+
+
 def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
     # At n = 500 the bracket search of gamma_tilde_n evaluates phi_version2
     # where t^1002 is past the double range: inf, but no warning.

@@ -16,7 +16,6 @@ from alphalimits.limits import (
     phi_version1,
     phi_version2,
     psi,
-    theta_from_lambda,
     theta_substitution,
 )
 from alphalimits.spectral import (
@@ -86,8 +85,6 @@ def test_theta_substitution_round_trip(theta, alpha):
     lam = theta_substitution(theta, alpha)
     assert lam > 2.0
     assert abs(theta_substitution(1.0 / theta, alpha) - lam) < 1e-12 * lam
-    back = theta_from_lambda(lam, alpha)
-    assert abs(back - theta) < 1e-9 * (1.0 + 1.0 / theta)
 
 
 @PROPERTY_SETTINGS

@@ -25,7 +25,6 @@ from alphalimits.spectral import (
     assemble_laplacian,
     bn_charpoly_closed,
     char_poly_eval,
-    char_poly_eval_deleted,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,
@@ -37,6 +36,7 @@ from alphalimits.spectral import (
     subdivision_stack,
     tridiag_charpoly_recurrence,
 )
+from alphalimits.verify import ALPHA_GRID
 
 TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 
@@ -94,6 +94,14 @@ def test_trace_identity():
         assert abs(sum(eigs) - alpha * g.degrees().sum()) < 1e-10
 
 
+def deleted_det(g, u, alpha, lam):
+    """det(lam*I - M) for M the principal minor of A_alpha(g) without row
+    and column u: an inline LU determinant, the independent reference."""
+    keep = [i for i in range(g.n_vertices) if i != u]
+    m = assemble_a_alpha(g, alpha)[np.ix_(keep, keep)]
+    return float(np.linalg.det(lam * np.eye(len(keep)) - m))
+
+
 def test_spectral_radius_input_validation():
     lopsided = assemble_a_alpha(path(3), 0.2)
     lopsided[0, 1] = 0.5
@@ -109,8 +117,7 @@ def test_char_poly_p2_formula():
         for lam in (0.0, 1.0, 2.5, 3.0):
             expect = (lam - alpha) ** 2 - (1 - alpha) ** 2
             assert abs(char_poly_eval(path(2), alpha, lam) - expect) < 1e-12
-            assert abs(char_poly_eval_deleted(path(2), 0, alpha, lam)
-                       - (lam - alpha)) < 1e-12
+            assert abs(deleted_det(path(2), 0, alpha, lam) - (lam - alpha)) < 1e-12
 
 
 def test_char_poly_p5_factored_form():
@@ -123,7 +130,7 @@ def test_char_poly_p5_factored_form():
                      - 8 * alpha * alpha + 4 * alpha)
             got = char_poly_eval(path(5), alpha, lam)
             assert abs(got - quad * cubic) < 1e-10 * max(1.0, abs(got))
-            got_mid = char_poly_eval_deleted(path(5), 2, alpha, lam)
+            got_mid = deleted_det(path(5), 2, alpha, lam)
             assert abs(got_mid - quad * quad) < 1e-10 * max(1.0, abs(got_mid))
 
 
@@ -147,7 +154,7 @@ def test_bn_closed_form_matches_determinant():
     for k in (1, 2, 5, 12, 30):
         for alpha in (0.1, 0.4, 0.85):
             for lam in lams:
-                det = char_poly_eval_deleted(path(k + 1), 0, alpha, float(lam))
+                det = deleted_det(path(k + 1), 0, alpha, float(lam))
                 closed = bn_charpoly_closed(k, alpha, float(lam))
                 assert abs(det - closed) <= 1e-9 * max(abs(det), 1.0)
 
@@ -169,7 +176,7 @@ def test_closed_forms_degenerate_dispatch():
     det = char_poly_eval(path(4), 0.0, 2.0)
     assert abs(val - det) < 1e-10
     val_b = bn_charpoly_closed(3, 0.5, 2.0)
-    det_b = char_poly_eval_deleted(path(4), 0, 0.5, 2.0)
+    det_b = deleted_det(path(4), 0, 0.5, 2.0)
     assert abs(val_b - det_b) < 1e-10
 
 
@@ -191,6 +198,34 @@ def test_tridiag_recurrence():
     assert abs(got - det) <= 1e-9 * abs(det)
     with pytest.raises(ValueError):
         tridiag_charpoly_recurrence([0.0, 0.0], [], 1.0)
+    # The grid of verify's closed-form check, where the recurrence is the
+    # reference: P_k, and B_k as P_{k+1} without its last row and column.
+    for k in (2, 3, 5, 10, 25, 50):
+        for alpha in ALPHA_GRID:
+            diag, off = spectral._path_tridiag(k, alpha)
+            diag_b, off_b = spectral._path_tridiag(k + 1, alpha)
+            for lam in np.linspace(2.05, 4.0, 8):
+                m = assemble_a_alpha(path(k), alpha)
+                det = np.linalg.det(lam * np.eye(k) - m)
+                got = tridiag_charpoly_recurrence(diag, off, lam)
+                assert abs(got - det) <= 1e-12 * abs(det)
+                det_b = deleted_det(path(k + 1), k, alpha, lam)
+                got_b = tridiag_charpoly_recurrence(diag_b[:-1], off_b[:-1], lam)
+                assert abs(got_b - det_b) <= 1e-12 * abs(det_b)
+
+
+@pytest.mark.parametrize("name, tag", (("path_charpoly_closed", "path k="),
+                                       ("bn_charpoly_closed", "bn k=")))
+def test_closed_form_check_fails_on_a_perturbed_form(name, tag, monkeypatch):
+    from alphalimits import verify
+
+    assert verify.check_closed_form_charpoly().passed
+    exact = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *a: exact(*a) * (1.0 + 1e-8))
+    result = verify.check_closed_form_charpoly()
+    assert not result.passed
+    assert result.checked == 912
+    assert result.detail.startswith(tag)
 
 
 def test_delta_and_h():
