@@ -12,6 +12,7 @@ from .graphs import (
     Graph,
     InternalPath,
     attach_pendant_path,
+    bridges,
     cycle,
     double_snake,
     edge_in_internal_path,
@@ -62,6 +63,7 @@ from .limits import (
 )
 from .spectral import (
     VertexResolvent,
+    alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
@@ -72,6 +74,7 @@ from .spectral import (
     path_charpoly_closed,
     radii_of,
     radius_of,
+    solve_by_order,
     stack_radii,
     star_radius,
     subdivision_stack,

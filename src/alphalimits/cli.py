@@ -296,6 +296,8 @@ def cmd_convergence(args) -> tuple:
     n_fixed = args.n_fixed
     if family == "p2mn" and n_fixed is None:
         raise ValueError("p2mn needs --n-fixed")
+    if family != "p2mn" and n_fixed is not None:
+        raise ValueError(f"--n-fixed applies to p2mn only, not {family}")
     if n_fixed is not None and n_fixed > MAX_ORDER:
         raise ValueError(f"n-fixed {n_fixed} > cap {MAX_ORDER}")
     cfg = RootConfig(tol=args.tol)

@@ -9,10 +9,12 @@ memory and O(n) time per pass: Newton's method on the last pivot of an
 elimination rooted at a max-degree vertex finds the radius in about ten
 passes, and the pivot test of the elimination rooted at vertex 0
 certifies the same one-ulp bracket a plain bisection ends on, returning
-its upper end. Every other graph is stacked with the others of its order
-and solved densely: full_spectrum is the one checked symmetric
-eigensolve, of a matrix or of a (k, n, n) stack, and stack_radii reads
-each slice's radius off it. radius_of is radii_of for one graph, and
+its upper end. Every other graph is solved densely: full_spectrum is
+the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
+stack, stack_radii reads each slice's radius off it, and solve_by_order,
+the one place matrices are grouped by order, makes one such call per
+order for stacks of mixed orders. radius_of is radii_of for one graph,
+alpha_stack assembles a graph's matrix at several alphas at once, and
 subdivision_stack builds every edge subdivision of a graph as one stack
 straight from its matrix. The resolvent diagonal [(lam*I - A_alpha)^-1]_uu
 comes from one eigendecomposition. The characteristic polynomials of the
@@ -52,6 +54,21 @@ def assemble_a_alpha(g: Graph, alpha: float) -> np.ndarray:
     return a
 
 
+def alpha_stack(g: Graph, alphas) -> np.ndarray:
+    """A_alpha(g) at each of alphas as one (k, n, n) stack, from one
+    adjacency and one degree pass. Each slice is assemble_a_alpha(g, alpha)
+    bit for bit: the same products, written into the stack.
+    """
+    a = g.adjacency()
+    d = g.degrees()
+    out = np.empty((len(alphas), g.n_vertices, g.n_vertices))
+    for m, alpha in zip(out, alphas):
+        _validate_alpha(alpha)
+        np.multiply(a, 1.0 - alpha, out=m)
+        np.fill_diagonal(m, alpha * d)
+    return out
+
+
 def assemble_laplacian(g: Graph, signless: bool = False) -> np.ndarray:
     """D - A, or D + A when signless (equal to 2*A_{1/2} entrywise)."""
     a = g.adjacency()
@@ -86,43 +103,70 @@ def stack_radii(stack: np.ndarray) -> list:
     return np.abs(full_spectrum(stack)).max(axis=1).tolist()
 
 
+def solve_by_order(solve, blocks) -> list:
+    """solve called once per matrix order on every matrix of blocks.
+
+    blocks is a sequence of (k, n, n) stacks of any orders n. The stacks of
+    one order are concatenated and passed to solve (stack_radii or
+    full_spectrum) in one call. Returns one result per matrix, block by
+    block and slice by slice in input order. Each slice is solved on its
+    own, so each result is the one its matrix gives alone, bit for bit.
+    """
+    blocks = list(blocks)
+    starts = [0]
+    by_order = {}
+    for i, block in enumerate(blocks):
+        starts.append(starts[-1] + len(block))
+        by_order.setdefault(block.shape[-1], []).append(i)
+    out = [None] * starts[-1]
+    for idx in by_order.values():
+        stack = (blocks[idx[0]] if len(idx) == 1
+                 else np.concatenate([blocks[i] for i in idx]))
+        results = solve(stack)
+        pos = 0
+        for i in idx:
+            k = starts[i + 1] - starts[i]
+            out[starts[i]:starts[i + 1]] = results[pos:pos + k]
+            pos += k
+    return out
+
+
 def radii_of(pairs) -> list:
     """rho(A_alpha(g)) for every (g, alpha) pair, in input order.
 
     The one choice of route: a tree of order TREE_MIN_ORDER or more goes
     to leaf-to-root elimination (_tree_radius); every other graph is
-    assembled and stacked with the others of its order, one stack_radii
-    call per order. Each dense value is the one its slice gives alone.
+    assembled and solved densely by solve_by_order, one stack_radii call
+    per order. Each dense value is the one its slice gives alone.
     """
     pairs = list(pairs)
     out = [0.0] * len(pairs)
-    by_order = {}
+    dense = []
     for i, (g, alpha) in enumerate(pairs):
         tree = _leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
         if tree is not None:
             _validate_alpha(alpha)
             out[i] = _tree_radius(tree, alpha)
         else:
-            by_order.setdefault(g.n_vertices, []).append(i)
-    for idx in by_order.values():
-        stack = np.array([assemble_a_alpha(*pairs[i]) for i in idx])
-        for i, r in zip(idx, stack_radii(stack)):
-            out[i] = r
+            dense.append(i)
+    blocks = [assemble_a_alpha(*pairs[i])[None] for i in dense]
+    for i, r in zip(dense, solve_by_order(stack_radii, blocks)):
+        out[i] = r
     return out
 
 
-def subdivision_stack(g: Graph, alpha: float) -> np.ndarray:
+def subdivision_stack(g: Graph, alpha: float, m: np.ndarray | None = None) -> np.ndarray:
     """A_alpha(subdivide_edge(g, e)) for each edge e of g in sorted order.
 
-    One (n_edges, n+1, n+1) stack, built from g's matrix padded by a zero
-    row and column for the new vertex w = n: zero (u, v), set (u, w) and
-    (v, w) to 1 - alpha and (w, w) to 2*alpha. The degrees of u and v do
-    not change, so every slice equals the assembled matrix of the
-    subdivided graph exactly.
+    One (n_edges, n+1, n+1) stack, built from g's matrix m (assembled here
+    unless the caller has it) padded by a zero row and column for the new
+    vertex w = n: zero (u, v), set (u, w) and (v, w) to 1 - alpha and
+    (w, w) to 2*alpha. The degrees of u and v do not change, so every
+    slice equals the assembled matrix of the subdivided graph exactly.
     """
     n = g.n_vertices
     padded = np.zeros((n + 1, n + 1))
-    padded[:n, :n] = assemble_a_alpha(g, alpha)
+    padded[:n, :n] = assemble_a_alpha(g, alpha) if m is None else m
     u, v = np.array(sorted(g.edges), dtype=int).reshape(-1, 2).T
     k = np.arange(len(u))
     stack = np.repeat(padded[None], len(u), axis=0)

@@ -3,13 +3,15 @@
 Two suites back the `verify` subcommand. The lemma suite samples seeded
 random connected graphs of order 4 to 12 and checks the spectral-radius
 bounds, the two monotonicity statements and the subdivision direction on
-every edge. It solves each rho(G, alpha) once and shares it between the
-checks, takes the other radii in batches stacked by order, and builds each
-graph's subdivided matrices as one stack by index arithmetic on its own
-matrix, with no Graph per edge. The identity suite evaluates the
-polynomial and closed-form identities on deterministic grids, plus the
-bipartite spectra check on random trees. Every check reports a PropertyResult; a failing result
-carries a serialized counterexample.
+every edge. It plans, then solves: it draws the graphs, then one connected
+proper subgraph per graph (from one bridge pass, building only the chosen
+subgraph), assembles every matrix the four checks need, and solves them by
+order with one eigensolve call per order, LEMMA_CHUNK graphs at a time
+(lemma_radii). The check functions only compare the solved radii. The
+identity suite evaluates the polynomial and closed-form identities on
+deterministic grids, plus the bipartite spectra check on random trees,
+whose spectra are solved by order the same way. Every check reports a
+PropertyResult; a failing result carries a serialized counterexample.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from . import limits
 from .graphs import (
     Graph,
+    bridges,
     format_graph,
     internal_path_edges,
     internal_paths,
@@ -33,13 +36,14 @@ from .graphs import (
 )
 from .spectral import (
     _path_tridiag,
+    alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
-    radii_of,
+    solve_by_order,
     stack_radii,
     star_radius,
     subdivision_stack,
@@ -49,6 +53,11 @@ from .spectral import (
 STRICT_MARGIN = 1e-12
 EQUALITY_TOL = 1e-10
 LEMMA_ALPHAS = (0.0, 0.2, 0.5, 0.8)
+ALPHA_LO, ALPHA_HI = 0.2, 0.7  # the alpha-monotonicity pair
+# Graphs whose matrices lemma_radii solves together. The verify workload's
+# jobs are this size; larger runs are solved in chunks of it, so memory
+# stays flat in --trials.
+LEMMA_CHUNK = 20
 
 
 @dataclass(frozen=True)
@@ -116,19 +125,29 @@ def _delete_edge(g: Graph, e: tuple) -> Graph:
 
 
 def _proper_connected_subgraph(g: Graph, rng: np.random.Generator) -> Graph | None:
-    """A random connected proper subgraph: drop a cycle edge or a non-cut vertex."""
+    """A random connected proper subgraph of a connected g: drop a cycle
+    edge or a non-cut vertex.
+
+    The sorted edges are shuffled and the first one that is not a bridge
+    (one low-link pass, see bridges) is dropped. If every edge is a bridge,
+    g is a tree: a shuffled vertex list is drawn and its first leaf is
+    dropped, unless that would leave a single vertex. These are the draws
+    and the subgraph of trying each deletion in turn for connectivity;
+    only the chosen subgraph is built.
+    """
     edges = sorted(g.edges)
     rng.shuffle(edges)
+    cut = bridges(g)
     for e in edges:
-        h = _delete_edge(g, e)
-        if h.is_connected():
-            return h
+        if e not in cut:
+            return _delete_edge(g, e)
     verts = list(range(g.n_vertices))
     rng.shuffle(verts)
-    for v in verts:
-        h = _delete_vertex(g, v)
-        if h.n_vertices >= 2 and h.is_connected():
-            return h
+    if g.n_vertices >= 3:
+        deg = g.degrees()
+        for v in verts:
+            if deg[v] == 1:
+                return _delete_vertex(g, v)
     return None
 
 
@@ -160,48 +179,53 @@ def check_radius_bounds(graphs: list, alphas: list, rhos: list) -> PropertyResul
 
 
 def check_subgraph_monotonicity(graphs: list, alphas: list, rhos: list,
-                                rng: np.random.Generator) -> PropertyResult:
-    """A connected proper subgraph has strictly smaller radius."""
+                                subs: list, sub_rhos: list) -> PropertyResult:
+    """A connected proper subgraph has strictly smaller radius.
+
+    subs[i] is a connected proper subgraph of graphs[i], or None if it has
+    none; sub_rhos[i] is its radius at alphas[i].
+    """
     bad = []
-    # All subgraphs are drawn first, in graph order, as each draws from rng.
-    subs = [(g, alpha, rho, _proper_connected_subgraph(g, rng))
-            for g, alpha, rho in zip(graphs, alphas, rhos)]
-    subs = [s for s in subs if s[3] is not None]
-    rho_hs = radii_of((h, alpha) for _, alpha, _, h in subs)
-    for (g, alpha, rho, h), rho_h in zip(subs, rho_hs):
+    checked = 0
+    for g, alpha, rho, h, rho_h in zip(graphs, alphas, rhos, subs, sub_rhos):
+        if h is None:
+            continue
+        checked += 1
         if rho - rho_h <= STRICT_MARGIN:
             bad.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
-    return PropertyResult("subgraph-strict", not bad, len(subs), "; ".join(bad[:3]))
+    return PropertyResult("subgraph-strict", not bad, checked, "; ".join(bad[:3]))
 
 
-def check_alpha_monotonicity(graphs: list) -> PropertyResult:
-    """Radius grows with alpha from 0.2 to 0.7; constant exactly on regular graphs."""
-    lo, hi = 0.2, 0.7
+def check_alpha_monotonicity(graphs: list, lo_rhos: list, hi_rhos: list) -> PropertyResult:
+    """Radius grows with alpha from ALPHA_LO to ALPHA_HI; constant exactly on
+    regular graphs. lo_rhos and hi_rhos are the radii at the two alphas.
+    """
     bad = []
-    radii = radii_of([(g, lo) for g in graphs] + [(g, hi) for g in graphs])
-    for g, r_lo, r_hi in zip(graphs, radii, radii[len(graphs):]):
+    for g, r_lo, r_hi in zip(graphs, lo_rhos, hi_rhos):
         if is_regular(g):
             if abs(r_hi - r_lo) > EQUALITY_TOL:
                 bad.append(f"regular but moved: {format_graph(g)}")
         elif r_hi - r_lo <= STRICT_MARGIN:
-            bad.append(f"rho({hi})={r_hi} <= rho({lo})={r_lo}: {format_graph(g)}")
+            bad.append(f"rho({ALPHA_HI})={r_hi} <= rho({ALPHA_LO})={r_lo}: "
+                       f"{format_graph(g)}")
     return PropertyResult("alpha-monotone", not bad, len(graphs), "; ".join(bad[:3]))
 
 
-def check_subdivision_direction(graphs: list, alphas: list, rhos: list) -> PropertyResult:
+def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
+                                subdivided: list) -> PropertyResult:
     """Subdividing internal-path edges lowers the radius, other edges raise it.
 
-    Cycles are the equality case of the raising direction; the double
-    snake at alpha 0 is the equality case of the lowering direction. The
-    radii of one graph's subdivisions come from one stacked eigensolve.
+    subdivided[i] lists the radii of graphs[i] with each edge subdivided,
+    in sorted edge order. Cycles are the equality case of the raising
+    direction; the double snake at alpha 0 is the equality case of the
+    lowering direction.
     """
     bad = []
     checked = 0
-    for g, alpha, rho in zip(graphs, alphas, rhos):
+    for g, alpha, rho, rho_subs in zip(graphs, alphas, rhos, subdivided):
         internal = internal_path_edges(g)
         cycle = _is_cycle(g)
         snake_zero = is_double_snake(g) and alpha == 0.0
-        rho_subs = stack_radii(subdivision_stack(g, alpha))
         for e, rho_sub in zip(sorted(g.edges), rho_subs):
             checked += 1
             if e in internal:
@@ -216,19 +240,64 @@ def check_subdivision_direction(graphs: list, alphas: list, rhos: list) -> Prope
     return PropertyResult("subdivision-direction", not bad, checked, "; ".join(bad[:3]))
 
 
+@dataclass(frozen=True)
+class LemmaRadii:
+    """Every radius the lemma checks compare, aligned with the graph list."""
+
+    rhos: list        # rho(G, alpha)
+    sub_rhos: list    # rho(H, alpha) for the subgraph H, None where there is none
+    lo_rhos: list     # rho(G, ALPHA_LO)
+    hi_rhos: list     # rho(G, ALPHA_HI)
+    subdivided: list  # per graph, rho of each edge subdivision in sorted edge order
+
+
+def lemma_radii(graphs: list, alphas: list, subs: list) -> LemmaRadii:
+    """Plan every matrix the lemma checks need, then solve once per order.
+
+    For each graph: A_alpha(G) at alpha, ALPHA_LO and ALPHA_HI from one
+    assembly (alpha_stack), every edge subdivision derived from A_alpha(G)
+    (subdivision_stack), and A_alpha(H) for its subgraph. LEMMA_CHUNK
+    graphs at a time, these go to solve_by_order, one stack_radii call per
+    matrix order, so peak memory does not grow with the number of graphs.
+    """
+    out = LemmaRadii([], [], [], [], [])
+    for start in range(0, len(graphs), LEMMA_CHUNK):
+        chunk = range(start, min(start + LEMMA_CHUNK, len(graphs)))
+        blocks = []
+        for i in chunk:
+            g, alpha, h = graphs[i], alphas[i], subs[i]
+            at_alphas = alpha_stack(g, (alpha, ALPHA_LO, ALPHA_HI))
+            blocks += [at_alphas, subdivision_stack(g, alpha, at_alphas[0])]
+            if h is not None:
+                blocks.append(assemble_a_alpha(h, alpha)[None])
+        radii = iter(solve_by_order(stack_radii, blocks))
+        for i in chunk:
+            out.rhos.append(next(radii))
+            out.lo_rhos.append(next(radii))
+            out.hi_rhos.append(next(radii))
+            out.subdivided.append([next(radii) for _ in range(graphs[i].n_edges)])
+            out.sub_rhos.append(None if subs[i] is None else next(radii))
+    return out
+
+
 def run_lemma_suite(seed: int, trials: int = 200) -> list:
-    """Sample seeded random connected graphs and run every lemma check."""
+    """Sample seeded random connected graphs and run every lemma check.
+
+    The graphs are drawn first, then one subgraph per graph in graph order;
+    lemma_radii solves every radius, and the checks compare them.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     graphs = [random_connected_graph(rng) for _ in range(trials)]
     alphas = [LEMMA_ALPHAS[i % len(LEMMA_ALPHAS)] for i in range(trials)]
-    rhos = radii_of(zip(graphs, alphas))
+    subs = [_proper_connected_subgraph(g, rng) for g in graphs]
+    radii = lemma_radii(graphs, alphas, subs)
     return [
-        check_radius_bounds(graphs, alphas, rhos),
-        check_subgraph_monotonicity(graphs, alphas, rhos, rng),
-        check_alpha_monotonicity(graphs),
-        check_subdivision_direction(graphs, alphas, rhos),
+        check_radius_bounds(graphs, alphas, radii.rhos),
+        check_subgraph_monotonicity(graphs, alphas, radii.rhos, subs, radii.sub_rhos),
+        check_alpha_monotonicity(graphs, radii.lo_rhos, radii.hi_rhos),
+        check_subdivision_direction(graphs, alphas, radii.rhos, radii.subdivided),
     ]
 
 
@@ -475,17 +544,21 @@ def check_q_is_scaled_half(graphs: list) -> PropertyResult:
 
 
 def check_bipartite_spectra(rng: np.random.Generator) -> PropertyResult:
-    """L and Q spectra coincide on 100 random trees (bipartite graphs)."""
+    """L and Q spectra coincide on 100 random trees (bipartite graphs).
+
+    The trees' L matrices are solved by order in one full_spectrum call
+    each, and so are their Q matrices.
+    """
     n_trees = 100
     bad = []
-    for _ in range(n_trees):
-        g = random_tree(rng, int(rng.integers(4, 13)))
+    trees = [random_tree(rng, int(rng.integers(4, 13))) for _ in range(n_trees)]
+    sls = solve_by_order(full_spectrum, [assemble_laplacian(g)[None] for g in trees])
+    sqs = solve_by_order(full_spectrum,
+                         [assemble_laplacian(g, signless=True)[None] for g in trees])
+    for g, sl, sq in zip(trees, sls, sqs):
         if not is_bipartite(g):
             bad.append(f"tree not bipartite: {format_graph(g)}")
-            continue
-        sl = full_spectrum(assemble_laplacian(g, signless=False))
-        sq = full_spectrum(assemble_laplacian(g, signless=True))
-        if np.max(np.abs(sl - sq)) > 1e-10:
+        elif np.max(np.abs(sl - sq)) > 1e-10:
             bad.append(format_graph(g))
     return PropertyResult("bipartite-l-q", not bad, n_trees, "; ".join(bad[:3]))
 
@@ -494,15 +567,15 @@ def check_graph_structure(graphs: list) -> PropertyResult:
     """Constructor invariants: symmetric two-path trees, subdivision counts, path degrees."""
     bad = []
     checked = 0
-    for m, n in ((1, 3), (2, 5), (4, 4)):
-        g1, _ = p2_two_paths(m, n)
-        g2, _ = p2_two_paths(n, m)
+    pairs = ((1, 3), (2, 5), (4, 4))
+    p2s = [(p2_two_paths(m, n)[0], p2_two_paths(n, m)[0]) for m, n in pairs]
+    spectra = iter(solve_by_order(full_spectrum, [assemble_a_alpha(g, 0.3)[None]
+                                                  for pair in p2s for g in pair]))
+    for (m, n), (g1, g2) in zip(pairs, p2s):
         checked += 1
         if sorted(g1.degrees()) != sorted(g2.degrees()):
             bad.append(f"p2 degree sequences differ at ({m},{n})")
-        s1 = full_spectrum(assemble_a_alpha(g1, 0.3))
-        s2 = full_spectrum(assemble_a_alpha(g2, 0.3))
-        if np.max(np.abs(s1 - s2)) > 1e-10:
+        if np.max(np.abs(next(spectra) - next(spectra))) > 1e-10:
             bad.append(f"p2 spectra differ at ({m},{n})")
     for g in graphs:
         e = sorted(g.edges)[0]

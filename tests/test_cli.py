@@ -149,6 +149,22 @@ def test_convergence_p2mn_runs_with_fixed_side(capsys):
     assert all(float(r[3]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("family", ("p2nn", "k13", "p5u"))
+def test_convergence_refuses_n_fixed_outside_p2mn(family, monkeypatch, capsys):
+    from alphalimits import cli, limits
+
+    def fail(*args):
+        raise AssertionError("target solved or graph built before the usage check")
+    for owner, name in ((cli, "_family_graph"), (limits, "psi"), (limits, "omega1"),
+                        (limits, "omega2")):
+        monkeypatch.setattr(owner, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", family, "--sizes", "10", "--n-fixed", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"alphalimits: error: --n-fixed applies to p2mn only, not {family}\n")
+
+
 def test_convergence_rejects_unsorted_sizes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "p2nn", "--sizes", "20,10"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
+    bridges,
     cycle,
     double_snake,
     edge_in_internal_path,
@@ -229,3 +230,43 @@ def test_neighbors_sorted_and_connectivity():
     assert g.neighbors(0) == [1, 2, 3, 4]
     assert g.is_connected()
     assert not Graph(4, frozenset({(0, 1), (2, 3)})).is_connected()
+
+
+def test_bridges_by_low_link():
+    assert bridges(path(5)) == set(path(5).edges)
+    assert bridges(cycle(6)) == set()
+    assert bridges(lollipop(6)) == {(0, 5)}
+    two_cycles = join_by_path(cycle(3), 0, cycle(4), 1, 2)
+    assert bridges(two_cycles) == {(0, 7), (7, 8), (4, 8)}
+    assert bridges(Graph(3, frozenset({(0, 1)}))) == {(0, 1)}
+    assert bridges(Graph(1)) == set()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_bridges_are_the_edges_whose_deletion_disconnects(n, data):
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pool)))
+    g = Graph(n, frozenset(edges))
+    components = _component_count(g)
+    expected = {e for e in g.edges
+                if _component_count(Graph(n, g.edges - {e})) > components}
+    assert bridges(g) == expected
+
+
+def _component_count(g):
+    adj = g.adjacency_lists()
+    seen = [False] * g.n_vertices
+    count = 0
+    for s in range(g.n_vertices):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count

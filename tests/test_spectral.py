@@ -21,6 +21,7 @@ from alphalimits.graphs import (
 )
 from alphalimits.spectral import (
     TREE_MIN_ORDER,
+    alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
@@ -31,6 +32,7 @@ from alphalimits.spectral import (
     path_charpoly_closed,
     radii_of,
     radius_of,
+    solve_by_order,
     stack_radii,
     star_radius,
     subdivision_stack,
@@ -507,6 +509,40 @@ def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
         for e, m in zip(edges, stack):
             assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha))
         assert stack_radii(stack) == [radius_of(subdivide_edge(g, e), alpha) for e in edges]
+
+
+def test_alpha_stack_slices_are_the_assembled_matrices():
+    for g in (wheel5(), cycle(5), seeded_tree(7, 11), Graph(3)):
+        stack = alpha_stack(g, BATCH_ALPHAS)
+        assert stack.shape == (len(BATCH_ALPHAS), g.n_vertices, g.n_vertices)
+        for m, alpha in zip(stack, BATCH_ALPHAS):
+            assert np.array_equal(m, assemble_a_alpha(g, alpha))
+            assert np.array_equal(subdivision_stack(g, alpha, m),
+                                  subdivision_stack(g, alpha))
+    with pytest.raises(ValueError, match="alpha"):
+        alpha_stack(wheel5(), (0.5, 1.5))
+
+
+def test_solve_by_order_keeps_input_order_and_each_slice_alone():
+    graphs = [wheel5(), path(4), cycle(5), star(3), p2_two_paths(1, 2)[0], path(5)]
+    blocks = [subdivision_stack(g, alpha) for g in graphs for alpha in (0.0, 0.5)]
+    blocks += [assemble_a_alpha(g, 0.8)[None] for g in graphs]
+    blocks.insert(3, subdivision_stack(Graph(4), 0.5))  # empty, order 5
+    matrices = [m for block in blocks for m in block]
+    assert solve_by_order(stack_radii, blocks) == [stack_radii(m[None])[0] for m in matrices]
+    spectra = solve_by_order(full_spectrum, blocks)
+    assert len(spectra) == len(matrices)
+    for row, m in zip(spectra, matrices):
+        assert np.array_equal(row, full_spectrum(m))
+    calls = []
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return stack_radii(stack)
+    solve_by_order(counting, blocks)
+    assert sorted(shape[-1] for shape in calls) == [4, 5, 6]
+    assert sum(shape[0] for shape in calls) == len(matrices)
+    assert solve_by_order(stack_radii, []) == []
 
 
 def test_subdivision_stack_of_an_edgeless_graph_is_empty():

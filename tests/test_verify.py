@@ -1,0 +1,196 @@
+"""The lemma suite plans every radius, then solves once per matrix order.
+
+A reference here computes every radius the four lemma checks compare as
+radius_of on an explicitly built graph (_delete_edge, _delete_vertex,
+subdivide_edge), picks subgraphs by trying each deletion in turn, and
+judges the lemmas with its own copy of the comparisons. The planned suite
+must give the same radii bit for bit and the same PropertyResults.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from alphalimits import spectral, verify
+from alphalimits.graphs import (
+    format_graph,
+    internal_path_edges,
+    is_double_snake,
+    is_regular,
+    subdivide_edge,
+)
+from alphalimits.spectral import radius_of, star_radius
+from alphalimits.verify import (
+    EQUALITY_TOL,
+    LEMMA_ALPHAS,
+    STRICT_MARGIN,
+    LemmaRadii,
+    PropertyResult,
+    random_connected_graph,
+    random_tree,
+    run_lemma_suite,
+)
+
+# The two seeds whose subdivision gaps (+9.96e-14, +1.18e-13 at alpha 0.8)
+# fall inside STRICT_MARGIN: the lemma holds, the fixed margin reports FAIL.
+FALSE_FAIL_SEEDS = (1443400113, 1733762282)
+# Graphs solved together: the verify workload's job size, so that a job is
+# one chunk and a longer run's peak memory does not grow with --trials.
+CHUNK = 20
+
+
+def trial_deletion_subgraph(g, rng):
+    """Try every deletion in turn: a shuffled edge, then a shuffled vertex."""
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        h = verify._delete_edge(g, e)
+        if h.is_connected():
+            return h
+    verts = list(range(g.n_vertices))
+    rng.shuffle(verts)
+    for v in verts:
+        h = verify._delete_vertex(g, v)
+        if h.n_vertices >= 2 and h.is_connected():
+            return h
+    return None
+
+
+def reference_inputs(seed, trials):
+    rng = np.random.default_rng(seed)
+    graphs = [random_connected_graph(rng) for _ in range(trials)]
+    alphas = [LEMMA_ALPHAS[i % len(LEMMA_ALPHAS)] for i in range(trials)]
+    subs = [trial_deletion_subgraph(g, rng) for g in graphs]
+    return graphs, alphas, subs
+
+
+def reference_radii(graphs, alphas, subs):
+    return LemmaRadii(
+        rhos=[radius_of(g, a) for g, a in zip(graphs, alphas)],
+        sub_rhos=[None if h is None else radius_of(h, a) for h, a in zip(subs, alphas)],
+        lo_rhos=[radius_of(g, verify.ALPHA_LO) for g in graphs],
+        hi_rhos=[radius_of(g, verify.ALPHA_HI) for g in graphs],
+        subdivided=[[radius_of(subdivide_edge(g, e), a) for e in sorted(g.edges)]
+                    for g, a in zip(graphs, alphas)],
+    )
+
+
+def reference_results(graphs, alphas, subs, r):
+    bounds, strict, mono, subdiv = [], [], [], []
+    n_subdiv = 0
+    for i, (g, alpha, h) in enumerate(zip(graphs, alphas, subs)):
+        rho = r.rhos[i]
+        dmax = float(g.degrees().max())
+        lower = star_radius(dmax, alpha)
+        if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
+            bounds.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
+                          f"g={format_graph(g)}")
+        if h is not None and rho - r.sub_rhos[i] <= STRICT_MARGIN:
+            strict.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
+        lo, hi = r.lo_rhos[i], r.hi_rhos[i]
+        if is_regular(g):
+            if abs(hi - lo) > EQUALITY_TOL:
+                mono.append(f"regular but moved: {format_graph(g)}")
+        elif hi - lo <= STRICT_MARGIN:
+            mono.append(f"rho(0.7)={hi} <= rho(0.2)={lo}: {format_graph(g)}")
+        internal = internal_path_edges(g)
+        cycle = bool(np.all(g.degrees() == 2))
+        snake_zero = is_double_snake(g) and alpha == 0.0
+        for e, rho_sub in zip(sorted(g.edges), r.subdivided[i]):
+            n_subdiv += 1
+            if e in internal:
+                ok = (abs(rho_sub - rho) <= EQUALITY_TOL if snake_zero
+                      else rho - rho_sub > STRICT_MARGIN)
+            else:
+                ok = (abs(rho_sub - rho) <= EQUALITY_TOL if cycle
+                      else rho_sub - rho > STRICT_MARGIN)
+            if not ok:
+                subdiv.append(f"alpha={alpha} edge={e} rho={rho} rho_sub={rho_sub} "
+                              f"g={format_graph(g)}")
+    n_subs = sum(h is not None for h in subs)
+    return [
+        PropertyResult("radius-bounds", not bounds, len(graphs), "; ".join(bounds[:3])),
+        PropertyResult("subgraph-strict", not strict, n_subs, "; ".join(strict[:3])),
+        PropertyResult("alpha-monotone", not mono, len(graphs), "; ".join(mono[:3])),
+        PropertyResult("subdivision-direction", not subdiv, n_subdiv,
+                       "; ".join(subdiv[:3])),
+    ]
+
+
+def hex_radii(r):
+    def hx(xs):
+        return [None if x is None else float.hex(x) for x in xs]
+    return (hx(r.rhos), hx(r.sub_rhos), hx(r.lo_rhos), hx(r.hi_rhos),
+            [hx(xs) for xs in r.subdivided])
+
+
+@pytest.mark.parametrize("seed, trials", [
+    (0, 200), (3, 200), (7, 200), (1234, 200), (7, 45),
+    (FALSE_FAIL_SEEDS[0], 20), (FALSE_FAIL_SEEDS[1], 20),
+])
+def test_planned_suite_equals_the_per_graph_reference(seed, trials):
+    graphs, alphas, subs = reference_inputs(seed, trials)
+    ref = reference_radii(graphs, alphas, subs)
+    assert hex_radii(verify.lemma_radii(graphs, alphas, subs)) == hex_radii(ref)
+    results = run_lemma_suite(seed, trials)
+    assert results == reference_results(graphs, alphas, subs, ref)
+    failing = [r.name for r in results if not r.passed]
+    assert failing == (["subdivision-direction"] if seed in FALSE_FAIL_SEEDS else [])
+
+
+def test_subgraph_pick_matches_trial_deletion():
+    draw = np.random.default_rng(20260)
+    graphs = [random_connected_graph(draw) for _ in range(300)]
+    graphs += [random_tree(draw, int(draw.integers(2, 13))) for _ in range(100)]
+    trees = 0
+    for k, g in enumerate(graphs):
+        trees += g.n_edges == g.n_vertices - 1
+        rng_new, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+        assert verify._proper_connected_subgraph(g, rng_new) == \
+            trial_deletion_subgraph(g, rng_ref), format_graph(g)
+        assert rng_new.integers(2**62) == rng_ref.integers(2**62)
+    assert trees >= 150
+
+
+def count_eigensolves(monkeypatch):
+    orders = []
+    solve = spectral.full_spectrum
+
+    def counting(m):
+        orders.append(np.shape(m)[-1])
+        return solve(m)
+    monkeypatch.setattr(spectral, "full_spectrum", counting)
+    monkeypatch.setattr(verify, "full_spectrum", counting)
+    return orders
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 20), (3, 20), (FALSE_FAIL_SEEDS[0], 20),
+                                         (7, 50)])
+def test_lemma_suite_solves_once_per_matrix_order_and_chunk(seed, trials, monkeypatch):
+    graphs, alphas, subs = reference_inputs(seed, trials)
+    chunks = []
+    for start in range(0, trials, CHUNK):
+        part = slice(start, start + CHUNK)
+        chunks.append({g.n_vertices for g in graphs[part]}
+                      | {g.n_vertices + 1 for g in graphs[part]}
+                      | {h.n_vertices for h in subs[part] if h is not None})
+    orders = count_eigensolves(monkeypatch)
+    run_lemma_suite(seed, trials)
+    assert len(orders) == sum(len(chunk) for chunk in chunks)
+    for chunk in chunks:
+        assert set(orders[:len(chunk)]) == chunk
+        orders = orders[len(chunk):]
+    assert all(len(chunk) <= 11 for chunk in chunks)
+
+
+def test_identity_suite_solves_its_spectra_by_order(monkeypatch):
+    orders = count_eigensolves(monkeypatch)
+    results = verify.run_identity_suite(0)
+    assert all(r.passed for r in results)
+    # L, then Q, of the trees (orders 4..12) by order; then the p2 pairs
+    lq, p2 = orders[:-3], orders[-3:]
+    half = len(lq) // 2
+    assert p2 == [6, 9, 10]
+    assert lq[:half] == lq[half:]
+    assert len(set(lq[:half])) == half <= 9
