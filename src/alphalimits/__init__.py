@@ -12,6 +12,7 @@ from .graphs import (
     Graph,
     InternalPath,
     attach_pendant_path,
+    bfs,
     bridges,
     cycle,
     double_snake,
@@ -72,7 +73,6 @@ from .spectral import (
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
-    radii_of,
     radius_of,
     solve_by_order,
     stack_radii,

@@ -2,11 +2,20 @@
 
 Vertices are contiguous 0-based integers. Constructors that have a designated
 root vertex (pendant path attachments and the like) document or return it.
+
+A graph's adjacency is built once, on first use: Graph.adj holds one
+neighbour list per vertex, filled from the frozen edge set in its own
+iteration order, and every degree, neighbour and traversal query reads it.
+The lists are shared by all callers, who must not mutate them. neighbors
+and adjacency_lists return sorted copies. bfs is the one breadth-first
+traversal, behind connectivity, bipartiteness and the leaves-first tree
+orders of the spectral layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,12 +47,17 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        d = [0] * self.n_vertices
+    @cached_property
+    def adj(self) -> list:
+        """Neighbour lists in edge-set order, built on first use; read only."""
+        adj = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return np.array(d, dtype=int)
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def degrees(self) -> np.ndarray:
+        return np.array([len(a) for a in self.adj], dtype=int)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices))
@@ -52,34 +66,33 @@ class Graph:
         return a
 
     def neighbors(self, u: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
+        return sorted(self.adj[u])
 
     def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [sorted(a) for a in adj]
+        return [sorted(a) for a in self.adj]
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        adj = self.adjacency_lists()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return len(bfs(self, 0)[0]) == self.n_vertices
+
+
+def bfs(g: Graph, root: int) -> tuple:
+    """(order, parent) of a breadth-first search of root's component.
+
+    order lists the component's vertices, root first, each vertex's
+    neighbours taken in g.adj order. parent[v] is v's parent in the search
+    tree, n for the root and -1 for a vertex outside the component.
+    """
+    n = g.n_vertices
+    adj = g.adj
+    parent = [-1] * n
+    parent[root] = n
+    order = [root]
+    for u in order:  # grows while it is walked: a BFS queue
+        for w in adj[u]:
+            if parent[w] == -1:
+                parent[w] = u
+                order.append(w)
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -291,7 +304,7 @@ def bridges(g: Graph) -> set:
     p down to u is a bridge iff no edge out of u's subtree, other than that
     one, reaches p or a vertex discovered before it, i.e. low[u] > disc[p].
     """
-    adj = g.adjacency_lists()
+    adj = g.adj
     disc = [-1] * g.n_vertices
     low = [0] * g.n_vertices
     found = set()
@@ -322,23 +335,16 @@ def bridges(g: Graph) -> set:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """BFS 2-coloring test."""
-    adj = g.adjacency_lists()
-    color = [-1] * g.n_vertices
+    """2-colouring test: each vertex on the side opposite its BFS parent,
+    then no edge within a side."""
+    side = [-1] * g.n_vertices
     for s in range(g.n_vertices):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        if side[s] == -1:
+            order, parent = bfs(g, s)
+            side[s] = 0
+            for v in order[1:]:
+                side[v] = 1 - side[parent[v]]
+    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_regular(g: Graph) -> bool:
@@ -357,7 +363,7 @@ def is_double_snake(g: Graph) -> bool:
         return False
     branch = [v for v in range(n) if deg[v] == 3]
     for b in branch:
-        leaves = [w for w in g.neighbors(b) if deg[w] == 1]
+        leaves = [w for w in g.adj[b] if deg[w] == 1]
         if len(leaves) != 2:
             return False
     return True

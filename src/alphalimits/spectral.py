@@ -3,7 +3,7 @@
 The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
-arrays. Radii take one of two routes, chosen in radii_of alone. A tree of
+arrays. Radii take one of two routes, chosen in radius_of alone. A tree of
 order TREE_MIN_ORDER or more goes to leaf-to-root elimination in O(n)
 memory and O(n) time per pass: Newton's method on the last pivot of an
 elimination rooted at a max-degree vertex finds the radius in about ten
@@ -13,11 +13,11 @@ its upper end. Every other graph is solved densely: full_spectrum is
 the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
 stack, stack_radii reads each slice's radius off it, and solve_by_order,
 the one place matrices are grouped by order, makes one such call per
-order for stacks of mixed orders. radius_of is radii_of for one graph,
-alpha_stack assembles a graph's matrix at several alphas at once, and
-subdivision_stack builds every edge subdivision of a graph as one stack
-straight from its matrix. The resolvent diagonal [(lam*I - A_alpha)^-1]_uu
-comes from one eigendecomposition. The characteristic polynomials of the
+order for stacks of mixed orders. alpha_stack assembles a graph's
+matrix at several alphas at once (assemble_a_alpha is its one-alpha
+slice), and subdivision_stack builds every edge subdivision of a graph
+as one stack straight from its matrix. The resolvent diagonal
+[(lam*I - A_alpha)^-1]_uu comes from one eigendecomposition. The characteristic polynomials of the
 path matrix and of the deleted-end path B_{n+1} have s,t closed forms,
 which verify checks against the exact three-term tridiagonal recurrence.
 char_poly_eval, an LU determinant, has no caller in the package; the
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, bfs
 
 DEGENERATE_DELTA = 1e-9
-# Order from which radii_of sends trees to leaf-to-root elimination.
+# Order from which radius_of sends trees to leaf-to-root elimination.
 TREE_MIN_ORDER = 128
 # Predicted relative error at which the tree-radius Newton search stops.
 NEWTON_ERROR = 2.0 ** -50
@@ -48,16 +48,13 @@ def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
 
 def assemble_a_alpha(g: Graph, alpha: float) -> np.ndarray:
     """alpha*D(g) + (1-alpha)*A(g), assembled exactly."""
-    _validate_alpha(alpha)
-    a = g.adjacency() * (1.0 - alpha)
-    np.fill_diagonal(a, alpha * g.degrees())
-    return a
+    return alpha_stack(g, (alpha,))[0]
 
 
 def alpha_stack(g: Graph, alphas) -> np.ndarray:
     """A_alpha(g) at each of alphas as one (k, n, n) stack, from one
-    adjacency and one degree pass. Each slice is assemble_a_alpha(g, alpha)
-    bit for bit: the same products, written into the stack.
+    adjacency and one degree pass: (1-alpha)*A(g) off the diagonal,
+    alpha*D(g) on it, each product exact.
     """
     a = g.adjacency()
     d = g.degrees()
@@ -131,30 +128,6 @@ def solve_by_order(solve, blocks) -> list:
     return out
 
 
-def radii_of(pairs) -> list:
-    """rho(A_alpha(g)) for every (g, alpha) pair, in input order.
-
-    The one choice of route: a tree of order TREE_MIN_ORDER or more goes
-    to leaf-to-root elimination (_tree_radius); every other graph is
-    assembled and solved densely by solve_by_order, one stack_radii call
-    per order. Each dense value is the one its slice gives alone.
-    """
-    pairs = list(pairs)
-    out = [0.0] * len(pairs)
-    dense = []
-    for i, (g, alpha) in enumerate(pairs):
-        tree = _leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
-        if tree is not None:
-            _validate_alpha(alpha)
-            out[i] = _tree_radius(tree, alpha)
-        else:
-            dense.append(i)
-    blocks = [assemble_a_alpha(*pairs[i])[None] for i in dense]
-    for i, r in zip(dense, solve_by_order(stack_radii, blocks)):
-        out[i] = r
-    return out
-
-
 def subdivision_stack(g: Graph, alpha: float, m: np.ndarray | None = None) -> np.ndarray:
     """A_alpha(subdivide_edge(g, e)) for each edge e of g in sorted order.
 
@@ -178,7 +151,7 @@ def subdivision_stack(g: Graph, alpha: float, m: np.ndarray | None = None) -> np
 
 
 def radius_of(g: Graph, alpha: float) -> float:
-    """Spectral radius of A_alpha(g): radii_of for the one pair.
+    """Spectral radius of A_alpha(g), by the one choice of route.
 
     A tree of order TREE_MIN_ORDER or more goes to leaf-to-root
     elimination, which returns the upper end of the one-ulp bracket that
@@ -188,7 +161,11 @@ def radius_of(g: Graph, alpha: float) -> float:
     graph, and every graph below TREE_MIN_ORDER, where dense is faster,
     gets the value of stack_radii on a one-matrix stack.
     """
-    return radii_of([(g, alpha)])[0]
+    tree = _leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
+    if tree is None:
+        return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
+    _validate_alpha(alpha)
+    return _tree_radius(tree, alpha)
 
 
 def _leaves_first(g: Graph) -> tuple | None:
@@ -199,37 +176,22 @@ def _leaves_first(g: Graph) -> tuple | None:
     check is rooted at vertex 0; search is rooted at a vertex u of maximum
     degree (the lowest index on ties), and is check itself when u = 0.
     Returns None unless g is a tree: n - 1 edges and every vertex reached
-    by BFS.
+    by BFS. Both orders are reversed BFS orders (see graphs.bfs).
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
         return None
-    adj = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    degree = [len(a) for a in adj]
-    check = _bfs_leaves_first(adj, degree, 0)
-    if check is None:
+    degree = [len(a) for a in g.adj]
+
+    def reversed_bfs(root: int) -> list:
+        order, parent = bfs(g, root)
+        return [(v, parent[v], degree[v]) for v in reversed(order)]
+
+    check = reversed_bfs(0)
+    if len(check) != n:
         return None
     hub = degree.index(max(degree))
-    return check, (check if hub == 0 else _bfs_leaves_first(adj, degree, hub))
-
-
-def _bfs_leaves_first(adj: list, degree: list, root: int) -> list | None:
-    """Reversed BFS order from root as (vertex, parent, degree) triples."""
-    n = len(adj)
-    parent = [-1] * n
-    parent[root] = n
-    bfs = [root]
-    for u in bfs:  # grows while it is walked: a BFS queue
-        for w in adj[u]:
-            if parent[w] == -1:
-                parent[w] = u
-                bfs.append(w)
-    if len(bfs) != n:
-        return None
-    return [(v, parent[v], degree[v]) for v in reversed(bfs)]
+    return check, (check if hub == 0 else reversed_bfs(hub))
 
 
 def _definite(steps: list, c: float, lam: float) -> bool:
@@ -365,7 +327,10 @@ def star_radius(k: float, alpha: float) -> float:
     """rho(A_alpha(K_{1,k})), a lower bound for every graph of maximum degree k.
 
     The star K_{1,k} is a subgraph of any graph with a vertex of degree k.
+    K_{1,0} is a single vertex, whose A_alpha is [0], so k = 0 gives 0.
     """
+    if k == 0:
+        return 0.0
     rad = alpha * alpha * (k + 1) ** 2 + 4 * k * (1 - 2 * alpha)
     return 0.5 * (alpha * (k + 1) + math.sqrt(max(rad, 0.0)))
 

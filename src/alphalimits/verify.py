@@ -68,6 +68,12 @@ class PropertyResult:
     detail: str = ""
 
 
+def _result(name: str, checked: int, bad: list) -> PropertyResult:
+    """The check passes iff bad is empty; the detail joins its first three
+    counterexamples."""
+    return PropertyResult(name, not bad, checked, "; ".join(bad[:3]))
+
+
 # ---------------------------------------------------------------------------
 # seeded graph generation
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def check_radius_bounds(graphs: list, alphas: list, rhos: list) -> PropertyResul
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
             bad.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
                        f"g={format_graph(g)}")
-    return PropertyResult("radius-bounds", not bad, checked, "; ".join(bad[:3]))
+    return _result("radius-bounds", checked, bad)
 
 
 def check_subgraph_monotonicity(graphs: list, alphas: list, rhos: list,
@@ -193,7 +199,7 @@ def check_subgraph_monotonicity(graphs: list, alphas: list, rhos: list,
         checked += 1
         if rho - rho_h <= STRICT_MARGIN:
             bad.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
-    return PropertyResult("subgraph-strict", not bad, checked, "; ".join(bad[:3]))
+    return _result("subgraph-strict", checked, bad)
 
 
 def check_alpha_monotonicity(graphs: list, lo_rhos: list, hi_rhos: list) -> PropertyResult:
@@ -208,7 +214,7 @@ def check_alpha_monotonicity(graphs: list, lo_rhos: list, hi_rhos: list) -> Prop
         elif r_hi - r_lo <= STRICT_MARGIN:
             bad.append(f"rho({ALPHA_HI})={r_hi} <= rho({ALPHA_LO})={r_lo}: "
                        f"{format_graph(g)}")
-    return PropertyResult("alpha-monotone", not bad, len(graphs), "; ".join(bad[:3]))
+    return _result("alpha-monotone", len(graphs), bad)
 
 
 def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
@@ -237,7 +243,7 @@ def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
             if not ok:
                 bad.append(f"alpha={alpha} edge={e} rho={rho} rho_sub={rho_sub} "
                            f"g={format_graph(g)}")
-    return PropertyResult("subdivision-direction", not bad, checked, "; ".join(bad[:3]))
+    return _result("subdivision-direction", checked, bad)
 
 
 @dataclass(frozen=True)
@@ -325,7 +331,7 @@ def check_phi_increasing() -> PropertyResult:
             checked += len(xs) - 1
             if not np.all(np.diff(vals) > 0):
                 bad.append(f"n={n} alpha={alpha}")
-    return PropertyResult("phi-increasing", not bad, checked, "; ".join(bad[:3]))
+    return _result("phi-increasing", checked, bad)
 
 
 def check_duality() -> PropertyResult:
@@ -344,7 +350,7 @@ def check_duality() -> PropertyResult:
                 checked += 1
                 if abs(lhs + rhs) > 1e-12 * scale:
                     bad.append(f"n={n} alpha={alpha} x={x} residual={lhs + rhs}")
-    return PropertyResult("duality", not bad, checked, "; ".join(bad[:3]))
+    return _result("duality", checked, bad)
 
 
 def check_route_equality() -> PropertyResult:
@@ -358,7 +364,7 @@ def check_route_equality() -> PropertyResult:
             checked += 1
             if abs(e1 - e2) > 1e-12:
                 bad.append(f"n={n} alpha={alpha} diff={e1 - e2}")
-    return PropertyResult("route-equality", not bad, checked, "; ".join(bad[:3]))
+    return _result("route-equality", checked, bad)
 
 
 def _strict_until_saturated(gaps, floor: float = 1e-12) -> bool:
@@ -401,7 +407,7 @@ def check_strict_chain() -> PropertyResult:
         bad.append("alpha=0 chain does not start at 2, 2")
     if not _strict_until_saturated(np.diff(etas0[1:])):
         bad.append("alpha=0 chain not strict beyond the tie")
-    return PropertyResult("strict-chain", not bad, checked, "; ".join(bad[:3]))
+    return _result("strict-chain", checked, bad)
 
 
 def check_eta_convergence() -> PropertyResult:
@@ -411,7 +417,7 @@ def check_eta_convergence() -> PropertyResult:
         gap = limits.psi(alpha) - limits.eta_n(50, alpha)
         if abs(gap) >= 1e-3:
             bad.append(f"alpha={alpha} gap={gap}")
-    return PropertyResult("eta-converges", not bad, len(ALPHA_GRID), "; ".join(bad[:3]))
+    return _result("eta-converges", len(ALPHA_GRID), bad)
 
 
 def check_classic_routes() -> PropertyResult:
@@ -428,7 +434,7 @@ def check_classic_routes() -> PropertyResult:
             bad.append(f"n={n} eta routes {ec} {e0} {z}")
         if abs(d * b - 1.0) > 1e-12:
             bad.append(f"n={n} delta*beta={d * b}")
-    return PropertyResult("classic-routes", not bad, checked, "; ".join(bad[:3]))
+    return _result("classic-routes", checked, bad)
 
 
 def check_laplacian_agreement() -> PropertyResult:
@@ -443,7 +449,7 @@ def check_laplacian_agreement() -> PropertyResult:
             bad.append(f"n={n} xi={xi} kappa={kappa}")
         if abs(mu * th - 1.0) > 1e-11:
             bad.append(f"n={n} mu*theta={mu * th}")
-    return PropertyResult("laplacian-agreement", not bad, checked, "; ".join(bad[:3]))
+    return _result("laplacian-agreement", checked, bad)
 
 
 def check_ordering_constants() -> PropertyResult:
@@ -457,7 +463,7 @@ def check_ordering_constants() -> PropertyResult:
             bad.append(f"alpha={alpha} psi >= omega1")
         if limits.omega2(alpha) < p - 1e-9:
             bad.append(f"alpha={alpha} omega2 below psi")
-    return PropertyResult("ordering-constants", not bad, checked, "; ".join(bad[:3]))
+    return _result("ordering-constants", checked, bad)
 
 
 def check_difference_identity() -> PropertyResult:
@@ -476,7 +482,7 @@ def check_difference_identity() -> PropertyResult:
                 checked += 1
                 if abs(lhs - rhs) > 1e-12 * max(scale, 1.0):
                     bad.append(f"n={n} alpha={alpha} x={x}")
-    return PropertyResult("difference-identity", not bad, checked, "; ".join(bad[:3]))
+    return _result("difference-identity", checked, bad)
 
 
 def check_theta_h_identity() -> PropertyResult:
@@ -498,7 +504,7 @@ def check_theta_h_identity() -> PropertyResult:
             if abs(limits.theta_substitution(math.sqrt(g), alpha)
                    - limits.eta_n(n, alpha)) > 1e-11:
                 bad.append(f"eta mismatch n={n} alpha={alpha}")
-    return PropertyResult("theta-h-identity", not bad, checked, "; ".join(bad[:3]))
+    return _result("theta-h-identity", checked, bad)
 
 
 def check_closed_form_charpoly() -> PropertyResult:
@@ -529,7 +535,7 @@ def check_closed_form_charpoly() -> PropertyResult:
                 checked += 1
                 if abs(ref_b - closed_b) > 1e-9 * max(abs(ref_b), 1.0):
                     bad.append(f"bn k={k} alpha={alpha} lam={lam:.3f}")
-    return PropertyResult("closed-form-charpoly", not bad, checked, "; ".join(bad[:3]))
+    return _result("closed-form-charpoly", checked, bad)
 
 
 def check_q_is_scaled_half(graphs: list) -> PropertyResult:
@@ -540,7 +546,7 @@ def check_q_is_scaled_half(graphs: list) -> PropertyResult:
         a_half = assemble_a_alpha(g, 0.5)
         if not np.array_equal(q, 2.0 * a_half):
             bad.append(format_graph(g))
-    return PropertyResult("q-scaled-half", not bad, len(graphs), "; ".join(bad[:3]))
+    return _result("q-scaled-half", len(graphs), bad)
 
 
 def check_bipartite_spectra(rng: np.random.Generator) -> PropertyResult:
@@ -560,7 +566,7 @@ def check_bipartite_spectra(rng: np.random.Generator) -> PropertyResult:
             bad.append(f"tree not bipartite: {format_graph(g)}")
         elif np.max(np.abs(sl - sq)) > 1e-10:
             bad.append(format_graph(g))
-    return PropertyResult("bipartite-l-q", not bad, n_trees, "; ".join(bad[:3]))
+    return _result("bipartite-l-q", n_trees, bad)
 
 
 def check_graph_structure(graphs: list) -> PropertyResult:
@@ -590,7 +596,7 @@ def check_graph_structure(graphs: list) -> PropertyResult:
             interior_ok = all(deg[v] == 2 for v in p.vertices[1:-1])
             if not (ends_ok and interior_ok):
                 bad.append(f"bad internal path {p.vertices} in {format_graph(g)}")
-    return PropertyResult("graph-structure", not bad, checked, "; ".join(bad[:3]))
+    return _result("graph-structure", checked, bad)
 
 
 def run_identity_suite(seed: int) -> list:

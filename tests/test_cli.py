@@ -398,6 +398,25 @@ def test_radius_refuses_a_family_parameter_before_building(monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+def test_radius_refuses_an_edge_list_order_before_building_adjacency(monkeypatch, capsys):
+    from alphalimits.graphs import Graph
+
+    def fail(self):
+        raise AssertionError("adjacency built before the cap check")
+    monkeypatch.setattr(Graph, "adj", property(fail))
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "1000000000;"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "alphalimits: error: order 1000000000 > cap 2000 in '1000000000;'\n")
+
+
+def test_radius_of_edgeless_graph_has_zero_bounds(capsys):
+    code, out = run_cli(capsys, "radius", "3;", "--alpha", "0.5")
+    assert code == 0
+    assert out.splitlines()[-1] == "3;,0.5,0,0,0"
+
+
 def test_radius_at_the_order_cap_runs_on_the_elimination_route(monkeypatch, capsys):
     from alphalimits import spectral
 

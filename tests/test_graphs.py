@@ -1,5 +1,7 @@
 """Constructors, internal-path extraction and the edge-list text format."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
+    bfs,
     bridges,
     cycle,
     double_snake,
@@ -254,19 +257,62 @@ def test_bridges_are_the_edges_whose_deletion_disconnects(n, data):
     assert bridges(g) == expected
 
 
+def _component_labels(g):
+    """Each vertex's component as its least vertex, by union-find on the
+    edges, without the graph's adjacency."""
+    label = list(range(g.n_vertices))
+
+    def find(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for u, v in g.edges:
+        a, b = find(u), find(v)
+        label[max(a, b)] = min(a, b)
+    return [find(v) for v in range(g.n_vertices)]
+
+
 def _component_count(g):
-    adj = g.adjacency_lists()
-    seen = [False] * g.n_vertices
-    count = 0
-    for s in range(g.n_vertices):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        stack = [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
+    return len(set(_component_labels(g)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_adjacency_and_bfs_against_brute_force(n, data):
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, frozenset(data.draw(st.sets(st.sampled_from(pool))) if pool else ()))
+    both_ways = sorted([*g.edges, *((v, u) for u, v in g.edges)])
+    assert sum(len(a) for a in g.adj) == 2 * g.n_edges
+    assert sorted((u, w) for u in range(n) for w in g.adj[u]) == both_ways
+    ends = [x for e in g.edges for x in e]
+    assert g.degrees().tolist() == [ends.count(v) for v in range(n)]
+    label = _component_labels(g)
+    for root in range(n):
+        order, parent = bfs(g, root)
+        assert order[0] == root and parent[root] == n
+        assert len(order) == len(set(order))
+        assert set(order) == {v for v in range(n) if label[v] == label[root]}
+        position = {v: i for i, v in enumerate(order)}
+        for v in range(n):
+            if v not in position:
+                assert parent[v] == -1
+            elif v != root:
+                assert (min(v, parent[v]), max(v, parent[v])) in g.edges
+                assert position[parent[v]] < position[v]
+        depth = {root: 0}
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        assert [depth[v] for v in order] == sorted(depth.values())
+    assert g.is_connected() == (len(set(label)) == 1)
+    two_colourable = any(all(side[u] != side[v] for u, v in g.edges)
+                         for side in itertools.product((0, 1), repeat=n))
+    assert is_bipartite(g) == two_colourable
+
+
+def test_cached_adjacency_is_not_part_of_the_value():
+    g, h = wheel5(), wheel5()
+    assert g.adj is g.adj
+    assert "adj" in vars(g) and "adj" not in vars(h)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert "adj" not in repr(g)

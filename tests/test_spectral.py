@@ -30,7 +30,6 @@ from alphalimits.spectral import (
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
-    radii_of,
     radius_of,
     solve_by_order,
     stack_radii,
@@ -398,6 +397,50 @@ def test_leaves_first_orders():
     assert search is check
 
 
+def reference_leaves_first(g):
+    """The leaves-first orders from a private neighbour-list build and a
+    private BFS, independent of Graph.adj and graphs.bfs: the reference.
+    """
+    n = g.n_vertices
+    if g.n_edges != n - 1:
+        return None
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(a) for a in adj]
+
+    def bfs_leaves_first(root):
+        parent = [-1] * n
+        parent[root] = n
+        order = [root]
+        for u in order:
+            for w in adj[u]:
+                if parent[w] == -1:
+                    parent[w] = u
+                    order.append(w)
+        if len(order) != n:
+            return None
+        return [(v, parent[v], degree[v]) for v in reversed(order)]
+
+    check = bfs_leaves_first(0)
+    if check is None:
+        return None
+    hub = degree.index(max(degree))
+    return check, (check if hub == 0 else bfs_leaves_first(hub))
+
+
+def test_leaves_first_orders_match_the_private_build():
+    rng = np.random.default_rng(13)
+    graphs = [g for size in (64, 200, 800) for g in (
+        p2_two_paths(size, size)[0], attach_pendant_path(star(3), 0, size),
+        attach_pendant_path(path(5), 2, size))]
+    graphs += [seeded_tree(seed, int(rng.integers(128, 1001))) for seed in range(12)]
+    graphs += [cycle(TREE_MIN_ORDER), Graph(TREE_MIN_ORDER + 1, cycle(TREE_MIN_ORDER).edges)]
+    for g in graphs:
+        assert spectral._leaves_first(g) == reference_leaves_first(g)
+
+
 def test_trees_above_crossover_skip_the_dense_solve(monkeypatch):
     no_dense(monkeypatch)
     for g in (path(TREE_MIN_ORDER), seeded_tree(0, 500), p2_two_paths(800, 800)[0]):
@@ -472,6 +515,7 @@ def test_star_radius_is_the_star_and_a_lower_bound():
         for k in (1, 3, 7):
             assert abs(star_radius(k, alpha) - dense_radius(star(k), alpha)) < 1e-12
         assert star_radius(4, alpha) <= radius_of(wheel5(), alpha) + 1e-12
+        assert star_radius(0, alpha) == radius_of(Graph(1), alpha) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +525,24 @@ def test_star_radius_is_the_star_and_a_lower_bound():
 BATCH_ALPHAS = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 
-def test_radii_of_equals_radius_of_exactly():
+def test_radius_of_equals_its_route_exactly():
     graphs = [wheel5(), path(4), cycle(9), star(5), seeded_tree(1, 12),
               p2_two_paths(2, 3)[0], path(7), seeded_tree(2, TREE_MIN_ORDER + 72),
               unicyclic_200(), cycle_plus_path_200()]
-    pairs = [(g, alpha) for alpha in BATCH_ALPHAS for g in graphs]
-    radii = radii_of(pairs)
-    assert len(radii) == len(pairs)
-    for (g, alpha), r in zip(pairs, radii):
-        assert type(r) is float
-        assert r == radius_of(g, alpha)
+    for g in graphs:
+        tree = spectral._leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
+        batched = stack_radii(alpha_stack(g, BATCH_ALPHAS))
+        for alpha, dense in zip(BATCH_ALPHAS, batched):
+            r = radius_of(g, alpha)
+            assert type(r) is float
+            assert r == (dense if tree is None else spectral._tree_radius(tree, alpha))
 
 
-def test_radii_of_sends_large_trees_to_elimination(monkeypatch):
-    no_dense(monkeypatch)
+def test_radius_of_sends_large_trees_to_elimination(monkeypatch):
     g = seeded_tree(4, 300)
-    assert radii_of([(g, 0.3)]) == [radius_of(g, 0.3)]
+    expected = reference_radius(g, 0.3)
+    no_dense(monkeypatch)
+    assert radius_of(g, 0.3) == expected
 
 
 @pytest.mark.parametrize("g", [wheel5(), cycle(5), seeded_tree(5, 9),

@@ -194,3 +194,13 @@ def test_identity_suite_solves_its_spectra_by_order(monkeypatch):
     assert p2 == [6, 9, 10]
     assert lq[:half] == lq[half:]
     assert len(set(lq[:half])) == half <= 9
+
+
+def test_a_failing_check_reports_its_first_three_counterexamples():
+    rng = np.random.default_rng(5)
+    graphs = [random_connected_graph(rng) for _ in range(5)]
+    alphas = [0.5] * 5
+    result = verify.check_radius_bounds(graphs, alphas, [-1.0] * 5)
+    lines = [f"alpha=0.5 rho=-1.0 bounds=({star_radius(float(g.degrees().max()), 0.5)},"
+             f"{float(g.degrees().max())}) g={format_graph(g)}" for g in graphs]
+    assert result == PropertyResult("radius-bounds", False, 5, "; ".join(lines[:3]))
