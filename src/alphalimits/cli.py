@@ -61,9 +61,7 @@ def _fmt(v) -> str:
 
 
 def _json_value(v):
-    if isinstance(v, float):
-        return float(f"{v:.15g}")
-    return v
+    return float(_fmt(v)) if isinstance(v, float) else v
 
 
 def _csv_cell(text: str) -> str:
@@ -121,8 +119,17 @@ def _metadata(command: str, **params) -> dict:
 # graph mini-grammar
 # ---------------------------------------------------------------------------
 
-FAMILY_ARITY = {"path": 1, "cycle": 1, "wheel5": 0, "p2": 2, "lollipop": 1,
-                "dsnake": 1}
+# name -> (parameter count, constructor). Each constructor looks its builder
+# up per call, like HANDLERS, so a builder rebound on this module (by a
+# tracer or a test) takes effect.
+SPEC_FAMILIES = {
+    "path": (1, lambda n: path(n)),
+    "cycle": (1, lambda n: cycle(n)),
+    "wheel5": (0, lambda: wheel5()),
+    "p2": (2, lambda m, n: p2_two_paths(m, n)[0]),
+    "lollipop": (1, lambda n: lollipop(n)),
+    "dsnake": (1, lambda n: double_snake(n)),
+}
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -139,28 +146,19 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _family_spec(spec: str) -> Graph:
     name, _, params = spec.partition(":")
-    if name not in FAMILY_ARITY:
+    if name not in SPEC_FAMILIES:
         raise ValueError(f"unknown graph family {name!r} in {spec!r}")
+    arity, build = SPEC_FAMILIES[name]
     try:
         args = [int(p) for p in params.split(",")] if params else []
     except ValueError:
         raise ValueError(f"non-integer parameter in {spec!r}") from None
-    if len(args) != FAMILY_ARITY[name]:
+    if len(args) != arity:
         raise ValueError(
-            f"{name} takes {FAMILY_ARITY[name]} parameter(s), got {len(args)} in {spec!r}")
+            f"{name} takes {arity} parameter(s), got {len(args)} in {spec!r}")
     if any(a > MAX_ORDER for a in args):
         raise ValueError(f"parameter {max(args)} > cap {MAX_ORDER} in {spec!r}")
-    if name == "path":
-        return path(args[0])
-    if name == "cycle":
-        return cycle(args[0])
-    if name == "wheel5":
-        return wheel5()
-    if name == "p2":
-        return p2_two_paths(args[0], args[1])[0]
-    if name == "lollipop":
-        return lollipop(args[0])
-    return double_snake(args[0])
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,6 @@ def cmd_psi(args) -> tuple:
             raise ValueError(f"psi alpha must lie in [0,1], got {a}")
     cfg = RootConfig(tol=args.tol)
     rows = []
-    series_root, series_closed, series_o1, series_o2 = [], [], [], []
     for a in alphas:
         root = limits.psi(a, cfg)
         note = ""
@@ -237,20 +234,15 @@ def cmd_psi(args) -> tuple:
             o1 = o2 = None
         diff = None if closed is None else abs(root - closed)
         rows.append((a, root, closed, diff, o1, o2, note))
-        series_root.append((a, root))
-        if closed is not None:
-            series_closed.append((a, closed))
-        if o1 is not None:
-            series_o1.append((a, o1))
-            series_o2.append((a, o2))
     report = Report(
         columns=("alpha", "psi_root", "psi_closed", "abs_difference",
                  "omega1", "omega2", "note"),
         rows=rows,
         metadata=_metadata("psi", alphas=",".join(_fmt(float(a)) for a in alphas),
                            tol=args.tol),
-        series=[("psi_root", series_root), ("psi_closed", series_closed),
-                ("omega1", series_o1), ("omega2", series_o2)],
+        series=[(name, [(r[0], r[i]) for r in rows if r[i] is not None])
+                for i, name in ((1, "psi_root"), (2, "psi_closed"),
+                                (4, "omega1"), (5, "omega2"))],
     )
     return report, 0
 
@@ -303,7 +295,6 @@ def cmd_convergence(args) -> tuple:
     cfg = RootConfig(tol=args.tol)
     target = _family_target(family, alpha, n_fixed, cfg)
     rows = []
-    pts = []
     prev_gap = None
     failures = 0
     for size in sizes:
@@ -321,7 +312,6 @@ def cmd_convergence(args) -> tuple:
         if note:
             failures += 1
         rows.append((size, rho, target, gap, note))
-        pts.append((size, rho))
         prev_gap = gap
     meta = _metadata("convergence", family=family, alpha=alpha,
                      sizes=",".join(str(s) for s in sizes), tol=args.tol)
@@ -331,7 +321,8 @@ def cmd_convergence(args) -> tuple:
         columns=("size", "rho", "target", "gap", "note"),
         rows=rows,
         metadata=meta,
-        series=[("rho", pts), ("target", [(s, target) for s in sizes])],
+        series=[("rho", [row[:2] for row in rows]),
+                ("target", [(s, target) for s in sizes])],
     )
     return report, (1 if failures else 0)
 

@@ -6,10 +6,10 @@ root vertex (pendant path attachments and the like) document or return it.
 A graph's adjacency is built once, on first use: Graph.adj holds one
 neighbour list per vertex, filled from the frozen edge set in its own
 iteration order, and every degree, neighbour and traversal query reads it.
-The lists are shared by all callers, who must not mutate them. neighbors
-and adjacency_lists return sorted copies. bfs is the one breadth-first
-traversal, behind connectivity, bipartiteness and the leaves-first tree
-orders of the spectral layer.
+The lists are shared by all callers, who must not mutate them; neighbors
+returns a sorted copy, and internal_paths sorts only the lists of branch
+vertices. bfs is the one breadth-first traversal, behind connectivity,
+bipartiteness and the leaves-first tree orders of the spectral layer.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ class Graph:
     def neighbors(self, u: int) -> list:
         return sorted(self.adj[u])
 
-    def adjacency_lists(self) -> list:
-        return [sorted(a) for a in self.adj]
-
     def is_connected(self) -> bool:
         return len(bfs(self, 0)[0]) == self.n_vertices
 
@@ -109,10 +106,6 @@ class InternalPath:
     def __post_init__(self):
         if self.kind not in ("TypeI", "TypeII"):
             raise ValueError(f"unknown internal path kind {self.kind!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.vertices) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +248,18 @@ def internal_paths(g: Graph) -> list:
     Walks v0..vk with d(v0) > 2, d(vk) > 2 and every interior degree
     exactly 2. Each maximal degree-2 arc between branch vertices is
     reported once; an edge joining two branch vertices is a k = 1 path.
-    TypeI paths close a cycle on a single branch vertex.
+    TypeI paths close a cycle on a single branch vertex. Paths are listed
+    by branch vertex v0, then by first step in ascending order; the choice
+    of next step at a degree-2 vertex does not depend on list order.
     """
     deg = g.degrees()
-    adj = g.adjacency_lists()
+    adj = g.adj
     found = []
     seen_keys = set()
     for v0 in range(g.n_vertices):
         if deg[v0] <= 2:
             continue
-        for first in adj[v0]:
+        for first in sorted(adj[v0]):
             walk = [v0, first]
             prev, cur = v0, first
             while deg[cur] == 2:

@@ -7,9 +7,10 @@ isolation is plain bisection in t. Two builders, phi_version1 and
 phi_version2, give every sequence polynomial: Hoffman's classical
 polynomial is phi_version2 at alpha 0, and the signless Laplacian
 polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
-their usual integer forms. The psi, omega2 and Q-limit equations change
-sign once on a fixed bracket (see their docstrings), so each root is one
-bisection there. The pendant-path limit operators work on any connected
+their usual integer forms, so those sequences are beta_n, gamma_n and
+gamma_tilde_n at one alpha. The psi and omega2 equations change sign once
+on a fixed bracket (see their docstrings), so each root is one bisection
+there. The pendant-path limit operators work on any connected
 graph: they divide their characteristic equation by phi(G), which leaves
 the resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu from one
 eigendecomposition, and bisect on (max(2, rho(G)), degree bound].
@@ -71,10 +72,6 @@ class HalfPoly:
 
     def __call__(self, x):
         return self.eval_t(np.sqrt(x))
-
-    @property
-    def degree_t(self) -> int:
-        return len(self.coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +187,7 @@ def beta_n(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 
 def eta_classic(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """beta_n^(1/2) + beta_n^(-1/2); starts at 2 and climbs to sqrt(2+sqrt5)."""
-    t = math.sqrt(beta_n(n, cfg))
-    return t + 1.0 / t
+    return _eta_from_root(beta_n(n, cfg), 0.0)
 
 
 def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
@@ -207,20 +203,26 @@ def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 
 
 def gamma_tilde_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """The root of phi_version2 in [1, inf); equals 1/gamma_n."""
+    """The root of phi_version2 in [1, inf); equals 1/gamma_n.
+
+    hi doubles from 2 until p(hi) > 0. At the root t = sqrt(x),
+    2a + (1-a)(t + 1/t) = eta_n < psi(a) < 3.2, so a hi above
+    (3.2 - 2a)/(1 - a) with p(hi) <= 0 raises BracketError. Only the
+    leading coefficient is positive, so once a Horner partial sum is
+    negative it stays negative, and an overflow keeps the true sign of p.
+    """
     _validate_alpha(alpha, upper_open=True)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0
     p = phi_version2(n, alpha)
-    if p.eval_t(1.0) == 0.0:
-        return 1.0
+    bound = (3.2 - 2.0 * alpha) / (1.0 - alpha)
     hi = 2.0
     while p.eval_t(hi) <= 0.0:
+        if hi > bound:
+            raise BracketError(f"phi_version2({n}, {alpha}) <= 0 at t={hi} > {bound}")
         hi *= 2.0
-        if hi > 2.0**24:
-            raise BracketError("no positive value found while expanding the bracket")
     t = _bisect(p.eval_t, 1.0, hi, cfg)
     return t * t
 
@@ -228,6 +230,12 @@ def gamma_tilde_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> flo
 def _eta_from_root(x: float, alpha: float) -> float:
     t = math.sqrt(x)
     return 2.0 * alpha + (1.0 - alpha) * (t + 1.0 / t)
+
+
+def _version1_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
+    """(gamma_n, eta_n); eta_0 = 2 by definition."""
+    root = gamma_n(n, alpha, cfg)
+    return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
 
 
 def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
@@ -239,34 +247,25 @@ def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     The companion route through gamma_tilde_n is compared with this one in
     verify (route-equality), not here.
     """
-    _validate_alpha(alpha, upper_open=True)
-    if n == 0:
-        return 2.0
-    return _eta_from_root(gamma_n(n, alpha, cfg), alpha)
+    return _version1_term(n, alpha, cfg)[1]
 
 
 def new_version_sequence(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
     """(delta_n, zeta_n): the alpha = 0 specialization of (gamma_n, eta_n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = gamma_n(n, 0.0, cfg)
-    return d, _eta_from_root(d, 0.0)
+    return _version1_term(n, 0.0, cfg)
 
 
 def laplacian_guo_wang(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
     """(mu_n, kappa_n): largest root of the Q-limit polynomial, kappa = 2 + sqrt(mu) + 1/sqrt(mu).
 
     The Q-limit polynomial x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2
-    is 4 phi_version2(n, 1/2). Only its leading coefficient in t is
-    positive, so it has one positive root, bisected for on t in [1, 2].
+    is 4 phi_version2(n, 1/2), so mu_n = gamma_tilde_n(n, 1/2).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1.0, 4.0
-    p = phi_version2(n, 0.5)
-    t = _bisect(p.eval_t, 1.0, 2.0, cfg)
-    return t * t, 2.0 + t + 1.0 / t
+    mu = gamma_tilde_n(n, 0.5, cfg)
+    t = math.sqrt(mu)
+    return mu, 2.0 + t + 1.0 / t
 
 
 def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
@@ -274,15 +273,11 @@ def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
 
     theta_n is the root in (0,1) of phi_version1(n, 1/2), a quarter of
     x^(n+1) + 2 sum_{i=0}^{n-1} x^(n-i+1/2) + 2 sum_{i=0}^{n-2} x^(i+2) + x - 1,
-    and xi_n = 2 eta_n(1/2).
+    so theta_n = gamma_n(n, 1/2) and xi_n = 2 eta_n(1/2).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1.0, 4.0
-    p = phi_version1(n, 0.5)
-    t = _bisect(p.eval_t, 0.0, 1.0, cfg)
-    return t * t, 2.0 + t + 1.0 / t
+    theta = gamma_n(n, 0.5, cfg)
+    t = math.sqrt(theta)
+    return theta, 2.0 + t + 1.0 / t
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +322,15 @@ def _psi_surds(alpha: float) -> dict:
     return {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5}
 
 
+def _real_part(val: complex, alpha: float, residue_tol: float) -> float:
+    """val.real, or BranchSelectionError when |val.imag| > residue_tol."""
+    if abs(val.imag) > residue_tol:
+        raise BranchSelectionError(
+            f"imaginary residue {val.imag:.3e} at alpha={alpha}"
+        )
+    return val.real
+
+
 def psi_closed_form(alpha: float, residue_tol: float = 1e-8) -> float:
     """Surd expression for psi, evaluated in complex arithmetic.
 
@@ -339,11 +343,7 @@ def psi_closed_form(alpha: float, residue_tol: float = 1e-8) -> float:
     val = (1.5 * alpha
            + cmath.sqrt(g["g0"] + g["g1"] / g["g4"] + g["g2"] / cmath.sqrt(g["g5"]) - g["g4"]) / math.sqrt(6.0)
            + cmath.sqrt(g["g5"] / 12.0))
-    if abs(val.imag) > residue_tol:
-        raise BranchSelectionError(
-            f"imaginary residue {val.imag:.3e} at alpha={alpha}"
-        )
-    return val.real
+    return _real_part(val, alpha, residue_tol)
 
 
 def omega1(alpha: float) -> float:
@@ -395,11 +395,7 @@ def omega2_closed_form(alpha: float) -> float:
     h7 = 13 * a * a - 8 * a + 4
     s1 = cmath.sqrt(h1 + h5)
     val = 2 * a + 0.5 * s1 + 0.5 * cmath.sqrt(h7 - h5 + h6 / (4.0 * s1))
-    if abs(val.imag) > 1e-7:
-        raise BranchSelectionError(
-            f"imaginary residue {val.imag:.3e} at alpha={alpha}"
-        )
-    return val.real
+    return _real_part(val, alpha, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +514,6 @@ def _classic_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
     return b, _eta_from_root(b, 0.0)
 
 
-def _version1_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
-    root = gamma_n(n, alpha, cfg)
-    return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
-
-
 def _version2_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
     root = gamma_tilde_n(n, alpha, cfg)
     return root, 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
@@ -542,8 +533,7 @@ _TABLES = {
     "classic": _TableKind(1, _classic_term, _HOFFMAN_LIMIT),
     "versionI": _TableKind(0, _version1_term),
     "versionII": _TableKind(0, _version2_term),
-    "new": _TableKind(1, lambda n, alpha, cfg: new_version_sequence(n, cfg),
-                      _HOFFMAN_LIMIT),
+    "new": _TableKind(1, _version1_term, _HOFFMAN_LIMIT),
     "laplacian": _TableKind(0, lambda n, alpha, cfg: laplacian_new(n, cfg),
                             (0.5, 2.0 + EPSILON_SURD)),
 }

@@ -209,6 +209,19 @@ def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
     assert proc.stdout.count("\nterm,") == 501
 
 
+def test_table_version_ii_within_1e_8_of_alpha_one(capsys):
+    # the root of phi_version2 in t is about 1/(1 - alpha) = 1e8, past the
+    # 2^24 at which a fixed bracket cap raised BracketError
+    code, out = run_cli(capsys, "table", "versionII", "--n-max", "30",
+                        "--alpha", "0.99999999")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    terms = [float(r[4]) for r in rows if r[0] == "term"]
+    (limit,) = [float(r[4]) for r in rows if r[0] == "limit"]
+    assert len(terms) == 31
+    assert all(v <= limit + 1e-12 for v in terms)
+
+
 def test_table_rejects_n_max_over_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "versionI", "--n-max", "501"])

@@ -5,7 +5,8 @@ must not move any output leaves them as they are; a change that moves an
 output on purpose regenerates the file and says why. The three table
 examples beyond the README's cover the versionI, versionII and new
 branches of limit_table, the first with the ten alphas of the north-star
-command; the lemma example covers the lemma suite on its own. The k13 and
+command; the lemma example covers the lemma suite on its own, and the psi plot
+example pins the plot renderer on the psi series. The k13 and
 p5u examples, like the larger p2nn and p2mn ones, reach orders of
 TREE_MIN_ORDER and more, so every convergence family is pinned on the
 tree-elimination route.
@@ -27,6 +28,7 @@ EXAMPLES = {
     "table_classic": ("table", "classic", "--n-max", "10"),
     "table_laplacian_json": ("table", "laplacian", "--n-max", "8", "--format", "json"),
     "psi": ("psi",),
+    "psi_plot": ("psi", "--format", "plot"),
     "convergence_p2nn": ("convergence", "p2nn", "--alpha", "0.25",
                          "--sizes", "10,20,40,80"),
     "convergence_p2mn": ("convergence", "p2mn", "--alpha", "0",

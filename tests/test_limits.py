@@ -9,6 +9,7 @@ radii of long finite paths.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,7 +69,6 @@ def test_half_poly_evaluation():
     p = HalfPoly((0.0, 1.0, 2.0))  # sqrt(x) + 2x
     assert abs(p(4.0) - (2.0 + 8.0)) < 1e-14
     assert abs(p.eval_t(3.0) - (3.0 + 18.0)) < 1e-14
-    assert p.degree_t == 2
 
 
 def test_root_config_validation():
@@ -205,6 +205,24 @@ def test_gamma_reciprocal_duality():
     for n in (1, 3, 9, 22):
         for alpha in (0.0, 0.2, 0.55, 0.9):
             assert abs(gamma_n(n, alpha) * gamma_tilde_n(n, alpha) - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("k", (24, 30, 40, 52))
+def test_gamma_tilde_n_near_alpha_one_is_certified(k):
+    # the root in t is about 1/(1 - alpha) = 2^k, at or past a fixed 2^24
+    # bracket cap; the phi_version2 coefficients are evaluated exactly
+    alpha = 1.0 - 2.0**-k
+    t = Fraction(math.sqrt(gamma_tilde_n(30, alpha)))
+    width = Fraction(max(L.DEFAULT_CONFIG.tol, 2 * math.ulp(float(t))))
+    coeffs = [Fraction(c) for c in phi_version2(30, alpha).coeffs]
+
+    def exact(x):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    assert exact(t - width) < 0 < exact(t + width)
 
 
 def test_eta_honours_a_coarse_tol():
@@ -372,6 +390,49 @@ def test_laplacian_guo_wang_is_one_bisection(monkeypatch):
     calls = _count_calls(monkeypatch, HalfPoly, "eval_t")
     laplacian_guo_wang(30)
     assert 0 < len(calls) <= 64
+
+
+def own_bisection_laplacian_guo_wang(n, cfg):
+    """The Q-limit sequence by its own bisection on t in [1, 2]: the reference."""
+    if n == 0:
+        return 1.0, 4.0
+    t = L._bisect(phi_version2(n, 0.5).eval_t, 1.0, 2.0, cfg)
+    return t * t, 2.0 + t + 1.0 / t
+
+
+def own_bisection_laplacian_new(n, cfg):
+    """The half-alpha sequence by its own bisection on t in [0, 1]: the reference."""
+    if n == 0:
+        return 1.0, 4.0
+    t = L._bisect(phi_version1(n, 0.5).eval_t, 0.0, 1.0, cfg)
+    return t * t, 2.0 + t + 1.0 / t
+
+
+def own_sqrt_eta_classic(n, cfg):
+    """beta_n^(1/2) + beta_n^(-1/2) written out: the reference."""
+    t = math.sqrt(beta_n(n, cfg))
+    return t + 1.0 / t
+
+
+@pytest.mark.parametrize("tol", (L.DEFAULT_CONFIG.tol, 1e-16))
+def test_corollary_sequences_match_their_own_bisections_bit_for_bit(tol):
+    # laplacian_new, laplacian_guo_wang and eta_classic are gamma_n,
+    # gamma_tilde_n and beta_n at one alpha, each taking t back as
+    # sqrt(t*t); that equals t for every double t (no over- or underflow
+    # here), so the match holds at any tol. tol 1e-16 runs each bisection
+    # to the last bit, where t has no trailing zero bits.
+    cfg = RootConfig(tol=tol)
+
+    def hexes(values):
+        return [float.hex(v) for v in values]
+
+    for n in range(501):
+        assert (hexes(laplacian_new(n, cfg))
+                == hexes(own_bisection_laplacian_new(n, cfg))), n
+        assert (hexes(laplacian_guo_wang(n, cfg))
+                == hexes(own_bisection_laplacian_guo_wang(n, cfg))), n
+        if n >= 1:
+            assert eta_classic(n, cfg).hex() == own_sqrt_eta_classic(n, cfg).hex(), n
 
 
 # ---------------------------------------------------------------------------
