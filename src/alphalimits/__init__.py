@@ -17,6 +17,7 @@ from .graphs import (
     cycle,
     double_snake,
     edge_in_internal_path,
+    folded_preorder,
     format_graph,
     internal_path_edges,
     internal_paths,

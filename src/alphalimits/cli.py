@@ -416,7 +416,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, limits.BracketError, limits.BranchSelectionError) as exc:
+        # a root the solver cannot isolate at an extreme input is refused
+        # like a bad input, with a message and no traceback
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
         _emit(report, args.format, args.out)

@@ -8,8 +8,9 @@ neighbour list per vertex, filled from the frozen edge set in its own
 iteration order, and every degree, neighbour and traversal query reads it.
 The lists are shared by all callers, who must not mutate them; neighbors
 returns a sorted copy, and internal_paths sorts only the lists of branch
-vertices. bfs is the one breadth-first traversal, behind connectivity,
-bipartiteness and the leaves-first tree orders of the spectral layer.
+vertices. bfs is the one breadth-first traversal, behind connectivity and
+bipartiteness; folded_preorder is the depth-first walk behind the
+leaves-first elimination plans of the spectral layer.
 """
 
 from __future__ import annotations
@@ -90,6 +91,47 @@ def bfs(g: Graph, root: int) -> tuple:
                 parent[w] = u
                 order.append(w)
     return order, parent
+
+
+def folded_preorder(g: Graph, root: int) -> list:
+    """A depth-first preorder of root's component, with each run of degree-2
+    vertices other than root folded into the vertex below it.
+
+    Returns (vertex, parent, k) triples in preorder: the k vertices above
+    vertex form a run of degree-2 vertices, each with one child, the one
+    below it, and parent is the parent of the run's top (n for root).
+    Children are taken in g.adj order. On a tree, expanding each triple to
+    its run's top down to vertex gives the preorder itself, so a subtree is
+    one contiguous stretch of it, and a run is listed as one triple. A
+    vertex is marked when it is reached, so on a graph with cycles the
+    triples still list root's component once, vertices plus runs, but do
+    not follow a depth-first search.
+    """
+    n = g.n_vertices
+    adj = g.adj
+    parent = [-1] * n
+    parent[root] = n
+    out = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        v, k = u, 0
+        if u != root:
+            ends = adj[v]
+            while len(ends) == 2:  # v's parent is marked; step to its child
+                a, b = ends
+                w = a if parent[a] == -1 else b
+                if parent[w] != -1:
+                    break
+                parent[w] = v
+                v, k = w, k + 1
+                ends = adj[v]
+        out.append((v, parent[u], k))
+        for w in reversed(adj[v]):
+            if parent[w] == -1:
+                parent[w] = v
+                stack.append(w)
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,24 @@ adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone. A tree of
 order TREE_MIN_ORDER or more goes to leaf-to-root elimination in O(n)
-memory and O(n) time per pass: Newton's method on the last pivot of an
-elimination rooted at a max-degree vertex finds the radius in about ten
-passes, and the pivot test of the elimination rooted at vertex 0
-certifies the same one-ulp bracket a plain bisection ends on, returning
-its upper end. Every other graph is solved densely: full_spectrum is
-the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
-stack, stack_radii reads each slice's radius off it, and solve_by_order,
-the one place matrices are grouped by order, makes one such call per
-order for stacks of mixed orders. alpha_stack assembles a graph's
-matrix at several alphas at once (assemble_a_alpha is its one-alpha
-slice), and subdivision_stack builds every edge subdivision of a graph
-as one stack straight from its matrix. The resolvent diagonal
-[(lam*I - A_alpha)^-1]_uu comes from one eigendecomposition. The characteristic polynomials of the
+memory: Newton's method on the last pivot of an elimination rooted at a
+max-degree vertex finds the radius in about ten passes, and the pivot
+test of the elimination rooted at vertex 0 certifies the same one-ulp
+bracket a plain bisection ends on, returning its upper end. Each pass
+follows a plan in which every run of degree-2 vertices is folded into
+the vertex below it, and walks a run only until its pivot repeats bit
+for bit, after which the rest of the run repeats it too; near the radius
+a pendant path of any length then costs tens of steps, and every pivot
+is the one of a plain pass over all n vertices. Every other graph is
+solved densely: full_spectrum is the one checked symmetric eigensolve,
+of a matrix or of a (k, n, n) stack, stack_radii reads each slice's
+radius off it, and solve_by_order, the one place matrices are grouped by
+order, makes one such call per order for stacks of mixed orders.
+alpha_stack assembles a graph's matrix at several alphas at once
+(assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
+every edge subdivision of a graph as one stack straight from its matrix.
+The resolvent diagonal [(lam*I - A_alpha)^-1]_uu comes from one
+eigendecomposition. The characteristic polynomials of the
 path matrix and of the deleted-end path B_{n+1} have s,t closed forms,
 which verify checks against the exact three-term tridiagonal recurrence.
 char_poly_eval, an LU determinant, has no caller in the package; the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bfs
+from .graphs import Graph, folded_preorder
 
 DEGENERATE_DELTA = 1e-9
 # Order from which radius_of sends trees to leaf-to-root elimination.
@@ -169,71 +174,108 @@ def radius_of(g: Graph, alpha: float) -> float:
 
 
 def _leaves_first(g: Graph) -> tuple | None:
-    """Two leaves-first orders of a tree: (check, search), or None.
+    """Two leaves-first elimination plans of a tree: (check, search), or None.
 
-    Each order is a list of (vertex, parent, degree) triples with every
-    child before its parent and the root last, its parent n a spare slot.
-    check is rooted at vertex 0; search is rooted at a vertex u of maximum
-    degree (the lowest index on ties), and is check itself when u = 0.
-    Returns None unless g is a tree: n - 1 edges and every vertex reached
-    by BFS. Both orders are reversed BFS orders (see graphs.bfs).
+    A plan is a list of (vertex, parent, degree, k) steps with every child
+    before its parent and the root last, its parent n a spare slot. The k
+    vertices above a step's vertex are a run of degree-2 vertices folded
+    into it: each has one child, the one below it, and parent is the parent
+    of the run's top. Every degree-2 vertex but the root is folded, so a
+    path is two steps and a spider one per arm plus its hub. check is
+    rooted at vertex 0; search is rooted at a vertex u of maximum degree
+    (the lowest index on ties), so its last step holds the max degree, and
+    is check itself when u = 0. Returns None unless g is a tree: n - 1
+    edges and every vertex reached by the search.
+
+    Each plan is graphs.folded_preorder reversed, so a vertex's children
+    come in reverse g.adj order, the order in which a reversed BFS order
+    feeds them. A pivot's sum over three or more children depends on that
+    order, and with it every pivot equals, bit for bit, the one of the
+    unfolded reversed-BFS elimination.
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
         return None
     degree = [len(a) for a in g.adj]
 
-    def reversed_bfs(root: int) -> list:
-        order, parent = bfs(g, root)
-        return [(v, parent[v], degree[v]) for v in reversed(order)]
+    def plan(root: int) -> list | None:
+        runs = folded_preorder(g, root)
+        if len(runs) + sum(k for _, _, k in runs) != n:
+            return None
+        return [(v, p, degree[v], k) for v, p, k in reversed(runs)]
 
-    check = reversed_bfs(0)
-    if len(check) != n:
+    check = plan(0)
+    if check is None:
         return None
     hub = degree.index(max(degree))
-    return check, (check if hub == 0 else reversed_bfs(hub))
+    return check, (check if hub == 0 else plan(hub))
 
 
-def _definite(steps: list, c: float, lam: float) -> bool:
+def _definite(steps: list, c: float, d2: float, lam: float) -> bool:
     """Whether every pivot of one leaves-first elimination at lam is positive.
 
-    steps holds (vertex, parent, alpha*degree) triples in leaves-first
-    order; the pivot is f_v = lam - alpha*deg(v) - sum over children w of
-    c / f_w, with c = (1-alpha)^2.
+    steps holds (vertex, parent, alpha*degree, k) steps of a plan (see
+    _leaves_first); the pivot is f_v = lam - alpha*deg(v) - sum over
+    children w of c / f_w, with c = (1-alpha)^2. Up a folded run each pivot
+    is f -> (lam - d2) - c / f of the one below, d2 = 2*alpha: the one
+    child's sum is 0.0 + c / f, which is c / f exactly. That map reads the
+    previous pivot alone, so once a pivot repeats bit for bit every later
+    one on the run equals it, and the rest of the run is skipped.
     """
-    acc = [0.0] * (len(steps) + 1)
-    for v, p, d in steps:
+    e = lam - d2
+    acc = [0.0] * (steps[-1][1] + 1)
+    for v, p, d, k in steps:
         f = lam - d - acc[v]
         if f <= 0.0:
             return False
+        for _ in range(k):
+            f_next = e - c / f
+            if f_next == f:
+                break
+            if f_next <= 0.0:
+                return False
+            f = f_next
         acc[p] += c / f
     return True
 
 
-def _root_pivot(steps: list, c: float, lam: float) -> tuple | None:
+def _root_pivot(steps: list, c: float, d2: float, lam: float) -> tuple | None:
     """(f_u, f_u') at the root u of one leaves-first elimination at lam.
 
     None once a pivot below the root is not positive. Next to each pivot
     the pass carries its derivative in lam, f_v' = 1 + sum over children w
-    of c * f_w' / f_w^2.
+    of c * f_w' / f_w^2, held as the sum s_v. Up a folded run the pair
+    (f, s) follows a map of the previous pair alone (see _definite), so
+    the rest of a run is skipped once f and s both repeat bit for bit.
     """
-    acc = [0.0] * (len(steps) + 1)
-    slope = [0.0] * (len(steps) + 1)
-    for v, p, d in steps[:-1]:
+    e = lam - d2
+    acc = [0.0] * (steps[-1][1] + 1)
+    slope = acc.copy()
+    for v, p, d, k in steps[:-1]:
         f = lam - d - acc[v]
         if f <= 0.0:
             return None
+        s = slope[v]
         q = c / f
+        for _ in range(k):
+            f_next = e - q
+            s_next = q * (1.0 + s) / f
+            if f_next == f and s_next == s:
+                break
+            if f_next <= 0.0:
+                return None
+            f, s = f_next, s_next
+            q = c / f
         acc[p] += q
-        slope[p] += q * (1.0 + slope[v]) / f
-    u, _, d = steps[-1]
+        slope[p] += q * (1.0 + s) / f
+    u, _, d, _ = steps[-1]
     return lam - d - acc[u], 1.0 + slope[u]
 
 
-def _newton_point(steps: list, c: float, start: float, top: float) -> float:
+def _newton_point(steps: list, c: float, d2: float, start: float, top: float) -> float:
     """An estimate of rho by Newton's method on the root pivot f_u.
 
-    steps is the search order, rooted at u. A probe where a pivot below u
+    steps is the search plan, rooted at u. A probe where a pivot below u
     fails lies under rho(G - u), and one where f_u > 0 lies above rho:
     either halves the bracket, which starts as [0, top]. Anywhere else f_u
     is increasing and concave (see _tree_radius), so the Newton point lies
@@ -244,7 +286,7 @@ def _newton_point(steps: list, c: float, start: float, top: float) -> float:
     lo, hi = 0.0, top
     lam, prev = start, top
     while True:
-        pivot = _root_pivot(steps, c, lam)
+        pivot = _root_pivot(steps, c, d2, lam)
         if pivot is None:
             lo = lam
         elif pivot[0] > 0.0:
@@ -287,7 +329,7 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     from any point of (rho(G - u), rho] climbs monotonically to rho. The
     search starts at star_radius(max degree), a lower bound on rho.
 
-    Certification. The vertex-0 order is the only judge, as in a plain
+    Certification. The vertex-0 plan is the only judge, as in a plain
     bisection on [0, max degree]. Each pivot is built from IEEE operations
     monotone in lam, so the doubles at which every pivot is positive form
     an up-set, and its least element (capped at the max degree) is the
@@ -297,27 +339,36 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     bracket to adjacent doubles and returns the upper end. The value is
     therefore the one bisection from [0, max degree] returns, bit for bit;
     the search only decides how many eliminations it takes.
+
+    Cost. Near rho, the pivots up a long pendant path approach the
+    attracting fixed point of f -> (lam - 2*alpha) - (1-alpha)^2 / f and,
+    in doubles, reach it after tens of vertices; the passes skip the rest
+    of each folded run (see _definite), so a pass costs about the number
+    of branch vertices and leaves plus those tens per run, not n. Below
+    lam = 2 that map has no fixed point, as at rho of a path at alpha = 0:
+    no pivot repeats, and each run is walked in full.
     """
-    check, search = ([(v, p, alpha * d) for v, p, d in order] for order in tree)
+    check, search = ([(v, p, alpha * d, k) for v, p, d, k in plan] for plan in tree)
     c = (1.0 - alpha) ** 2
-    top = float(max(d for _, _, d in tree[0]))
-    x = min(_newton_point(search, c, star_radius(top, alpha), top), top)
+    d2 = 2.0 * alpha
+    top = float(tree[1][-1][2])  # the search root's degree, the max degree
+    x = min(_newton_point(search, c, d2, star_radius(top, alpha), top), top)
     step = math.ulp(x)
-    if x == top or _definite(check, c, x):
+    if x == top or _definite(check, c, d2, x):
         lo, hi = max(x - step, 0.0), x
-        while lo > 0.0 and _definite(check, c, lo):
+        while lo > 0.0 and _definite(check, c, d2, lo):
             step *= 8.0
             lo, hi = max(lo - step, 0.0), lo
     else:
         lo, hi = x, min(x + step, top)
-        while hi < top and not _definite(check, c, hi):
+        while hi < top and not _definite(check, c, d2, hi):
             step *= 8.0
             lo, hi = hi, min(hi + step, top)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if _definite(check, c, mid):
+        if _definite(check, c, d2, mid):
             hi = mid
         else:
             lo = mid

@@ -209,6 +209,20 @@ def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
     assert proc.stdout.count("\nterm,") == 501
 
 
+def test_psi_one_ulp_below_alpha_one_is_an_error_not_a_traceback():
+    # at alpha = 1 - 2^-53 the lambda form of the psi equation cancels to
+    # rounding, so root isolation finds no sign change on its bracket
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphalimits.cli", "psi", "--alpha", "0.9999999999999999"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "alphalimits: error: no sign change on [2.0, 3.2]\n"
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_table_version_ii_within_1e_8_of_alpha_one(capsys):
     # the root of phi_version2 in t is about 1/(1 - alpha) = 1e8, past the
     # 2^24 at which a fixed bracket cap raised BracketError

@@ -9,7 +9,8 @@ command; the lemma example covers the lemma suite on its own, and the psi plot
 example pins the plot renderer on the psi series. The k13 and
 p5u examples, like the larger p2nn and p2mn ones, reach orders of
 TREE_MIN_ORDER and more, so every convergence family is pinned on the
-tree-elimination route.
+tree-elimination route; the p2nn example at sizes 100-800, the
+benchmark's anchor job, pins it up to order 1602.
 """
 
 from pathlib import Path
@@ -31,6 +32,8 @@ EXAMPLES = {
     "psi_plot": ("psi", "--format", "plot"),
     "convergence_p2nn": ("convergence", "p2nn", "--alpha", "0.25",
                          "--sizes", "10,20,40,80"),
+    "convergence_p2nn_to_1602": ("convergence", "p2nn", "--alpha", "0.25",
+                                 "--sizes", "100,200,400,800"),
     "convergence_p2mn": ("convergence", "p2mn", "--alpha", "0",
                          "--sizes", "50,100,200", "--n-fixed", "2"),
     "convergence_k13": ("convergence", "k13", "--alpha", "0.5",

@@ -15,6 +15,7 @@ from alphalimits.graphs import (
     cycle,
     double_snake,
     edge_in_internal_path,
+    folded_preorder,
     format_graph,
     internal_paths,
     is_bipartite,
@@ -289,6 +290,9 @@ def test_adjacency_and_bfs_against_brute_force(n, data):
     assert g.degrees().tolist() == [ends.count(v) for v in range(n)]
     label = _component_labels(g)
     for root in range(n):
+        runs = folded_preorder(g, root)
+        assert len({v for v, _, _ in runs}) == len(runs)
+        assert len(runs) + sum(k for _, _, k in runs) == label.count(label[root])
         order, parent = bfs(g, root)
         assert order[0] == root and parent[root] == n
         assert len(order) == len(set(order))
@@ -308,6 +312,35 @@ def test_adjacency_and_bfs_against_brute_force(n, data):
     two_colourable = any(all(side[u] != side[v] for u, v in g.edges)
                          for side in itertools.product((0, 1), repeat=n))
     assert is_bipartite(g) == two_colourable
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_folded_preorder_is_the_preorder_with_runs_folded(n, data):
+    # parents near each vertex give long runs of degree-2 vertices
+    g = Graph(n, frozenset(
+        (data.draw(st.integers(min_value=max(0, v - 3), max_value=v - 1)), v)
+        for v in range(1, n)))
+    root = data.draw(st.integers(min_value=0, max_value=n - 1))
+    pre = []
+
+    def walk(u, p):  # the textbook recursive preorder, children in adj order
+        pre.append((u, p))
+        for w in g.adj[u]:
+            if w != p:
+                walk(w, u)
+
+    walk(root, n)
+    expected, run = [], None
+    for v, p in pre:
+        if v != root and len(g.adj[v]) == 2:
+            run = run or [p, 0]
+            run[1] += 1
+        else:
+            top_parent, k = run or (p, 0)
+            expected.append((v, top_parent, k))
+            run = None
+    assert folded_preorder(g, root) == expected
 
 
 def test_cached_adjacency_is_not_part_of_the_value():

@@ -275,30 +275,85 @@ def no_elimination(monkeypatch):
     monkeypatch.setattr(spectral, "_tree_radius", fail)
 
 
+def reference_leaves_first(g):
+    """The unfolded leaves-first orders from a private neighbour-list build
+    and a private BFS, independent of Graph.adj and of graphs' traversals:
+    the reference.
+    """
+    n = g.n_vertices
+    if g.n_edges != n - 1:
+        return None
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(a) for a in adj]
+
+    def bfs_leaves_first(root):
+        parent = [-1] * n
+        parent[root] = n
+        order = [root]
+        for u in order:
+            for w in adj[u]:
+                if parent[w] == -1:
+                    parent[w] = u
+                    order.append(w)
+        if len(order) != n:
+            return None
+        return [(v, parent[v], degree[v]) for v in reversed(order)]
+
+    check = bfs_leaves_first(0)
+    if check is None:
+        return None
+    hub = degree.index(max(degree))
+    return check, (check if hub == 0 else bfs_leaves_first(hub))
+
+
+def reference_definite(steps, c, lam):
+    """The pivot test as a plain pass over every vertex of an unfolded order."""
+    acc = [0.0] * (len(steps) + 1)
+    for v, p, d in steps:
+        f = lam - d - acc[v]
+        if f <= 0.0:
+            return False
+        acc[p] += c / f
+    return True
+
+
+def reference_root_pivot(steps, c, lam):
+    """(f_u, f_u') as a plain pass over every vertex of an unfolded order."""
+    acc = [0.0] * (len(steps) + 1)
+    slope = [0.0] * (len(steps) + 1)
+    for v, p, d in steps[:-1]:
+        f = lam - d - acc[v]
+        if f <= 0.0:
+            return None
+        q = c / f
+        acc[p] += q
+        slope[p] += q * (1.0 + slope[v]) / f
+    u, _, d = steps[-1]
+    return lam - d - acc[u], 1.0 + slope[u]
+
+
+def scaled(order, alpha):
+    """An order or plan with each degree replaced by alpha * degree."""
+    return [(v, p, alpha * d, *rest) for v, p, d, *rest in order]
+
+
 def reference_radius(g, alpha):
     """Plain bisection on [0, max degree] with the vertex-0 pivot test.
 
     The tree route before the Newton search, kept as the reference that
     radius_of must equal bit for bit.
     """
-    steps = [(v, p, alpha * d) for v, p, d in spectral._leaves_first(g)[0]]
+    steps = scaled(reference_leaves_first(g)[0], alpha)
     c = (1.0 - alpha) ** 2
-
-    def definite(lam):
-        acc = [0.0] * (len(steps) + 1)
-        for v, p, d in steps:
-            f = lam - d - acc[v]
-            if f <= 0.0:
-                return False
-            acc[p] += c / f
-        return True
-
     lo, hi = 0.0, float(g.degrees().max())
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if definite(mid):
+        if reference_definite(steps, c, mid):
             hi = mid
         else:
             lo = mid
@@ -378,17 +433,46 @@ def test_tree_radius_at_order_1602_takes_few_eliminations(monkeypatch):
         assert 1 <= counter["passes"] <= 15, (alpha, counter["passes"])
 
 
+def expand(g, plan):
+    """(vertex, parent) of every vertex of a plan, each folded run written out.
+
+    Up a run, the next vertex is the one neighbour of the last that is not
+    yet listed; leaves-first, there is exactly one.
+    """
+    out, seen = [], set()
+    for v, p, d, k in plan:
+        assert d == len(g.adj[v])
+        run = [v]
+        for _ in range(k):
+            (up,) = [w for w in g.adj[run[-1]] if w not in seen and w not in run]
+            assert len(g.adj[up]) == 2
+            run.append(up)
+        seen.update(run)
+        out += zip(run, run[1:] + [p])
+    return out
+
+
+def spider(arms):
+    """A hub, vertex 0, with one pendant path of each length in arms."""
+    g = Graph(1)
+    for m in arms:
+        g = attach_pendant_path(g, 0, m)
+    return g
+
+
 def test_leaves_first_orders():
     # vertex 3, the centre of the star, is the one vertex of degree 5
     g = join_by_path(path(3), 2, star(4), 0, TREE_MIN_ORDER)
     check, search = spectral._leaves_first(g)
-    for order in (check, search):
-        assert sorted(v for v, _, _ in order) == list(range(g.n_vertices))
+    for plan in (check, search):
+        order = expand(g, plan)
+        assert sorted(v for v, _ in order) == list(range(g.n_vertices))
         seen = set()
-        for v, p, d in order:
-            assert d == len(g.neighbors(v)) and v not in seen
-            assert all(w in seen for w in g.neighbors(v) if w != p)
+        for v, p in order:
+            assert v not in seen and (p == g.n_vertices or p in g.adj[v])
+            assert all(w in seen for w in g.adj[v] if w != p)
             seen.add(v)
+        assert order[-1] == (plan[-1][0], g.n_vertices) and plan[-1][3] == 0
     assert check[-1][:2] == (0, g.n_vertices)
     hub = int(np.argmax(g.degrees()))
     assert search[-1][:2] == (hub, g.n_vertices) and hub == 3
@@ -397,48 +481,66 @@ def test_leaves_first_orders():
     assert search is check
 
 
-def reference_leaves_first(g):
-    """The leaves-first orders from a private neighbour-list build and a
-    private BFS, independent of Graph.adj and graphs.bfs: the reference.
+def test_leaves_first_pivots_match_the_private_build():
+    """Each pass over a folded plan gives the verdict and the (f_u, f_u')
+    of a plain pass over the private reversed-BFS order, bit for bit, at
+    lam near rho, where folded runs are cut short, and across [0, max degree].
     """
-    n = g.n_vertices
-    if g.n_edges != n - 1:
-        return None
-    adj = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    degree = [len(a) for a in adj]
-
-    def bfs_leaves_first(root):
-        parent = [-1] * n
-        parent[root] = n
-        order = [root]
-        for u in order:
-            for w in adj[u]:
-                if parent[w] == -1:
-                    parent[w] = u
-                    order.append(w)
-        if len(order) != n:
-            return None
-        return [(v, parent[v], degree[v]) for v in reversed(order)]
-
-    check = bfs_leaves_first(0)
-    if check is None:
-        return None
-    hub = degree.index(max(degree))
-    return check, (check if hub == 0 else bfs_leaves_first(hub))
-
-
-def test_leaves_first_orders_match_the_private_build():
     rng = np.random.default_rng(13)
     graphs = [g for size in (64, 200, 800) for g in (
         p2_two_paths(size, size)[0], attach_pendant_path(star(3), 0, size),
         attach_pendant_path(path(5), 2, size))]
     graphs += [seeded_tree(seed, int(rng.integers(128, 1001))) for seed in range(12)]
-    graphs += [cycle(TREE_MIN_ORDER), Graph(TREE_MIN_ORDER + 1, cycle(TREE_MIN_ORDER).edges)]
+    graphs += [spider(range(40, 40 + 3 * arms, 3)[::-1]) for arms in (3, 4, 6, 9)]
+    graphs += [path(n) for n in (TREE_MIN_ORDER, 500, 1602)]
+    graphs.append(join_by_path(star(40), 0, star(40), 0, 100))
+    shifts = [sign * 10.0 ** -k for k in range(2, 16) for sign in (1, -1)]
     for g in graphs:
-        assert spectral._leaves_first(g) == reference_leaves_first(g)
+        top = float(g.degrees().max())
+        plans = spectral._leaves_first(g)
+        orders = reference_leaves_first(g)
+        for alpha in TREE_ALPHAS:
+            c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+            rho = radius_of(g, alpha)
+            lams = [rho * (1.0 + e) for e in shifts] + list(rng.uniform(0.0, top, 4))
+            for plan, order in zip(plans, orders):
+                plan, order = scaled(plan, alpha), scaled(order, alpha)
+                for lam in lams:
+                    got = spectral._definite(plan, c, d2, lam)
+                    assert got is reference_definite(order, c, lam), (alpha, lam)
+                    got = spectral._root_pivot(plan, c, d2, lam)
+                    want = reference_root_pivot(order, c, lam)
+                    assert (got is None) == (want is None), (alpha, lam)
+                    if got is not None:
+                        assert [x.hex() for x in got] == [x.hex() for x in want]
+    for g in (cycle(TREE_MIN_ORDER), Graph(TREE_MIN_ORDER + 1, cycle(TREE_MIN_ORDER).edges),
+              unicyclic_200(), cycle_plus_path_200()):
+        assert spectral._leaves_first(g) is None
+
+
+def test_two_long_pendant_paths_plan_in_few_steps():
+    check, search = spectral._leaves_first(p2_two_paths(800, 800)[0])
+    assert search is check and len(check) <= 8
+
+
+def test_pendant_pivots_repeat_within_150_vertices_at_rho():
+    """The folded runs pay off on the convergence families: at rho, the
+    pivot and slope sum up a pendant path, from its leaf, repeat exactly
+    within 150 vertices, far short of the path's 800."""
+    for family in ("p2nn", "p2mn", "k13", "p5u"):
+        g = CONVERGENCE_FAMILIES[family][0](800)
+        for alpha in TREE_ALPHAS:
+            lam = radius_of(g, alpha)
+            c, e = (1.0 - alpha) ** 2, lam - 2.0 * alpha
+            f, s = lam - alpha, 0.0
+            for _ in range(150):
+                q = c / f
+                f_next, s_next = e - q, q * (1.0 + s) / f
+                if f_next == f and s_next == s:
+                    break
+                f, s = f_next, s_next
+            else:
+                raise AssertionError(f"no repeat in 150 steps: {family}, alpha {alpha}")
 
 
 def test_trees_above_crossover_skip_the_dense_solve(monkeypatch):
