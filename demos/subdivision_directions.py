@@ -33,7 +33,7 @@ print("subdividing each lollipop edge at alpha =", alpha)
 base = radius_of(g, alpha)
 for e in sorted(g.edges):
     after = radius_of(subdivide_edge(g, e), alpha)
-    where = "internal" if edge_in_internal_path(g, e, paths) else "outside "
+    where = "internal" if edge_in_internal_path(g, e) else "outside "
     arrow = "down" if after < base else "up"
     print(f"  edge {e}  {where}  rho {base:.8f} -> {after:.8f}  ({arrow})")
 print()

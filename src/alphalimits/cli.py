@@ -34,7 +34,7 @@ from .graphs import (
     wheel5,
 )
 from .limits import RootConfig
-from .spectral import radius_of, star_radius
+from .spectral import degree_bounds, radius_of
 from .verify import run_suite
 
 MAX_ORDER = 2000
@@ -170,8 +170,7 @@ def cmd_radius(args) -> tuple:
     g = parse_graph_spec(args.graph)
     alpha = args.alpha
     rho = radius_of(g, alpha)
-    dmax = float(g.degrees().max()) if g.n_edges else 0.0
-    lower = star_radius(dmax, alpha)
+    lower, dmax = degree_bounds(g, alpha)
     report = Report(
         columns=("graph", "alpha", "rho", "lower_bound", "upper_bound"),
         rows=[(args.graph, alpha, rho, lower, dmax)],
@@ -182,14 +181,13 @@ def cmd_radius(args) -> tuple:
 
 
 def cmd_table(args) -> tuple:
-    alphas = args.alpha if args.alpha else [0.0]
-    for a in alphas:
+    for a in args.alpha or ():
         if not (0.0 <= a < 1.0):
             raise ValueError(f"table alpha must lie in [0,1), got {a}")
     if args.n_max > MAX_TABLE_N:
         raise ValueError(f"n-max {args.n_max} > cap {MAX_TABLE_N}")
     cfg = RootConfig(tol=args.tol)
-    table = limits.limit_table(args.kind, args.n_max, alphas, cfg)
+    table = limits.limit_table(args.kind, args.n_max, args.alpha, cfg)
     rows = [("term", r.n, r.alpha, r.gamma, r.eta) for r in table.rows]
     rows += [("limit", None, a, None, v) for a, v in table.limits]
     series = []
@@ -202,7 +200,7 @@ def cmd_table(args) -> tuple:
         columns=("label", "n", "alpha", "root", "value"),
         rows=rows,
         metadata=_metadata("table", kind=args.kind, n_max=args.n_max,
-                           alphas=",".join(_fmt(float(a)) for a in alphas),
+                           alphas=",".join(_fmt(a) for a, _ in table.limits),
                            tol=args.tol),
         series=series,
     )
@@ -247,28 +245,18 @@ def cmd_psi(args) -> tuple:
     return report, 0
 
 
-FAMILIES = ("p2nn", "p2mn", "k13", "p5u")
-
-
-def _family_graph(family: str, size: int, n_fixed: int | None) -> Graph:
-    if family == "p2nn":
-        return p2_two_paths(size, size)[0]
-    if family == "p2mn":
-        return p2_two_paths(size, n_fixed)[0]
-    if family == "k13":
-        return attach_pendant_path(star(3), 0, size)
-    return attach_pendant_path(path(5), 2, size)
-
-
-def _family_target(family: str, alpha: float, n_fixed: int | None,
-                   cfg: RootConfig) -> float:
-    if family == "p2nn":
-        return limits.psi(alpha, cfg)
-    if family == "p2mn":
-        return limits.eta_n(n_fixed, alpha, cfg)
-    if family == "k13":
-        return limits.omega1(alpha)
-    return limits.omega2(alpha, cfg)
+# name -> (graph builder, target, takes --n-fixed). Each lambda looks its
+# builder up per call, like SPEC_FAMILIES.
+FAMILIES = {
+    "p2nn": (lambda size, n_fixed: p2_two_paths(size, size)[0],
+             lambda alpha, n_fixed, cfg: limits.psi(alpha, cfg), False),
+    "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed)[0],
+             lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True),
+    "k13": (lambda size, n_fixed: attach_pendant_path(star(3), 0, size),
+            lambda alpha, n_fixed, cfg: limits.omega1(alpha), False),
+    "p5u": (lambda size, n_fixed: attach_pendant_path(path(5), 2, size),
+            lambda alpha, n_fixed, cfg: limits.omega2(alpha, cfg), False),
+}
 
 
 def cmd_convergence(args) -> tuple:
@@ -285,20 +273,21 @@ def cmd_convergence(args) -> tuple:
     # before the target is solved or any graph is built.
     if max(sizes) > MAX_ORDER:
         raise ValueError(f"size {max(sizes)} > cap {MAX_ORDER}")
+    build, target_of, takes_n_fixed = FAMILIES[family]
     n_fixed = args.n_fixed
-    if family == "p2mn" and n_fixed is None:
-        raise ValueError("p2mn needs --n-fixed")
-    if family != "p2mn" and n_fixed is not None:
+    if takes_n_fixed and n_fixed is None:
+        raise ValueError(f"{family} needs --n-fixed")
+    if not takes_n_fixed and n_fixed is not None:
         raise ValueError(f"--n-fixed applies to p2mn only, not {family}")
     if n_fixed is not None and n_fixed > MAX_ORDER:
         raise ValueError(f"n-fixed {n_fixed} > cap {MAX_ORDER}")
     cfg = RootConfig(tol=args.tol)
-    target = _family_target(family, alpha, n_fixed, cfg)
+    target = target_of(alpha, n_fixed, cfg)
     rows = []
     prev_gap = None
     failures = 0
     for size in sizes:
-        g = _family_graph(family, size, n_fixed)
+        g = build(size, n_fixed)
         if g.n_vertices > MAX_ORDER:
             raise ValueError(
                 f"size {size} gives order {g.n_vertices} > cap {MAX_ORDER}")
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-13,
+            p.add_argument("--tol", type=float, default=limits.DEFAULT_CONFIG.tol,
                            help="root isolation tolerance")
 
     p = sub.add_parser("radius", help="spectral radius of one graph")
@@ -386,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=limits.TABLE_KINDS)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--alpha", type=float, action="append", default=None,
-                   help="repeatable; default 0")
+                   help="repeatable; default 0; versionI and versionII only")
     common(p)
 
     p = sub.add_parser("psi", help="limiting value, closed form and omegas")

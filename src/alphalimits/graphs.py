@@ -321,17 +321,15 @@ def internal_paths(g: Graph) -> list:
     return found
 
 
-def internal_path_edges(g: Graph, paths: list | None = None) -> set:
+def internal_path_edges(g: Graph) -> set:
     """Every edge (u, v), u < v, that lies on some internal path of g."""
-    if paths is None:
-        paths = internal_paths(g)
     return {(min(a, b), max(a, b))
-            for p in paths for a, b in zip(p.vertices, p.vertices[1:])}
+            for p in internal_paths(g) for a, b in zip(p.vertices, p.vertices[1:])}
 
 
-def edge_in_internal_path(g: Graph, e: tuple, paths: list | None = None) -> bool:
+def edge_in_internal_path(g: Graph, e: tuple) -> bool:
     """Whether edge e lies on some internal path of g."""
-    return (min(e), max(e)) in internal_path_edges(g, paths)
+    return (min(e), max(e)) in internal_path_edges(g)
 
 
 def bridges(g: Graph) -> set:

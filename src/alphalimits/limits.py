@@ -50,6 +50,7 @@ class RootConfig:
 
 DEFAULT_CONFIG = RootConfig()
 MAX_HALVINGS = 200  # _bisect raises after this many halvings
+PSI_RESIDUE_TOL = 1e-8  # largest imaginary residue psi_closed_form accepts
 
 
 @dataclass(frozen=True)
@@ -331,19 +332,19 @@ def _real_part(val: complex, alpha: float, residue_tol: float) -> float:
     return val.real
 
 
-def psi_closed_form(alpha: float, residue_tol: float = 1e-8) -> float:
+def psi_closed_form(alpha: float) -> float:
     """Surd expression for psi, evaluated in complex arithmetic.
 
     All fractional powers take the principal branch, in particular
     (-a)^(1/3) = a^(1/3) e^(i pi/3) for a > 0. The combination must come
-    out real; a larger imaginary residue raises BranchSelectionError.
+    out real; a residue above PSI_RESIDUE_TOL raises BranchSelectionError.
     """
     _validate_alpha(alpha, upper_open=True)
     g = _psi_surds(alpha)
     val = (1.5 * alpha
            + cmath.sqrt(g["g0"] + g["g1"] / g["g4"] + g["g2"] / cmath.sqrt(g["g5"]) - g["g4"]) / math.sqrt(6.0)
            + cmath.sqrt(g["g5"] / 12.0))
-    return _real_part(val, alpha, residue_tol)
+    return _real_part(val, alpha, PSI_RESIDUE_TOL)
 
 
 def omega1(alpha: float) -> float:
@@ -540,23 +541,25 @@ _TABLES = {
 TABLE_KINDS = tuple(_TABLES)
 
 
-def limit_table(kind: str, n_max: int, alphas=(0.0,),
+def limit_table(kind: str, n_max: int, alphas=None,
                 cfg: RootConfig = DEFAULT_CONFIG) -> LimitTable:
     """Rows (n, alpha, root, eta-like value) plus the limiting value rows.
 
     Each kind's first n, row term and limit are its _TABLES entry. classic
-    and new start at n = 1 and run at alpha 0 regardless of the alphas
-    argument, with limit sqrt(2 + sqrt 5); laplacian is the signless
-    Laplacian sequence (2 eta at alpha 1/2), with limit 2 + EPSILON_SURD;
-    versionI and versionII start at n = 0 and end in psi(alpha).
+    and new start at n = 1 at alpha 0, with limit sqrt(2 + sqrt 5), and
+    laplacian (2 eta at alpha 1/2) ends in 2 + EPSILON_SURD; these three
+    take no alphas (ValueError). versionI and versionII start at n = 0, run
+    at each of alphas (default 0) and end in psi(alpha).
     """
     spec = _TABLES.get(kind)
     if spec is None:
         raise ValueError(f"unknown table kind {kind!r}")
     if n_max < spec.n_min:
         raise ValueError(f"{kind} table needs n_max >= {spec.n_min}")
-    if spec.fixed is not None:
-        alphas = (spec.fixed[0],)
+    if spec.fixed is not None and alphas is not None:
+        raise ValueError(f"{kind} table runs at alpha {spec.fixed[0]:g} only")
+    if alphas is None:
+        alphas = (0.0,) if spec.fixed is None else (spec.fixed[0],)
     rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
                  for alpha in alphas for n in range(spec.n_min, n_max + 1))
     limits = (spec.fixed,) if spec.fixed is not None else tuple(

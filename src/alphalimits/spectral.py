@@ -133,18 +133,18 @@ def solve_by_order(solve, blocks) -> list:
     return out
 
 
-def subdivision_stack(g: Graph, alpha: float, m: np.ndarray | None = None) -> np.ndarray:
+def subdivision_stack(g: Graph, alpha: float, m: np.ndarray) -> np.ndarray:
     """A_alpha(subdivide_edge(g, e)) for each edge e of g in sorted order.
 
-    One (n_edges, n+1, n+1) stack, built from g's matrix m (assembled here
-    unless the caller has it) padded by a zero row and column for the new
-    vertex w = n: zero (u, v), set (u, w) and (v, w) to 1 - alpha and
-    (w, w) to 2*alpha. The degrees of u and v do not change, so every
-    slice equals the assembled matrix of the subdivided graph exactly.
+    One (n_edges, n+1, n+1) stack, built from m = A_alpha(g) padded by a
+    zero row and column for the new vertex w = n: zero (u, v), set (u, w)
+    and (v, w) to 1 - alpha and (w, w) to 2*alpha. The degrees of u and v
+    do not change, so every slice equals the assembled matrix of the
+    subdivided graph exactly.
     """
     n = g.n_vertices
     padded = np.zeros((n + 1, n + 1))
-    padded[:n, :n] = assemble_a_alpha(g, alpha) if m is None else m
+    padded[:n, :n] = m
     u, v = np.array(sorted(g.edges), dtype=int).reshape(-1, 2).T
     k = np.arange(len(u))
     stack = np.repeat(padded[None], len(u), axis=0)
@@ -372,6 +372,12 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
             hi = mid
         else:
             lo = mid
+
+
+def degree_bounds(g: Graph, alpha: float) -> tuple:
+    """Bounds (star_radius(max degree), max degree) on rho(A_alpha(g))."""
+    dmax = float(g.degrees().max())
+    return star_radius(dmax, alpha), dmax
 
 
 def star_radius(k: float, alpha: float) -> float:

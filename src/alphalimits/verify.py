@@ -10,8 +10,9 @@ order with one eigensolve call per order, LEMMA_CHUNK graphs at a time
 (lemma_radii). The check functions only compare the solved radii. The
 identity suite evaluates the polynomial and closed-form identities on
 deterministic grids, plus the bipartite spectra check on random trees,
-whose spectra are solved by order the same way. Every check reports a
-PropertyResult; a failing result carries a serialized counterexample.
+whose spectra are solved by order the same way. Its checks solve each root
+once, and bound float error by the polynomial with absolute coefficients.
+Every check reports a PropertyResult; a failing one carries a counterexample.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from .spectral import (
     assemble_a_alpha,
     assemble_laplacian,
     bn_charpoly_closed,
+    degree_bounds,
     full_spectrum,
     h_of_lambda,
     path_charpoly_closed,
     solve_by_order,
     stack_radii,
-    star_radius,
     subdivision_stack,
     tridiag_charpoly_recurrence,
 )
@@ -175,8 +176,7 @@ def check_radius_bounds(graphs: list, alphas: list, rhos: list) -> PropertyResul
     bad = []
     checked = 0
     for g, alpha, rho in zip(graphs, alphas, rhos):
-        dmax = float(g.degrees().max())
-        lower = star_radius(dmax, alpha)
+        lower, dmax = degree_bounds(g, alpha)
         checked += 1
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
             bad.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
@@ -315,9 +315,9 @@ ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(10))  # 0.0 .. 0.9
 X_GRID = tuple(round(0.05 + 0.09 * k, 4) for k in range(11))  # 0.05 .. 0.95
 
 
-def _abs_scale(p: limits.HalfPoly, t: float) -> float:
-    """Evaluation of p with absolute coefficients; the float error scale."""
-    return float(np.polynomial.polynomial.polyval(t, np.abs(np.asarray(p.coeffs))))
+def _magnitudes(p: limits.HalfPoly) -> limits.HalfPoly:
+    """p with absolute coefficients: at t >= 0, the float error scale of p."""
+    return limits.HalfPoly(tuple(abs(c) for c in p.coeffs))
 
 
 def check_phi_increasing() -> PropertyResult:
@@ -342,11 +342,12 @@ def check_duality() -> PropertyResult:
         for alpha in ALPHA_GRID:
             p1 = limits.phi_version1(n, alpha)
             p2 = limits.phi_version2(n, alpha)
+            m1, m2 = _magnitudes(p1), _magnitudes(p2)
             for x in X_GRID:
                 t = math.sqrt(x)
                 lhs = p1.eval_t(t)
                 rhs = x ** (n + 1) * p2.eval_t(1.0 / t)
-                scale = _abs_scale(p1, t) + x ** (n + 1) * _abs_scale(p2, 1.0 / t)
+                scale = m1.eval_t(t) + x ** (n + 1) * m2.eval_t(1.0 / t)
                 checked += 1
                 if abs(lhs + rhs) > 1e-12 * scale:
                     bad.append(f"n={n} alpha={alpha} x={x} residual={lhs + rhs}")
@@ -367,8 +368,8 @@ def check_route_equality() -> PropertyResult:
     return _result("route-equality", checked, bad)
 
 
-def _strict_until_saturated(gaps, floor: float = 1e-12) -> bool:
-    """Strictly positive gaps until they shrink past the resolvable floor.
+def _strict_until_saturated(gaps) -> bool:
+    """Strictly positive gaps until they shrink past the resolvable floor, 1e-12.
 
     The consecutive differences decay geometrically and eventually fall
     below what doubles can represent against values near 2; from the
@@ -376,7 +377,7 @@ def _strict_until_saturated(gaps, floor: float = 1e-12) -> bool:
     """
     saturated = False
     for gap in gaps:
-        if not saturated and gap < floor:
+        if not saturated and gap < 1e-12:
             saturated = True
         if gap <= (0.0 if not saturated else -5e-15):
             return False
@@ -425,10 +426,10 @@ def check_classic_routes() -> PropertyResult:
     bad = []
     checked = 0
     for n in range(1, 31):
-        ec = limits.eta_classic(n)
+        b = limits.beta_n(n)
+        ec = limits._eta_from_root(b, 0.0)
         e0 = limits.eta_n(n, 0.0)
         d, z = limits.new_version_sequence(n)
-        b = limits.beta_n(n)
         checked += 3
         if abs(ec - e0) > 1e-12 or abs(z - e0) > 1e-12:
             bad.append(f"n={n} eta routes {ec} {e0} {z}")
@@ -444,8 +445,9 @@ def check_laplacian_agreement() -> PropertyResult:
     for n in range(31):
         mu, kappa = limits.laplacian_guo_wang(n)
         th, xi = limits.laplacian_new(n)
+        eta = limits._eta_from_root(th, 0.5)  # 2 exactly at theta_0 = 1
         checked += 3
-        if abs(xi - kappa) > 1e-11 or abs(xi - 2 * limits.eta_n(n, 0.5)) > 1e-11:
+        if abs(xi - kappa) > 1e-11 or abs(xi - 2 * eta) > 1e-11:
             bad.append(f"n={n} xi={xi} kappa={kappa}")
         if abs(mu * th - 1.0) > 1e-11:
             bad.append(f"n={n} mu*theta={mu * th}")
@@ -474,11 +476,12 @@ def check_difference_identity() -> PropertyResult:
         for alpha in (0.0, 0.3, 0.6, 0.9):
             pn = limits.phi_version1(n, alpha)
             pn1 = limits.phi_version1(n + 1, alpha)
+            mn, mn1 = _magnitudes(pn), _magnitudes(pn1)
             for x in (0.1, 0.35, 0.6, 0.85):
                 t = math.sqrt(x)
                 lhs = pn1.eval_t(t) - x * pn.eval_t(t)
                 rhs = limits.difference_poly_f(x, alpha)
-                scale = _abs_scale(pn1, t) + x * _abs_scale(pn, t)
+                scale = mn1.eval_t(t) + x * mn.eval_t(t)
                 checked += 1
                 if abs(lhs - rhs) > 1e-12 * max(scale, 1.0):
                     bad.append(f"n={n} alpha={alpha} x={x}")
@@ -502,7 +505,7 @@ def check_theta_h_identity() -> PropertyResult:
             g = limits.gamma_n(n, alpha)
             checked += 1
             if abs(limits.theta_substitution(math.sqrt(g), alpha)
-                   - limits.eta_n(n, alpha)) > 1e-11:
+                   - limits._eta_from_root(g, alpha)) > 1e-11:
                 bad.append(f"eta mismatch n={n} alpha={alpha}")
     return _result("theta-h-identity", checked, bad)
 

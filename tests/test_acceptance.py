@@ -19,6 +19,7 @@ from conftest import record_criterion
 from alphalimits.graphs import attach_pendant_path, p2_two_paths, star, wheel5
 from alphalimits.limits import (
     EPSILON_SURD,
+    PSI_RESIDUE_TOL,
     RootConfig,
     beta_n,
     eta_classic,
@@ -67,12 +68,14 @@ def test_criterion_02_psi_anchors():
 
 
 def test_criterion_03_closed_form_agrees_with_root_finder():
+    assert PSI_RESIDUE_TOL == 1e-8
     worst = 0.0
     failures = []
     for a in ALPHA_GRID_05:
         try:
-            # the closed form rejects any imaginary residue above 1e-8 itself
-            diff = abs(psi_closed_form(a, residue_tol=1e-8) - psi(a, TIGHT))
+            # the closed form rejects any imaginary residue above
+            # PSI_RESIDUE_TOL = 1e-8 itself
+            diff = abs(psi_closed_form(a) - psi(a, TIGHT))
         except Exception as exc:
             failures.append(f"alpha={a}: {exc}")
             continue

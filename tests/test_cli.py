@@ -88,6 +88,31 @@ def test_table_laplacian_zero_terms(capsys):
     assert float(terms[0][4]) == 4.0
 
 
+@pytest.mark.parametrize("argv, alphas", [
+    (("laplacian",), "0.5"),
+    (("classic",), "0"),
+    (("versionI", "--alpha", "0.1", "--alpha", "0.2"), "0.1,0.2"),
+    (("versionII",), "0"),
+])
+def test_table_alphas_metadata_names_the_alphas_of_the_rows(argv, alphas, capsys):
+    code, out = run_cli(capsys, "table", *argv, "--n-max", "2")
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["alphas"] == alphas
+    assert {r[2] for r in rows} == set(alphas.split(","))
+
+
+@pytest.mark.parametrize("kind, alpha", [("classic", "0"), ("new", "0"),
+                                         ("laplacian", "0.5")])
+def test_table_refuses_alpha_for_a_fixed_alpha_kind(kind, alpha, capsys):
+    for given in ("0.5", alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", kind, "--n-max", "2", "--alpha", given])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"alphalimits: error: {kind} table runs at alpha {alpha} only\n")
+
+
 def test_psi_row_at_zero(capsys):
     code, out = run_cli(capsys, "psi", "--alpha", "0")
     assert code == 0
@@ -155,8 +180,8 @@ def test_convergence_refuses_n_fixed_outside_p2mn(family, monkeypatch, capsys):
 
     def fail(*args):
         raise AssertionError("target solved or graph built before the usage check")
-    for owner, name in ((cli, "_family_graph"), (limits, "psi"), (limits, "omega1"),
-                        (limits, "omega2")):
+    for owner, name in ((cli, "p2_two_paths"), (cli, "attach_pendant_path"),
+                        (limits, "psi"), (limits, "omega1"), (limits, "omega2")):
         monkeypatch.setattr(owner, name, fail)
     with pytest.raises(SystemExit) as exc:
         main(["convergence", family, "--sizes", "10", "--n-fixed", "5"])
@@ -186,7 +211,8 @@ def test_convergence_refuses_caps_before_target_and_graphs(argv, monkeypatch, ca
 
     def fail(*args):
         raise AssertionError("target solved or graph built before the cap check")
-    for owner, name in ((cli, "_family_graph"), (limits, "eta_n"), (limits, "psi")):
+    for owner, name in ((cli, "p2_two_paths"), (cli, "attach_pendant_path"),
+                        (limits, "eta_n"), (limits, "psi")):
         monkeypatch.setattr(owner, name, fail)
     with pytest.raises(SystemExit) as exc:
         main(["convergence", *argv])

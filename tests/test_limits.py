@@ -306,9 +306,10 @@ def test_psi_closed_form_branch_values():
     assert abs(abs(g["g4"]) - (2.0 + math.sqrt(3.0))) < 1e-12
 
 
-def test_psi_closed_form_residue_guard():
+def test_psi_closed_form_residue_guard(monkeypatch):
+    monkeypatch.setattr(L, "PSI_RESIDUE_TOL", -1.0)
     with pytest.raises(BranchSelectionError):
-        psi_closed_form(0.3, residue_tol=-1.0)
+        psi_closed_form(0.3)
 
 
 def test_omega1_surds():

@@ -652,7 +652,7 @@ def test_radius_of_sends_large_trees_to_elimination(monkeypatch):
 def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
     edges = sorted(g.edges)
     for alpha in BATCH_ALPHAS:
-        stack = subdivision_stack(g, alpha)
+        stack = subdivision_stack(g, alpha, assemble_a_alpha(g, alpha))
         assert stack.shape == (len(edges), g.n_vertices + 1, g.n_vertices + 1)
         for e, m in zip(edges, stack):
             assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha))
@@ -666,16 +666,17 @@ def test_alpha_stack_slices_are_the_assembled_matrices():
         for m, alpha in zip(stack, BATCH_ALPHAS):
             assert np.array_equal(m, assemble_a_alpha(g, alpha))
             assert np.array_equal(subdivision_stack(g, alpha, m),
-                                  subdivision_stack(g, alpha))
+                                  subdivision_stack(g, alpha, assemble_a_alpha(g, alpha)))
     with pytest.raises(ValueError, match="alpha"):
         alpha_stack(wheel5(), (0.5, 1.5))
 
 
 def test_solve_by_order_keeps_input_order_and_each_slice_alone():
     graphs = [wheel5(), path(4), cycle(5), star(3), p2_two_paths(1, 2)[0], path(5)]
-    blocks = [subdivision_stack(g, alpha) for g in graphs for alpha in (0.0, 0.5)]
+    blocks = [subdivision_stack(g, alpha, assemble_a_alpha(g, alpha))
+              for g in graphs for alpha in (0.0, 0.5)]
     blocks += [assemble_a_alpha(g, 0.8)[None] for g in graphs]
-    blocks.insert(3, subdivision_stack(Graph(4), 0.5))  # empty, order 5
+    blocks.insert(3, subdivision_stack(Graph(4), 0.5, np.zeros((4, 4))))  # empty, order 5
     matrices = [m for block in blocks for m in block]
     assert solve_by_order(stack_radii, blocks) == [stack_radii(m[None])[0] for m in matrices]
     spectra = solve_by_order(full_spectrum, blocks)
@@ -694,7 +695,7 @@ def test_solve_by_order_keeps_input_order_and_each_slice_alone():
 
 
 def test_subdivision_stack_of_an_edgeless_graph_is_empty():
-    stack = subdivision_stack(Graph(3), 0.5)
+    stack = subdivision_stack(Graph(3), 0.5, np.zeros((3, 3)))
     assert stack.shape == (0, 4, 4)
     assert stack_radii(stack) == []
 

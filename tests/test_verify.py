@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from alphalimits import spectral, verify
+from alphalimits import limits, spectral, verify
 from alphalimits.graphs import (
     format_graph,
     internal_path_edges,
@@ -194,6 +194,32 @@ def test_identity_suite_solves_its_spectra_by_order(monkeypatch):
     assert p2 == [6, 9, 10]
     assert lq[:half] == lq[half:]
     assert len(set(lq[:half])) == half <= 9
+
+
+def test_identity_suite_solves_each_root_once(monkeypatch):
+    calls = []
+    bisect = limits._bisect
+    monkeypatch.setattr(limits, "_bisect", lambda *args: calls.append(1) or bisect(*args))
+    verify.run_identity_suite(0)
+    assert len(calls) <= 670
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("phi_version2", (verify.check_duality,)),
+    ("phi_version1", (verify.check_duality, verify.check_difference_identity)),
+])
+def test_identity_scales_catch_a_coefficient_off_by_1e_9(name, checks, monkeypatch):
+    # the |coefficient| error scale is tight enough to see a wrong formula
+    build = getattr(limits, name)
+
+    def off(n, alpha):
+        c = build(n, alpha).coeffs
+        return limits.HalfPoly((c[0] * (1.0 + 1e-9),) + c[1:])
+    for check in checks:
+        assert check().passed
+    monkeypatch.setattr(limits, name, off)
+    for check in checks:
+        assert not check().passed
 
 
 def test_a_failing_check_reports_its_first_three_counterexamples():
