@@ -301,12 +301,15 @@ def psi(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     (a - 1) F(theta) / (theta^2 (1 - a + a theta)) with F(theta) =
     difference_poly_f(theta^2, a). Only the constant of F is negative, so F
     rises on theta > 0 and the equation, from a - 1 at lambda = 2, changes
-    sign once on (2, inf): one bisection on [2, 3.2]. psi(1) = 3.
+    sign once on (2, inf): one bisection on [2, 3.2]. At lambda = 2 the
+    bisection takes that proved value a - 1, which the float form can round
+    to the wrong sign (at a = 1 - 2^-53 it gives +2.2e-16). psi(1) = 3.
     """
     _validate_alpha(alpha)
     if alpha == 1.0:
         return 3.0
-    return _bisect(lambda l: _psi_equation(l, alpha), 2.0, 3.2, cfg)
+    return _bisect(lambda l: alpha - 1.0 if l == 2.0 else _psi_equation(l, alpha),
+                   2.0, 3.2, cfg)
 
 
 def _psi_surds(alpha: float) -> dict:

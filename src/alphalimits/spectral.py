@@ -3,9 +3,9 @@
 The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
-arrays. Radii take one of two routes, chosen in radius_of alone. A tree of
-order TREE_MIN_ORDER or more goes to leaf-to-root elimination in O(n)
-memory: Newton's method on the last pivot of an elimination rooted at a
+arrays. Radii take one of two routes, chosen in radius_of alone by
+structure. Every tree goes to leaf-to-root elimination in O(n) memory:
+Newton's method on the last pivot of an elimination rooted at a
 max-degree vertex finds the radius in about ten passes, and the pivot
 test of the elimination rooted at vertex 0 certifies the same one-ulp
 bracket a plain bisection ends on, returning its upper end. Each pass
@@ -13,11 +13,12 @@ follows a plan in which every run of degree-2 vertices is folded into
 the vertex below it, and walks a run only until its pivot repeats bit
 for bit, after which the rest of the run repeats it too; near the radius
 a pendant path of any length then costs tens of steps, and every pivot
-is the one of a plain pass over all n vertices. Every other graph is
-solved densely: full_spectrum is the one checked symmetric eigensolve,
-of a matrix or of a (k, n, n) stack, stack_radii reads each slice's
-radius off it, and solve_by_order, the one place matrices are grouped by
-order, makes one such call per order for stacks of mixed orders.
+is the one of a plain pass over all n vertices. A graph with a cycle or
+more than one component is solved densely: full_spectrum is the one
+checked symmetric eigensolve, of a matrix or of a (k, n, n) stack,
+stack_radii reads each slice's radius off it, and solve_by_order, the
+one place matrices are grouped by order, makes one such call per order
+for stacks of mixed orders.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
@@ -39,8 +40,6 @@ import numpy as np
 from .graphs import Graph, folded_preorder
 
 DEGENERATE_DELTA = 1e-9
-# Order from which radius_of sends trees to leaf-to-root elimination.
-TREE_MIN_ORDER = 128
 # Predicted relative error at which the tree-radius Newton search stops.
 NEWTON_ERROR = 2.0 ** -50
 
@@ -158,15 +157,14 @@ def subdivision_stack(g: Graph, alpha: float, m: np.ndarray) -> np.ndarray:
 def radius_of(g: Graph, alpha: float) -> float:
     """Spectral radius of A_alpha(g), by the one choice of route.
 
-    A tree of order TREE_MIN_ORDER or more goes to leaf-to-root
-    elimination, which returns the upper end of the one-ulp bracket that
-    plain bisection on the vertex-0 pivot test, from [0, max degree], ends
-    on (see _tree_radius): within 1e-12 of the dense value on the tested
-    orders 128-1602, and the max degree exactly at alpha = 1. Any other
-    graph, and every graph below TREE_MIN_ORDER, where dense is faster,
-    gets the value of stack_radii on a one-matrix stack.
+    A tree goes to leaf-to-root elimination, which returns the upper end
+    of the one-ulp bracket that plain bisection on the vertex-0 pivot test,
+    from [0, max degree], ends on (see _tree_radius): within 1e-12 of the
+    dense value on the tested orders 1-1602, and the max degree exactly at
+    alpha = 1. A graph with a cycle or more than one component gets the
+    value of stack_radii on a one-matrix stack.
     """
-    tree = _leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
+    tree = _leaves_first(g)
     if tree is None:
         return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
     _validate_alpha(alpha)

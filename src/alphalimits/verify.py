@@ -411,11 +411,11 @@ def check_strict_chain() -> PropertyResult:
     return _result("strict-chain", checked, bad)
 
 
-def check_eta_convergence() -> PropertyResult:
-    """eta_50 sits within 1e-3 of Psi across the alpha grid."""
+def check_eta_convergence(psis: dict) -> PropertyResult:
+    """eta_50 sits within 1e-3 of Psi = psis[alpha] across the alpha grid."""
     bad = []
     for alpha in ALPHA_GRID:
-        gap = limits.psi(alpha) - limits.eta_n(50, alpha)
+        gap = psis[alpha] - limits.eta_n(50, alpha)
         if abs(gap) >= 1e-3:
             bad.append(f"alpha={alpha} gap={gap}")
     return _result("eta-converges", len(ALPHA_GRID), bad)
@@ -454,17 +454,21 @@ def check_laplacian_agreement() -> PropertyResult:
     return _result("laplacian-agreement", checked, bad)
 
 
-def check_ordering_constants() -> PropertyResult:
-    """Psi < omega1 everywhere; omega2 never dips below Psi."""
+def check_ordering_constants(psis: dict) -> PropertyResult:
+    """Psi = psis[alpha] < omega1 on the grid; omega2 never dips below Psi
+    and lies within 1e-7 of its closed form."""
     bad = []
     checked = 0
     for alpha in ALPHA_GRID:
-        p = limits.psi(alpha)
-        checked += 2
+        p = psis[alpha]
+        o2 = limits.omega2(alpha)
+        checked += 3
         if not p < limits.omega1(alpha):
             bad.append(f"alpha={alpha} psi >= omega1")
-        if limits.omega2(alpha) < p - 1e-9:
+        if o2 < p - 1e-9:
             bad.append(f"alpha={alpha} omega2 below psi")
+        if abs(o2 - limits.omega2_closed_form(alpha)) > 1e-7:
+            bad.append(f"alpha={alpha} omega2 off its closed form")
     return _result("ordering-constants", checked, bad)
 
 
@@ -606,15 +610,16 @@ def run_identity_suite(seed: int) -> list:
     """Deterministic identity grid checks plus the random-tree spectra check."""
     rng = np.random.default_rng(seed + 1)
     sample_graphs = [random_connected_graph(rng) for _ in range(20)]
+    psis = {alpha: limits.psi(alpha) for alpha in ALPHA_GRID}
     return [
         check_phi_increasing(),
         check_duality(),
         check_route_equality(),
         check_strict_chain(),
-        check_eta_convergence(),
+        check_eta_convergence(psis),
         check_classic_routes(),
         check_laplacian_agreement(),
-        check_ordering_constants(),
+        check_ordering_constants(psis),
         check_difference_identity(),
         check_theta_h_identity(),
         check_closed_form_charpoly(),

@@ -8,11 +8,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from alphalimits.cli import main
+from alphalimits.limits import DEFAULT_CONFIG, psi
 
 
 def run_cli(capsys, *argv):
@@ -235,18 +237,39 @@ def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
     assert proc.stdout.count("\nterm,") == 501
 
 
+def window_equation_sign(lam, alpha):
+    """The sign of W(lam) = delta(lam) - alpha - (1-alpha)^2 / (lam - alpha),
+    whose one root on (2, 3.2] is psi, in exact arithmetic at lam > 2 > alpha:
+    both delta and alpha + (1-alpha)^2 / (lam - alpha) are positive, so W has
+    the sign of their squares' difference."""
+    lam, alpha = Fraction(lam), Fraction(alpha)
+    delta_sq = (lam - 4 * alpha + 2) * (lam - 2)
+    cost = alpha + (1 - alpha) ** 2 / (lam - alpha)
+    return (delta_sq > cost * cost) - (delta_sq < cost * cost)
+
+
 def test_psi_one_ulp_below_alpha_one_is_an_error_not_a_traceback():
-    # at alpha = 1 - 2^-53 the lambda form of the psi equation cancels to
-    # rounding, so root isolation finds no sign change on its bracket
+    # at alpha = 1 - 2^-53 the lambda form of the psi equation rounds to
+    # +2.2e-16 at lambda = 2, where it is exactly alpha - 1 < 0; the
+    # bisection takes that proved sign, and the root it returns is within
+    # tol of the root of the window equation, an independent route
+    alpha = 1.0 - 2.0**-53
+    assert str(alpha) == "0.9999999999999999"
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-m", "alphalimits.cli", "psi", "--alpha", "0.9999999999999999"],
+        [sys.executable, "-m", "alphalimits.cli", "psi", "--alpha", str(alpha)],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr == "alphalimits: error: no sign change on [2.0, 3.2]\n"
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    _, header, rows = parse_csv(proc.stdout)
+    assert header[:2] == ["alpha", "psi_root"] and len(rows) == 1
+    r = psi(alpha)
+    assert rows[0][1] == f"{r:.15g}"
+    tol = Fraction(DEFAULT_CONFIG.tol)
+    assert window_equation_sign(Fraction(r) - tol, alpha) < 0
+    assert window_equation_sign(Fraction(r) + tol, alpha) > 0
 
 
 def test_table_version_ii_within_1e_8_of_alpha_one(capsys):
@@ -470,21 +493,37 @@ def test_radius_of_edgeless_graph_has_zero_bounds(capsys):
     assert out.splitlines()[-1] == "3;,0.5,0,0,0"
 
 
-def test_radius_at_the_order_cap_runs_on_the_elimination_route(monkeypatch, capsys):
+def no_dense(monkeypatch):
     from alphalimits import spectral
 
     def fail(*args):
-        raise AssertionError("dense eigensolve on a tree above the crossover")
+        raise AssertionError("dense eigensolve on a tree")
     monkeypatch.setattr(spectral, "stack_radii", fail)
+
+
+def test_radius_at_the_order_cap_runs_on_the_elimination_route(monkeypatch, capsys):
+    no_dense(monkeypatch)
     code, out = run_cli(capsys, "radius", "path:2000")
     assert code == 0
     _, _, rows = parse_csv(out)
     assert abs(float(rows[0][2]) - 2 * math.cos(math.pi / 2001)) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["k13", "p2mn", "p2nn", "p5u"])
+def test_convergence_families_at_every_size_skip_the_dense_solve(family, monkeypatch, capsys):
+    # every convergence graph is a tree, down to order 4 at size 1
+    no_dense(monkeypatch)
+    extra = ("--n-fixed", "2") if family == "p2mn" else ()
+    code, out = run_cli(capsys, "convergence", family, "--alpha", "0.25",
+                        "--sizes", "1,2,5,20,60", *extra)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["1", "2", "5", "20", "60"]
+
+
 @pytest.mark.parametrize("spec, alpha", [("path:3", "1.5"), ("path:200", "nan")])
 def test_radius_rejects_alpha_outside_the_unit_interval(spec, alpha, capsys):
-    # path:200 is a tree above the crossover, so the check is the tree route's
+    # both are trees, so the check is the tree route's
     with pytest.raises(SystemExit) as exc:
         main(["radius", spec, "--alpha", alpha])
     assert exc.value.code == 2

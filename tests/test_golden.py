@@ -6,13 +6,15 @@ output on purpose regenerates the file and says why. The three table
 examples beyond the README's cover the versionI, versionII and new
 branches of limit_table, the first with the ten alphas of the north-star
 command; the lemma example covers the lemma suite on its own, and the psi plot
-example pins the plot renderer on the psi series. The k13 and
-p5u examples, like the larger p2nn and p2mn ones, reach orders of
-TREE_MIN_ORDER and more, so every convergence family is pinned on the
-tree-elimination route; the p2nn example at sizes 100-800, the
-benchmark's anchor job, pins it up to order 1602.
+example pins the plot renderer on the psi series. Every convergence
+graph is a tree, so every convergence example pins the tree-elimination
+route, from order 22 in the p2nn example up; the p2nn example at sizes
+100-800, the benchmark's anchor job, pins it up to order 1602. The
+README's Python quick start runs too, each printed value against the
+digits in its comment.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import pytest
 from alphalimits.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 TEN_ALPHAS = tuple(arg for k in range(10) for arg in ("--alpha", f"0.{k}"))
 EXAMPLES = {
     "table_versionI_ten_alphas": ("table", "versionI", "--n-max", "30", *TEN_ALPHAS),
@@ -60,3 +63,13 @@ def test_examples_twice_in_one_process_match_their_goldens(capsys):
         assert main(list(EXAMPLES[name])) == 0, name
         out = capsys.readouterr().out.encode()
         assert out == (GOLDEN / f"{name}.out").read_bytes(), name
+
+
+def test_readme_quick_start_prints_the_digits_in_its_comments(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    expected = re.findall(r"^print\(.*#\s*([0-9.]+?)\.\.\.", code, re.M)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(expected) == len(printed) == 3
+    for digits, line in zip(expected, printed):
+        assert line.startswith(digits), (digits, line)

@@ -1,6 +1,8 @@
 """Matrix assembly, eigensolves and the closed characteristic-polynomial forms."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from alphalimits.graphs import (
     attach_pendant_path,
     cycle,
     join_by_path,
+    lollipop,
     p2_two_paths,
     path,
     star,
@@ -20,7 +23,6 @@ from alphalimits.graphs import (
     wheel5,
 )
 from alphalimits.spectral import (
-    TREE_MIN_ORDER,
     alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
@@ -40,6 +42,7 @@ from alphalimits.spectral import (
 from alphalimits.verify import ALPHA_GRID
 
 TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_a_alpha_entries_exact():
@@ -240,7 +243,7 @@ def test_delta_and_h():
 
 
 # ---------------------------------------------------------------------------
-# radius_of: leaf-to-root elimination for trees from TREE_MIN_ORDER up
+# radius_of: leaf-to-root elimination for every tree
 # ---------------------------------------------------------------------------
 
 
@@ -265,13 +268,13 @@ def random_trees(draw, min_n, max_n):
 
 def no_dense(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("dense eigensolve on a tree above the crossover")
+        raise AssertionError("dense eigensolve on a tree")
     monkeypatch.setattr(spectral, "stack_radii", fail)
 
 
 def no_elimination(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("tree elimination below the crossover or off a tree")
+        raise AssertionError("tree elimination off a tree")
     monkeypatch.setattr(spectral, "_tree_radius", fail)
 
 
@@ -359,6 +362,37 @@ def reference_radius(g, alpha):
             lo = mid
 
 
+def exact_definite(g, alpha, lam):
+    """Whether lam*I - A_alpha(g) of a tree is positive definite, by a
+    leaves-first elimination of the private reversed-BFS order in exact
+    rational arithmetic at the exact double values of alpha and lam."""
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    c = (1 - alpha) ** 2
+    acc = [Fraction(0)] * (g.n_vertices + 1)
+    for v, p, d in reference_leaves_first(g)[0]:
+        f = lam - alpha * d - acc[v]
+        if f <= 0:
+            return False
+        acc[p] += c / f
+    return True
+
+
+# The goldens' radii that moved from the dense route to elimination:
+# (golden file, size, graph, alpha).
+MOVED_GOLDEN_RADII = [
+    ("convergence_p2nn", s, p2_two_paths(s, s)[0], 0.25) for s in (10, 20, 40)
+] + [("convergence_p2mn", s, p2_two_paths(s, 2)[0], 0.0) for s in (50, 100)]
+
+
+@pytest.mark.parametrize("name, size, g, alpha", MOVED_GOLDEN_RADII,
+                         ids=[f"{name}-{size}" for name, size, _, _ in MOVED_GOLDEN_RADII])
+def test_moved_golden_radii_are_rho_rounded_up(name, size, g, alpha):
+    r = radius_of(g, alpha)
+    assert f"\n{size},{r:.15g}," in (GOLDEN / f"{name}.out").read_text()
+    assert exact_definite(g, alpha, r)
+    assert not exact_definite(g, alpha, math.nextafter(r, 0.0))
+
+
 def count_eliminations(monkeypatch):
     """Counter of elimination passes, pivot test and Newton pass alike."""
     counter = {"passes": 0}
@@ -384,7 +418,7 @@ CONVERGENCE_FAMILIES = {
     for size in sizes])
 def test_tree_radius_matches_dense_on_convergence_families(family, size):
     g = CONVERGENCE_FAMILIES[family][0](size)
-    assert TREE_MIN_ORDER <= g.n_vertices <= 1602
+    assert 128 <= g.n_vertices <= 1602
     for alpha in TREE_ALPHAS:
         rho = radius_of(g, alpha)
         assert rho == reference_radius(g, alpha)
@@ -401,7 +435,7 @@ def test_tree_radius_matches_dense_on_seeded_trees(seed):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(random_trees(TREE_MIN_ORDER, 400), st.sampled_from(TREE_ALPHAS))
+@given(random_trees(1, 400), st.sampled_from(TREE_ALPHAS))
 def test_tree_radius_matches_dense_property(g, alpha):
     rho = radius_of(g, alpha)
     assert rho == reference_radius(g, alpha)
@@ -411,7 +445,7 @@ def test_tree_radius_matches_dense_property(g, alpha):
 def test_tree_radius_equals_reference_with_tied_hubs():
     # Two equal stars joined by a long path: removing one hub leaves the
     # other, so rho(G - u) sits just below rho, and at alpha = 1 on it.
-    for k, m in ((5, 200), (40, 100), (TREE_MIN_ORDER, 10)):
+    for k, m in ((1, 3), (5, 200), (40, 100), (128, 10)):
         g = join_by_path(star(k), 0, star(k), 0, m)
         for alpha in TREE_ALPHAS:
             assert radius_of(g, alpha) == reference_radius(g, alpha)
@@ -419,7 +453,7 @@ def test_tree_radius_equals_reference_with_tied_hubs():
 
 def test_tree_radius_equals_reference_on_stars():
     # The Newton search starts at star_radius, which is rho itself here.
-    for k in (TREE_MIN_ORDER - 1, 300):
+    for k in (1, 2, 7, 127, 300):
         for alpha in TREE_ALPHAS:
             assert radius_of(star(k), alpha) == reference_radius(star(k), alpha)
 
@@ -462,7 +496,7 @@ def spider(arms):
 
 def test_leaves_first_orders():
     # vertex 3, the centre of the star, is the one vertex of degree 5
-    g = join_by_path(path(3), 2, star(4), 0, TREE_MIN_ORDER)
+    g = join_by_path(path(3), 2, star(4), 0, 128)
     check, search = spectral._leaves_first(g)
     for plan in (check, search):
         order = expand(g, plan)
@@ -476,7 +510,7 @@ def test_leaves_first_orders():
     assert check[-1][:2] == (0, g.n_vertices)
     hub = int(np.argmax(g.degrees()))
     assert search[-1][:2] == (hub, g.n_vertices) and hub == 3
-    g0 = attach_pendant_path(star(3), 0, TREE_MIN_ORDER)
+    g0 = attach_pendant_path(star(3), 0, 128)
     check, search = spectral._leaves_first(g0)
     assert search is check
 
@@ -492,7 +526,7 @@ def test_leaves_first_pivots_match_the_private_build():
         attach_pendant_path(path(5), 2, size))]
     graphs += [seeded_tree(seed, int(rng.integers(128, 1001))) for seed in range(12)]
     graphs += [spider(range(40, 40 + 3 * arms, 3)[::-1]) for arms in (3, 4, 6, 9)]
-    graphs += [path(n) for n in (TREE_MIN_ORDER, 500, 1602)]
+    graphs += [path(n) for n in (128, 500, 1602)]
     graphs.append(join_by_path(star(40), 0, star(40), 0, 100))
     shifts = [sign * 10.0 ** -k for k in range(2, 16) for sign in (1, -1)]
     for g in graphs:
@@ -513,7 +547,7 @@ def test_leaves_first_pivots_match_the_private_build():
                     assert (got is None) == (want is None), (alpha, lam)
                     if got is not None:
                         assert [x.hex() for x in got] == [x.hex() for x in want]
-    for g in (cycle(TREE_MIN_ORDER), Graph(TREE_MIN_ORDER + 1, cycle(TREE_MIN_ORDER).edges),
+    for g in (cycle(128), Graph(129, cycle(128).edges),
               unicyclic_200(), cycle_plus_path_200()):
         assert spectral._leaves_first(g) is None
 
@@ -543,19 +577,20 @@ def test_pendant_pivots_repeat_within_150_vertices_at_rho():
                 raise AssertionError(f"no repeat in 150 steps: {family}, alpha {alpha}")
 
 
-def test_trees_above_crossover_skip_the_dense_solve(monkeypatch):
+def test_trees_skip_the_dense_solve(monkeypatch):
     no_dense(monkeypatch)
-    for g in (path(TREE_MIN_ORDER), seeded_tree(0, 500), p2_two_paths(800, 800)[0]):
-        assert radius_of(g, 0.3) > 0
+    for g in (Graph(1), path(2), star(3), seeded_tree(6, 20), path(128), seeded_tree(0, 500),
+              p2_two_paths(800, 800)[0]):
+        assert radius_of(g, 0.3) == reference_radius(g, 0.3)
 
 
 def test_tree_radius_path_anchor():
-    for n in (TREE_MIN_ORDER, 500, 1602):
+    for n in (2, 3, 10, 128, 500, 1602):
         assert abs(radius_of(path(n), 0.0) - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
 
 
 def test_tree_radius_star_anchor():
-    for k in (TREE_MIN_ORDER - 1, 300, 1000):
+    for k in (1, 5, 127, 300, 1000):
         for alpha in TREE_ALPHAS:
             rad = alpha * alpha * (k + 1) ** 2 + 4 * k * (1 - 2 * alpha)
             expect = 0.5 * (alpha * (k + 1) + math.sqrt(rad))
@@ -563,7 +598,7 @@ def test_tree_radius_star_anchor():
 
 
 def test_tree_radius_at_alpha_one_is_max_degree_exactly():
-    for g in (path(TREE_MIN_ORDER), star(TREE_MIN_ORDER - 1), seeded_tree(3, 600),
+    for g in (path(2), star(5), seeded_tree(8, 30), path(128), star(127), seeded_tree(3, 600),
               attach_pendant_path(star(3), 0, 800)):
         assert radius_of(g, 1.0) == float(g.degrees().max())
 
@@ -571,7 +606,7 @@ def test_tree_radius_at_alpha_one_is_max_degree_exactly():
 def test_tree_radius_validates_alpha():
     for alpha in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            radius_of(path(TREE_MIN_ORDER), alpha)
+            radius_of(path(5), alpha)
 
 
 def unicyclic_200():
@@ -584,7 +619,7 @@ def cycle_plus_path_200():
     return Graph(200, frozenset(edges))
 
 
-def test_unicyclic_graph_above_crossover_stays_dense(monkeypatch):
+def test_unicyclic_graph_stays_dense(monkeypatch):
     g = unicyclic_200()
     no_elimination(monkeypatch)
     for alpha in TREE_ALPHAS:
@@ -599,15 +634,30 @@ def test_disconnected_graph_with_n_minus_one_edges_stays_dense(monkeypatch):
         assert radius_of(g, alpha) == dense_radius(g, alpha)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(random_trees(2, TREE_MIN_ORDER - 1), st.sampled_from(TREE_ALPHAS))
-def test_graphs_below_crossover_get_the_dense_value_exactly(g, alpha):
-    assert radius_of(g, alpha) == dense_radius(g, alpha)
+def test_trees_of_every_small_order_equal_the_reference():
+    for n in range(2, 128):
+        g = seeded_tree(n, n)
+        for alpha in TREE_ALPHAS:
+            rho = radius_of(g, alpha)
+            assert rho == reference_radius(g, alpha), (n, alpha)
+            assert abs(rho - dense_radius(g, alpha)) <= 1e-12, (n, alpha)
 
 
-def test_small_graphs_never_reach_elimination(monkeypatch):
+def test_smallest_trees_at_every_alpha():
+    # K_1 has A_alpha = [0]; K_2 = P_2 = K_{1,1} has eigenvalues alpha +- (1 - alpha)
+    for alpha in TREE_ALPHAS:
+        assert radius_of(Graph(1), alpha) == reference_radius(Graph(1), alpha) == 0.0
+        for g in (path(2), star(1)):
+            assert radius_of(g, alpha) == reference_radius(g, alpha) == 1.0
+
+
+def test_non_trees_never_reach_elimination(monkeypatch):
+    # a tree plus one edge: n edges on n vertices, one cycle
+    tree_plus_edge = Graph(30, seeded_tree(9, 30).edges | {(0, 29)})
+    graphs = [wheel5(), lollipop(4), lollipop(9), tree_plus_edge] + [cycle(n) for n in (3, 4, 9)]
+    assert all(g.n_edges >= g.n_vertices for g in graphs)
     no_elimination(monkeypatch)
-    for g in (path(TREE_MIN_ORDER - 1), star(TREE_MIN_ORDER - 2), wheel5(), cycle(9)):
+    for g in graphs:
         for alpha in TREE_ALPHAS:
             assert radius_of(g, alpha) == dense_radius(g, alpha)
 
@@ -629,10 +679,10 @@ BATCH_ALPHAS = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 def test_radius_of_equals_its_route_exactly():
     graphs = [wheel5(), path(4), cycle(9), star(5), seeded_tree(1, 12),
-              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, TREE_MIN_ORDER + 72),
+              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, 200),
               unicyclic_200(), cycle_plus_path_200()]
     for g in graphs:
-        tree = spectral._leaves_first(g) if g.n_vertices >= TREE_MIN_ORDER else None
+        tree = spectral._leaves_first(g)
         batched = stack_radii(alpha_stack(g, BATCH_ALPHAS))
         for alpha, dense in zip(BATCH_ALPHAS, batched):
             r = radius_of(g, alpha)
@@ -656,7 +706,8 @@ def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
         assert stack.shape == (len(edges), g.n_vertices + 1, g.n_vertices + 1)
         for e, m in zip(edges, stack):
             assert np.array_equal(m, assemble_a_alpha(subdivide_edge(g, e), alpha))
-        assert stack_radii(stack) == [radius_of(subdivide_edge(g, e), alpha) for e in edges]
+        singles = [assemble_a_alpha(subdivide_edge(g, e), alpha)[None] for e in edges]
+        assert stack_radii(stack) == [stack_radii(m)[0] for m in singles]
 
 
 def test_alpha_stack_slices_are_the_assembled_matrices():

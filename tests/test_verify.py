@@ -1,8 +1,8 @@
 """The lemma suite plans every radius, then solves once per matrix order.
 
 A reference here computes every radius the four lemma checks compare as
-radius_of on an explicitly built graph (_delete_edge, _delete_vertex,
-subdivide_edge), picks subgraphs by trying each deletion in turn, and
+the one-matrix dense solve of an explicitly built graph (_delete_edge,
+_delete_vertex, subdivide_edge), picks subgraphs by trying each deletion in turn, and
 judges the lemmas with its own copy of the comparisons. The planned suite
 must give the same radii bit for bit and the same PropertyResults.
 """
@@ -20,7 +20,7 @@ from alphalimits.graphs import (
     is_regular,
     subdivide_edge,
 )
-from alphalimits.spectral import radius_of, star_radius
+from alphalimits.spectral import assemble_a_alpha, stack_radii, star_radius
 from alphalimits.verify import (
     EQUALITY_TOL,
     LEMMA_ALPHAS,
@@ -65,13 +65,17 @@ def reference_inputs(seed, trials):
     return graphs, alphas, subs
 
 
+def dense_radius(g, alpha):
+    return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
+
+
 def reference_radii(graphs, alphas, subs):
     return LemmaRadii(
-        rhos=[radius_of(g, a) for g, a in zip(graphs, alphas)],
-        sub_rhos=[None if h is None else radius_of(h, a) for h, a in zip(subs, alphas)],
-        lo_rhos=[radius_of(g, verify.ALPHA_LO) for g in graphs],
-        hi_rhos=[radius_of(g, verify.ALPHA_HI) for g in graphs],
-        subdivided=[[radius_of(subdivide_edge(g, e), a) for e in sorted(g.edges)]
+        rhos=[dense_radius(g, a) for g, a in zip(graphs, alphas)],
+        sub_rhos=[None if h is None else dense_radius(h, a) for h, a in zip(subs, alphas)],
+        lo_rhos=[dense_radius(g, verify.ALPHA_LO) for g in graphs],
+        hi_rhos=[dense_radius(g, verify.ALPHA_HI) for g in graphs],
+        subdivided=[[dense_radius(subdivide_edge(g, e), a) for e in sorted(g.edges)]
                     for g, a in zip(graphs, alphas)],
     )
 
@@ -202,6 +206,26 @@ def test_identity_suite_solves_each_root_once(monkeypatch):
     monkeypatch.setattr(limits, "_bisect", lambda *args: calls.append(1) or bisect(*args))
     verify.run_identity_suite(0)
     assert len(calls) <= 670
+
+
+def test_identity_suite_solves_psi_once_per_alpha_and_tol(monkeypatch):
+    # strict-chain's nine at tol 1e-15, and ten at the default tol that
+    # eta-converges and ordering-constants share
+    calls = []
+    psi = limits.psi
+    monkeypatch.setattr(limits, "psi", lambda *args: calls.append(args) or psi(*args))
+    verify.run_identity_suite(0)
+    assert len(calls) <= 19
+
+
+def test_ordering_constants_fail_on_an_omega2_closed_form_off_by_1e_6(monkeypatch):
+    psis = {alpha: limits.psi(alpha) for alpha in verify.ALPHA_GRID}
+    assert verify.check_ordering_constants(psis).passed
+    closed = limits.omega2_closed_form
+    monkeypatch.setattr(limits, "omega2_closed_form", lambda a: closed(a) + 1e-6)
+    result = verify.check_ordering_constants(psis)
+    assert not result.passed
+    assert result.detail.startswith("alpha=0.0 omega2 off its closed form")
 
 
 @pytest.mark.parametrize("name, checks", [
