@@ -4,21 +4,21 @@ The one-parameter family alpha*D + (1-alpha)*A interpolates between the
 adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone by
-structure. Every tree goes to leaf-to-root elimination in O(n) memory:
-Newton's method on the last pivot of an elimination rooted at a
-max-degree vertex finds the radius in about ten passes, and the pivot
-test of the elimination rooted at vertex 0 certifies the same one-ulp
-bracket a plain bisection ends on, returning its upper end. Each pass
-follows a plan in which every run of degree-2 vertices is folded into
-the vertex below it, and walks a run only until its pivot repeats bit
-for bit, after which the rest of the run repeats it too; near the radius
-a pendant path of any length then costs tens of steps, and every pivot
-is the one of a plain pass over all n vertices. A graph with a cycle or
-more than one component is solved densely: full_spectrum is the one
-checked symmetric eigensolve, of a matrix or of a (k, n, n) stack,
-stack_radii reads each slice's radius off it, and solve_by_order, the
-one place matrices are grouped by order, makes one such call per order
-for stacks of mixed orders.
+structure. Every tree goes to leaf-to-root elimination in O(n) memory,
+one walk that returns the last pivot: secant steps on that pivot of an
+elimination rooted at a max-degree vertex find the radius in about ten
+passes, and its sign on the elimination rooted at vertex 0 certifies the
+same one-ulp bracket a plain bisection ends on, returning its upper end.
+Each pass follows a plan in which every run of degree-2 vertices is
+folded into the vertex below it, and walks a run only until its pivot
+repeats bit for bit, after which the rest of the run repeats it too; near
+the radius a pendant path of any length then costs tens of steps, and
+every pivot is the one of a plain pass over all n vertices. A graph with
+a cycle or more than one component is solved densely: full_spectrum is
+the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
+stack, stack_radii reads each slice's radius off it, and solve_by_order,
+the one place matrices are grouped by order, makes one such call per
+order for stacks of mixed orders.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
@@ -40,8 +40,8 @@ import numpy as np
 from .graphs import Graph, folded_preorder
 
 DEGENERATE_DELTA = 1e-9
-# Predicted relative error at which the tree-radius Newton search stops.
-NEWTON_ERROR = 2.0 ** -50
+# Predicted relative error at which the tree-radius secant search stops.
+SECANT_ERROR = 2.0 ** -50
 
 
 def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
@@ -209,96 +209,72 @@ def _leaves_first(g: Graph) -> tuple | None:
     return check, (check if hub == 0 else plan(hub))
 
 
-def _definite(steps: list, c: float, d2: float, lam: float) -> bool:
-    """Whether every pivot of one leaves-first elimination at lam is positive.
+def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
+    """f_u, the pivot at the root u of one leaves-first elimination at lam.
 
-    steps holds (vertex, parent, alpha*degree, k) steps of a plan (see
-    _leaves_first); the pivot is f_v = lam - alpha*deg(v) - sum over
-    children w of c / f_w, with c = (1-alpha)^2. Up a folded run each pivot
-    is f -> (lam - d2) - c / f of the one below, d2 = 2*alpha: the one
-    child's sum is 0.0 + c / f, which is c / f exactly. That map reads the
-    previous pivot alone, so once a pivot repeats bit for bit every later
-    one on the run equals it, and the rest of the run is skipped.
+    None once a pivot below u is not positive. steps holds (vertex, parent,
+    alpha*degree, k) steps of a plan (see _leaves_first); the pivot is
+    f_v = lam - alpha*deg(v) - sum over children w of c / f_w, with
+    c = (1-alpha)^2. Up a folded run each pivot is f -> (lam - d2) - c / f
+    of the one below, d2 = 2*alpha: the one child's sum is 0.0 + c / f,
+    which is c / f exactly. That map reads the previous pivot alone, so
+    once a pivot repeats bit for bit every later one on the run equals it,
+    and the rest of the run is skipped.
     """
     e = lam - d2
     acc = [0.0] * (steps[-1][1] + 1)
-    for v, p, d, k in steps:
+    for v, p, d, k in steps[:-1]:
         f = lam - d - acc[v]
         if f <= 0.0:
-            return False
+            return None
         for _ in range(k):
             f_next = e - c / f
             if f_next == f:
                 break
             if f_next <= 0.0:
-                return False
+                return None
             f = f_next
         acc[p] += c / f
-    return True
-
-
-def _root_pivot(steps: list, c: float, d2: float, lam: float) -> tuple | None:
-    """(f_u, f_u') at the root u of one leaves-first elimination at lam.
-
-    None once a pivot below the root is not positive. Next to each pivot
-    the pass carries its derivative in lam, f_v' = 1 + sum over children w
-    of c * f_w' / f_w^2, held as the sum s_v. Up a folded run the pair
-    (f, s) follows a map of the previous pair alone (see _definite), so
-    the rest of a run is skipped once f and s both repeat bit for bit.
-    """
-    e = lam - d2
-    acc = [0.0] * (steps[-1][1] + 1)
-    slope = acc.copy()
-    for v, p, d, k in steps[:-1]:
-        f = lam - d - acc[v]
-        if f <= 0.0:
-            return None
-        s = slope[v]
-        q = c / f
-        for _ in range(k):
-            f_next = e - q
-            s_next = q * (1.0 + s) / f
-            if f_next == f and s_next == s:
-                break
-            if f_next <= 0.0:
-                return None
-            f, s = f_next, s_next
-            q = c / f
-        acc[p] += q
-        slope[p] += q * (1.0 + s) / f
     u, _, d, _ = steps[-1]
-    return lam - d - acc[u], 1.0 + slope[u]
+    return lam - d - acc[u]
 
 
-def _newton_point(steps: list, c: float, d2: float, start: float, top: float) -> float:
-    """An estimate of rho by Newton's method on the root pivot f_u.
+def _secant_point(steps: list, c: float, d2: float, start: float, top: float) -> float:
+    """An estimate of rho by secant steps on the root pivot f_u.
 
     steps is the search plan, rooted at u. A probe where a pivot below u
     fails lies under rho(G - u), and one where f_u > 0 lies above rho:
-    either halves the bracket, which starts as [0, top]. Anywhere else f_u
-    is increasing and concave (see _tree_radius), so the Newton point lies
-    in (lam, rho]. With steps d_k, the error left after step k is about
-    d_k^3 / d_(k-1)^2 (the bracket width standing in for d_(k-1) after a
-    halving); the search stops once that is below NEWTON_ERROR * lam.
+    either halves the bracket, which starts as [0, top]. Anywhere else
+    f_u <= 0, and rho <= lam - f_u caps the bracket (see _tree_radius).
+    The first such probe pairs with one 2^-26 * lam to its right, at most
+    halfway to the cap, and each later one with the one before; the chord
+    through the pair meets zero in (lam, rho]. The search stops once
+    step * (step / prev), prev the step before it (the bracket width after
+    a halving), is at most SECANT_ERROR * lam.
     """
     lo, hi = 0.0, top
     lam, prev = start, top
+    x0 = f0 = None
     while True:
-        pivot = _root_pivot(steps, c, d2, lam)
-        if pivot is None:
+        f = _root_pivot(steps, c, d2, lam)
+        if f is None:
             lo = lam
-        elif pivot[0] > 0.0:
+        elif f > 0.0:
             hi = lam
         else:
-            lo = lam
-            step = -pivot[0] / pivot[1]
-            nxt = lam + step
-            if not nxt < hi:
+            lo, hi = lam, min(hi, lam - f)
+            if x0 is None:
+                step = min(lam * 2.0 ** -26, 0.5 * (hi - lam))
+            elif f == f0:  # a flat chord: lam is within rounding of rho
+                return lam
+            else:
+                step = f * (lam - x0) / (f0 - f)
+                if step * (step / prev) <= SECANT_ERROR * lam:
+                    return min(lam + step, hi)
+            x0, f0 = lam, f
+            lam, prev = lam + step, step
+            if not lam < hi:
                 return hi
-            ratio = step / prev
-            if step * ratio * ratio <= NEWTON_ERROR * lam:
-                return nxt
-            lam, prev = nxt, step
             continue
         lam, prev = 0.5 * (lo + hi), hi - lo
         if lam == lo or lam == hi:
@@ -322,26 +298,30 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     f_u = phi(G) / phi(G - u) = lam - alpha*deg(u) - (1-alpha)^2 * sum over
     children c of [(lam*I - B_c)^-1]_cc, with B_c the block of c's
     subtree; each such resolvent entry is a sum of q^2 / (lam - mu) over
-    eigenvalues mu < lam, so positive, decreasing and convex, and f_u is
-    increasing and concave. Its tangent lies above it, so Newton's method
-    from any point of (rho(G - u), rho] climbs monotonically to rho. The
-    search starts at star_radius(max degree), a lower bound on rho.
+    eigenvalues mu < lam, so positive, decreasing and convex: f_u is
+    increasing and concave, and so is f_u - lam. So rho <= lam - f_u at
+    any lam of the window (rho(G - u), rho], and a chord through two points
+    of the window, extended to the right, lies above f_u: its zero lies in
+    (lam, rho], and secant steps climb monotonically to rho. The search
+    starts at star_radius(max degree), a lower bound on rho.
 
     Certification. The vertex-0 plan is the only judge, as in a plain
-    bisection on [0, max degree]. Each pivot is built from IEEE operations
-    monotone in lam, so the doubles at which every pivot is positive form
-    an up-set, and its least element (capped at the max degree) is the
-    value returned. From the Newton point the check steps down or up,
-    1, 8, 64, ... ulps, until it holds a failing double and a passing one
-    (0 and the max degree count as such untested), then bisects that
-    bracket to adjacent doubles and returns the upper end. The value is
-    therefore the one bisection from [0, max degree] returns, bit for bit;
-    the search only decides how many eliminations it takes.
+    bisection on [0, max degree]: a double passes when f_u of that plan is
+    not None and positive. Each pivot is built from IEEE operations
+    monotone in lam, so the passing doubles form an up-set, and its least
+    element (capped at the max degree) is the value returned. From the
+    search's point the check steps down or up, 1, 8, 64, ... ulps, until it
+    holds a failing double and a passing one (0 and the max degree count
+    as such untested), then bisects that bracket to adjacent doubles and
+    returns the upper end. The value is therefore the one bisection from
+    [0, max degree] returns, bit for bit; the search only decides how many
+    eliminations it takes.
 
-    Cost. Near rho, the pivots up a long pendant path approach the
+    Cost. Search and check make the same pass, one _root_pivot walk with
+    no derivative. Near rho, the pivots up a long pendant path approach the
     attracting fixed point of f -> (lam - 2*alpha) - (1-alpha)^2 / f and,
     in doubles, reach it after tens of vertices; the passes skip the rest
-    of each folded run (see _definite), so a pass costs about the number
+    of each folded run (see _root_pivot), so a pass costs about the number
     of branch vertices and leaves plus those tens per run, not n. Below
     lam = 2 that map has no fixed point, as at rho of a path at alpha = 0:
     no pivot repeats, and each run is walked in full.
@@ -349,24 +329,29 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     check, search = ([(v, p, alpha * d, k) for v, p, d, k in plan] for plan in tree)
     c = (1.0 - alpha) ** 2
     d2 = 2.0 * alpha
+
+    def definite(lam):
+        f = _root_pivot(check, c, d2, lam)
+        return f is not None and f > 0.0
+
     top = float(tree[1][-1][2])  # the search root's degree, the max degree
-    x = min(_newton_point(search, c, d2, star_radius(top, alpha), top), top)
+    x = min(_secant_point(search, c, d2, star_radius(top, alpha), top), top)
     step = math.ulp(x)
-    if x == top or _definite(check, c, d2, x):
+    if x == top or definite(x):
         lo, hi = max(x - step, 0.0), x
-        while lo > 0.0 and _definite(check, c, d2, lo):
+        while lo > 0.0 and definite(lo):
             step *= 8.0
             lo, hi = max(lo - step, 0.0), lo
     else:
         lo, hi = x, min(x + step, top)
-        while hi < top and not _definite(check, c, d2, hi):
+        while hi < top and not definite(hi):
             step *= 8.0
             lo, hi = hi, min(hi + step, top)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if _definite(check, c, d2, mid):
+        if definite(mid):
             hi = mid
         else:
             lo = mid

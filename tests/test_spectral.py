@@ -324,18 +324,15 @@ def reference_definite(steps, c, lam):
 
 
 def reference_root_pivot(steps, c, lam):
-    """(f_u, f_u') as a plain pass over every vertex of an unfolded order."""
+    """f_u as a plain pass over every vertex of an unfolded order."""
     acc = [0.0] * (len(steps) + 1)
-    slope = [0.0] * (len(steps) + 1)
     for v, p, d in steps[:-1]:
         f = lam - d - acc[v]
         if f <= 0.0:
             return None
-        q = c / f
-        acc[p] += q
-        slope[p] += q * (1.0 + slope[v]) / f
+        acc[p] += c / f
     u, _, d = steps[-1]
-    return lam - d - acc[u], 1.0 + slope[u]
+    return lam - d - acc[u]
 
 
 def scaled(order, alpha):
@@ -346,7 +343,7 @@ def scaled(order, alpha):
 def reference_radius(g, alpha):
     """Plain bisection on [0, max degree] with the vertex-0 pivot test.
 
-    The tree route before the Newton search, kept as the reference that
+    The tree route before any search, kept as the reference that
     radius_of must equal bit for bit.
     """
     steps = scaled(reference_leaves_first(g)[0], alpha)
@@ -394,13 +391,15 @@ def test_moved_golden_radii_are_rho_rounded_up(name, size, g, alpha):
 
 
 def count_eliminations(monkeypatch):
-    """Counter of elimination passes, pivot test and Newton pass alike."""
+    """Counter of elimination passes: the one _root_pivot walk that the
+    secant search and the certificate both make."""
     counter = {"passes": 0}
-    for name in ("_definite", "_root_pivot"):
-        def counted(*args, _pass=getattr(spectral, name)):
-            counter["passes"] += 1
-            return _pass(*args)
-        monkeypatch.setattr(spectral, name, counted)
+    walk = spectral._root_pivot
+
+    def counted(*args):
+        counter["passes"] += 1
+        return walk(*args)
+    monkeypatch.setattr(spectral, "_root_pivot", counted)
     return counter
 
 
@@ -452,19 +451,43 @@ def test_tree_radius_equals_reference_with_tied_hubs():
 
 
 def test_tree_radius_equals_reference_on_stars():
-    # The Newton search starts at star_radius, which is rho itself here.
+    # The secant search starts at star_radius, which is rho itself here.
     for k in (1, 2, 7, 127, 300):
         for alpha in TREE_ALPHAS:
             assert radius_of(star(k), alpha) == reference_radius(star(k), alpha)
 
 
 def test_tree_radius_at_order_1602_takes_few_eliminations(monkeypatch):
-    g = p2_two_paths(800, 800)[0]
+    # p2nn at order 1602, and the other three families at size 800
     counter = count_eliminations(monkeypatch)
-    for alpha in TREE_ALPHAS:
-        counter["passes"] = 0
-        radius_of(g, alpha)
-        assert 1 <= counter["passes"] <= 15, (alpha, counter["passes"])
+    for family in ("p2nn", "p2mn", "k13", "p5u"):
+        g = CONVERGENCE_FAMILIES[family][0](800)
+        for alpha in TREE_ALPHAS:
+            counter["passes"] = 0
+            radius_of(g, alpha)
+            assert 1 <= counter["passes"] <= 15, (family, alpha, counter["passes"])
+
+
+def test_the_search_never_decides_the_bits(monkeypatch):
+    """Whatever point the search hands the certificate, from 0 up to the
+    max degree, the radius is the reference's bit for bit: the 1, 8, 64,
+    ... ulp steps and the bisection that follow fix it alone."""
+    graphs = [p2_two_paths(40, 40)[0], attach_pendant_path(star(3), 0, 100),
+              seeded_tree(2, 200), star(7), join_by_path(star(5), 0, star(5), 0, 20),
+              path(2)]
+    for g in graphs:
+        tree = spectral._leaves_first(g)
+        for alpha in TREE_ALPHAS:
+            rho = reference_radius(g, alpha)
+            points = {"zero": lambda start, top: 0.0,
+                      "max degree": lambda start, top: top,
+                      "star_radius": lambda start, top: start,
+                      "1e-6 below": lambda start, top: rho * (1.0 - 1e-6),
+                      "one ulp below": lambda start, top: math.nextafter(rho, 0.0)}
+            for name, point in points.items():
+                monkeypatch.setattr(spectral, "_secant_point",
+                                    lambda steps, c, d2, start, top: point(start, top))
+                assert spectral._tree_radius(tree, alpha) == rho, (g.n_vertices, alpha, name)
 
 
 def expand(g, plan):
@@ -516,7 +539,7 @@ def test_leaves_first_orders():
 
 
 def test_leaves_first_pivots_match_the_private_build():
-    """Each pass over a folded plan gives the verdict and the (f_u, f_u')
+    """Each pass over a folded plan gives the f_u, and with it the verdict,
     of a plain pass over the private reversed-BFS order, bit for bit, at
     lam near rho, where folded runs are cut short, and across [0, max degree].
     """
@@ -540,13 +563,13 @@ def test_leaves_first_pivots_match_the_private_build():
             for plan, order in zip(plans, orders):
                 plan, order = scaled(plan, alpha), scaled(order, alpha)
                 for lam in lams:
-                    got = spectral._definite(plan, c, d2, lam)
-                    assert got is reference_definite(order, c, lam), (alpha, lam)
                     got = spectral._root_pivot(plan, c, d2, lam)
                     want = reference_root_pivot(order, c, lam)
                     assert (got is None) == (want is None), (alpha, lam)
                     if got is not None:
-                        assert [x.hex() for x in got] == [x.hex() for x in want]
+                        assert got.hex() == want.hex(), (alpha, lam)
+                    definite = got is not None and got > 0.0
+                    assert definite == reference_definite(order, c, lam), (alpha, lam)
     for g in (cycle(128), Graph(129, cycle(128).edges),
               unicyclic_200(), cycle_plus_path_200()):
         assert spectral._leaves_first(g) is None
@@ -559,20 +582,19 @@ def test_two_long_pendant_paths_plan_in_few_steps():
 
 def test_pendant_pivots_repeat_within_150_vertices_at_rho():
     """The folded runs pay off on the convergence families: at rho, the
-    pivot and slope sum up a pendant path, from its leaf, repeat exactly
-    within 150 vertices, far short of the path's 800."""
+    pivot up a pendant path, from its leaf, repeats exactly within 150
+    vertices, far short of the path's 800."""
     for family in ("p2nn", "p2mn", "k13", "p5u"):
         g = CONVERGENCE_FAMILIES[family][0](800)
         for alpha in TREE_ALPHAS:
             lam = radius_of(g, alpha)
             c, e = (1.0 - alpha) ** 2, lam - 2.0 * alpha
-            f, s = lam - alpha, 0.0
+            f = lam - alpha
             for _ in range(150):
-                q = c / f
-                f_next, s_next = e - q, q * (1.0 + s) / f
-                if f_next == f and s_next == s:
+                f_next = e - c / f
+                if f_next == f:
                     break
-                f, s = f_next, s_next
+                f = f_next
             else:
                 raise AssertionError(f"no repeat in 150 steps: {family}, alpha {alpha}")
 

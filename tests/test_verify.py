@@ -3,17 +3,22 @@
 A reference here computes every radius the four lemma checks compare as
 the one-matrix dense solve of an explicitly built graph (_delete_edge,
 _delete_vertex, subdivide_edge), picks subgraphs by trying each deletion in turn, and
-judges the lemmas with its own copy of the comparisons. The planned suite
-must give the same radii bit for bit and the same PropertyResults.
+judges the lemmas with its own copy of the comparisons, deciding a strict
+one inside STRICT_MARGIN by its own exact test. The planned suite must give
+the same radii bit for bit and the same PropertyResults.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from alphalimits import limits, spectral, verify
 from alphalimits.graphs import (
+    Graph,
     format_graph,
     internal_path_edges,
     is_double_snake,
@@ -32,9 +37,10 @@ from alphalimits.verify import (
     run_lemma_suite,
 )
 
-# The two seeds whose subdivision gaps (+9.96e-14, +1.18e-13 at alpha 0.8)
-# fall inside STRICT_MARGIN: the lemma holds, the fixed margin reports FAIL.
-FALSE_FAIL_SEEDS = (1443400113, 1733762282)
+# Seeds whose subdivision gaps at alpha 0.8 (+1.0e-13 to +2.5e-13) fall
+# inside STRICT_MARGIN: the lemma holds, and a fixed margin alone would
+# report FAIL. The exact test must pass them.
+FALSE_FAIL_SEEDS = (1443400113, 1733762282, 1097657232)
 # Graphs solved together: the verify workload's job size, so that a job is
 # one chunk and a longer run's peak memory does not grow with --trials.
 CHUNK = 20
@@ -80,6 +86,44 @@ def reference_radii(graphs, alphas, subs):
     )
 
 
+def exact_below(g, alpha, q):
+    """Whether rho(A_alpha(g)) < q, by Sylvester's criterion: every leading
+    principal minor of q*I - A_alpha, at the exact double alpha and scaled
+    to integers, is positive. The minors come from one fraction-free
+    (Bareiss) elimination over the private edge list."""
+    a, q = Fraction(alpha), Fraction(q)
+    n = g.n_vertices
+    deg = [0] * n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    m = [[q - a * deg[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for u, v in g.edges:
+        m[u][v] = m[v][u] = a - 1
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    m = [[int(x * scale) for x in row] for row in m]
+    prev = 1
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return True
+
+
+def strictly_above(r_hi, r_lo, upper, lower):
+    """r_hi - r_lo > STRICT_MARGIN, or inside the margin, rho(lower) < q <=
+    rho(upper) exactly at the dyadic midpoint q of the two doubles."""
+    if r_hi - r_lo > STRICT_MARGIN:
+        return True
+    if r_hi - r_lo < -STRICT_MARGIN:
+        return False
+    q = (Fraction(r_hi) + Fraction(r_lo)) / 2
+    return exact_below(*lower, q) and not exact_below(*upper, q)
+
+
 def reference_results(graphs, alphas, subs, r):
     bounds, strict, mono, subdiv = [], [], [], []
     n_subdiv = 0
@@ -90,25 +134,26 @@ def reference_results(graphs, alphas, subs, r):
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
             bounds.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
                           f"g={format_graph(g)}")
-        if h is not None and rho - r.sub_rhos[i] <= STRICT_MARGIN:
+        if h is not None and not strictly_above(rho, r.sub_rhos[i], (g, alpha), (h, alpha)):
             strict.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
         lo, hi = r.lo_rhos[i], r.hi_rhos[i]
         if is_regular(g):
             if abs(hi - lo) > EQUALITY_TOL:
                 mono.append(f"regular but moved: {format_graph(g)}")
-        elif hi - lo <= STRICT_MARGIN:
+        elif not strictly_above(hi, lo, (g, 0.7), (g, 0.2)):
             mono.append(f"rho(0.7)={hi} <= rho(0.2)={lo}: {format_graph(g)}")
         internal = internal_path_edges(g)
         cycle = bool(np.all(g.degrees() == 2))
         snake_zero = is_double_snake(g) and alpha == 0.0
         for e, rho_sub in zip(sorted(g.edges), r.subdivided[i]):
             n_subdiv += 1
+            sub = (subdivide_edge(g, e), alpha)
             if e in internal:
                 ok = (abs(rho_sub - rho) <= EQUALITY_TOL if snake_zero
-                      else rho - rho_sub > STRICT_MARGIN)
+                      else strictly_above(rho, rho_sub, (g, alpha), sub))
             else:
                 ok = (abs(rho_sub - rho) <= EQUALITY_TOL if cycle
-                      else rho_sub - rho > STRICT_MARGIN)
+                      else strictly_above(rho_sub, rho, sub, (g, alpha)))
             if not ok:
                 subdiv.append(f"alpha={alpha} edge={e} rho={rho} rho_sub={rho_sub} "
                               f"g={format_graph(g)}")
@@ -131,7 +176,7 @@ def hex_radii(r):
 
 @pytest.mark.parametrize("seed, trials", [
     (0, 200), (3, 200), (7, 200), (1234, 200), (7, 45),
-    (FALSE_FAIL_SEEDS[0], 20), (FALSE_FAIL_SEEDS[1], 20),
+    (FALSE_FAIL_SEEDS[0], 20), (FALSE_FAIL_SEEDS[1], 20), (FALSE_FAIL_SEEDS[2], 20),
 ])
 def test_planned_suite_equals_the_per_graph_reference(seed, trials):
     graphs, alphas, subs = reference_inputs(seed, trials)
@@ -139,8 +184,26 @@ def test_planned_suite_equals_the_per_graph_reference(seed, trials):
     assert hex_radii(verify.lemma_radii(graphs, alphas, subs)) == hex_radii(ref)
     results = run_lemma_suite(seed, trials)
     assert results == reference_results(graphs, alphas, subs, ref)
-    failing = [r.name for r in results if not r.passed]
-    assert failing == (["subdivision-direction"] if seed in FALSE_FAIL_SEEDS else [])
+    assert [r.name for r in results if not r.passed] == []
+
+
+def test_a_reversed_order_inside_the_margin_still_fails():
+    """Planted: doubles 1e-13 apart in the lemma's direction, inside
+    STRICT_MARGIN, for a pair whose exact order is the other way."""
+    g = Graph(12, frozenset(
+        tuple(map(int, e.split("-"))) for e in
+        "0-1,0-2,0-3,0-6,0-9,1-9,2-10,4-7,4-10,5-8,6-9,7-8,8-11".split(",")))
+    sub = subdivide_edge(g, (5, 8))
+    rho, rho_sub = dense_radius(g, 0.8), dense_radius(sub, 0.8)
+    # the subdivided graph's radius is the larger, by about 1e-13
+    assert 0.0 < rho_sub - rho <= STRICT_MARGIN
+    assert exact_below(g, 0.8, (Fraction(rho) + Fraction(rho_sub)) / 2)
+    assert not exact_below(sub, 0.8, (Fraction(rho) + Fraction(rho_sub)) / 2)
+    # sub passed as g's subgraph, its radius planted 1e-13 below g's
+    result = verify.check_subgraph_monotonicity([g], [0.8], [rho], [sub], [rho - 1e-13])
+    assert not result.passed
+    # the true doubles in their true order, inside the margin, pass
+    assert verify.check_subgraph_monotonicity([sub], [0.8], [rho_sub], [g], [rho]).passed
 
 
 def test_subgraph_pick_matches_trial_deletion():
@@ -205,7 +268,7 @@ def test_identity_suite_solves_each_root_once(monkeypatch):
     bisect = limits._bisect
     monkeypatch.setattr(limits, "_bisect", lambda *args: calls.append(1) or bisect(*args))
     verify.run_identity_suite(0)
-    assert len(calls) <= 670
+    assert len(calls) <= 630
 
 
 def test_identity_suite_solves_psi_once_per_alpha_and_tol(monkeypatch):
