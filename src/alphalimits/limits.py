@@ -12,8 +12,11 @@ gamma_tilde_n at one alpha. The psi and omega2 equations change sign once
 on a fixed bracket (see their docstrings), so each root is one bisection
 there. The pendant-path limit operators work on any connected
 graph: they divide their characteristic equation by phi(G), which leaves
-the resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu from one
-eigendecomposition, and bisect on (max(2, rho(G)), degree bound].
+the resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu. On a
+tree, r is one over the root pivot of a leaves-first elimination rooted
+at u, O(n) per lambda, bisected on [2, degree bound]; any other graph
+takes r from one eigendecomposition and bisects on (max(2, rho(G)),
+degree bound].
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import _validate_alpha, h_of_lambda, vertex_resolvent
+from .spectral import (_root_pivot, _tree_plan, _validate_alpha, h_of_lambda,
+                       vertex_resolvent)
 
 
 class BracketError(RuntimeError):
@@ -426,27 +430,52 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int,
     from G + P_k leaves blocks with spectra at most max(2, rho(G)), so by
     interlacing at most one eigenvalue of G + P_k, and hence at most one
     root of the limit equation, lies above that point.
+
+    Route. On a tree, r(lambda) = 1 / f_u with f_u = phi(G) / phi(G - u)
+    the root pivot of a leaves-first elimination rooted at u
+    (spectral._root_pivot), O(n) per lambda with no eigendecomposition.
+    At lambda <= rho(G) some pivot is not positive, so the equation is
+    -infinity there, and it is bisected on [2, degree bound] with no
+    rho(G) needed. Any other graph takes r from one eigendecomposition
+    (spectral.vertex_resolvent) and is bisected on [max(2, rho(G)),
+    degree bound].
     """
     _validate_alpha(alpha, upper_open=True)
     if not g.is_connected():
         raise ValueError("pendant-path limits need a connected graph")
-    r = vertex_resolvent(g, u, alpha)
-    rho = r.top
+    if not (0 <= u < g.n_vertices):
+        raise ValueError(f"vertex {u} not in graph")
+    plan = _tree_plan(g, u)
+    if plan is None:
+        r = vertex_resolvent(g, u, alpha)
+        rho = r.top
+        lo = max(2.0, rho)
 
-    def eq(lam: float) -> float:
-        if lam <= rho:
-            return -math.inf  # at or below the pole
-        h = h_of_lambda(lam, alpha)
-        return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+        def eq(lam: float) -> float:
+            if lam <= rho:
+                return -math.inf  # at or below the pole
+            h = h_of_lambda(lam, alpha)
+            return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+    else:
+        steps = [(v, p, alpha * d, k) for v, p, d, k in plan]
+        c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+        lo = 2.0
 
-    if rho < 2.0 and eq(2.0) >= 0.0:
+        def eq(lam: float) -> float:
+            f = _root_pivot(steps, c, d2, lam)
+            if f is None or f <= 0.0:
+                return -math.inf  # lam <= rho(G)
+            h = h_of_lambda(lam, alpha)
+            return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) / f
+
+    if eq(2.0) >= 0.0:
         return 2.0
     top = _degree_bound(g, u, paths)
     if eq(top) <= 0.0:
         raise BracketError(
             f"pendant equation not positive at the degree bound {top} "
             f"(u={u}, alpha={alpha})")
-    return _bisect(eq, max(2.0, rho), top, cfg)
+    return _bisect(eq, lo, top, cfg)
 
 
 def pendant_path_limit(g: Graph, u: int, alpha: float,
@@ -456,12 +485,17 @@ def pendant_path_limit(g: Graph, u: int, alpha: float,
     The largest root above 2 of
     (1 - a h) phi(G) - (a - (2a - 1) h) phi(G)_u = 0,
     or 2 when the equation has no root there (the path-like case). It is
-    found as the root of (1 - a h) - (a - (2a - 1) h) r(lambda) on
-    (max(2, rho(G)), degree bound], with r(lambda) = phi(G)_u / phi(G)
-    the resolvent entry at u from one eigendecomposition of A_alpha(G).
-    G must be connected (ValueError otherwise: the resolvent would see only
-    the component of u). Raises BracketError when the equation is not
-    positive at the degree bound, instead of returning a wrong value.
+    found as the root of (1 - a h) - (a - (2a - 1) h) r(lambda), with
+    r(lambda) = phi(G)_u / phi(G) the resolvent entry at u. On a tree,
+    r = 1 / f_u, the root pivot of a leaves-first elimination rooted at u,
+    and the bracket is [2, degree bound] with the equation -infinity at
+    and below rho(G); no eigendecomposition is taken. Any other graph
+    takes r from one eigendecomposition of A_alpha(G), bracketed on
+    (max(2, rho(G)), degree bound]. Raises ValueError for alpha outside
+    [0, 1), a disconnected G (the resolvent would see only the component
+    of u) or u not a vertex of G, checked in that order, and BracketError
+    when the equation is not positive at the degree bound, instead of
+    returning a wrong value.
     """
     return _pendant_limit(g, u, alpha, 1, cfg)
 
@@ -474,7 +508,8 @@ def two_pendant_paths_limit(g: Graph, u: int, alpha: float,
     (1 - a h) ((1 - a h) phi(G) - 2a phi(G)_u + 2(2a - 1) h phi(G)_u) = 0,
     or 2 when none exists. The factor 1 - a h is positive, so it is found
     as the root of (1 - a h) - 2 (a - (2a - 1) h) r(lambda), by the same
-    resolvent route, bracket and errors as pendant_path_limit.
+    routes (elimination on a tree, one eigendecomposition otherwise),
+    brackets and errors as pendant_path_limit.
     """
     return _pendant_limit(g, u, alpha, 2, cfg)
 

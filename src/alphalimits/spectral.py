@@ -22,7 +22,9 @@ order for stacks of mixed orders.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
-The resolvent diagonal [(lam*I - A_alpha)^-1]_uu comes from one
+The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the root
+pivot of _root_pivot on a tree plan rooted at u (limits uses that on
+trees), and vertex_resolvent gives it on any graph from one
 eigendecomposition. The characteristic polynomials of the
 path matrix and of the deleted-end path B_{n+1} have s,t closed forms,
 which verify checks against the exact three-term tridiagonal recurrence.
@@ -174,18 +176,31 @@ def radius_of(g: Graph, alpha: float) -> float:
 def _leaves_first(g: Graph) -> tuple | None:
     """Two leaves-first elimination plans of a tree: (check, search), or None.
 
+    check is _tree_plan(g, 0); search is rooted at a vertex u of maximum
+    degree (the lowest index on ties), so its last step holds the max
+    degree, and is check itself when u = 0. Returns None unless g is a tree.
+    """
+    check = _tree_plan(g, 0)
+    if check is None:
+        return None
+    degree = [len(a) for a in g.adj]
+    hub = degree.index(max(degree))
+    return check, (check if hub == 0 else _tree_plan(g, hub))
+
+
+def _tree_plan(g: Graph, root: int) -> list | None:
+    """The folded leaves-first elimination plan of a tree rooted at root,
+    or None unless g is a tree: n - 1 edges and every vertex reached.
+
     A plan is a list of (vertex, parent, degree, k) steps with every child
-    before its parent and the root last, its parent n a spare slot. The k
+    before its parent and root last, its parent n a spare slot. The k
     vertices above a step's vertex are a run of degree-2 vertices folded
     into it: each has one child, the one below it, and parent is the parent
-    of the run's top. Every degree-2 vertex but the root is folded, so a
-    path is two steps and a spider one per arm plus its hub. check is
-    rooted at vertex 0; search is rooted at a vertex u of maximum degree
-    (the lowest index on ties), so its last step holds the max degree, and
-    is check itself when u = 0. Returns None unless g is a tree: n - 1
-    edges and every vertex reached by the search.
+    of the run's top. Every degree-2 vertex but root is folded, so a path
+    is two steps and a spider one per arm plus its hub. root must be a
+    vertex of g.
 
-    Each plan is graphs.folded_preorder reversed, so a vertex's children
+    The plan is graphs.folded_preorder reversed, so a vertex's children
     come in reverse g.adj order, the order in which a reversed BFS order
     feeds them. A pivot's sum over three or more children depends on that
     order, and with it every pivot equals, bit for bit, the one of the
@@ -194,26 +209,17 @@ def _leaves_first(g: Graph) -> tuple | None:
     n = g.n_vertices
     if g.n_edges != n - 1:
         return None
-    degree = [len(a) for a in g.adj]
-
-    def plan(root: int) -> list | None:
-        runs = folded_preorder(g, root)
-        if len(runs) + sum(k for _, _, k in runs) != n:
-            return None
-        return [(v, p, degree[v], k) for v, p, k in reversed(runs)]
-
-    check = plan(0)
-    if check is None:
+    runs = folded_preorder(g, root)
+    if len(runs) + sum(k for _, _, k in runs) != n:
         return None
-    hub = degree.index(max(degree))
-    return check, (check if hub == 0 else plan(hub))
+    return [(v, p, len(g.adj[v]), k) for v, p, k in reversed(runs)]
 
 
 def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
     """f_u, the pivot at the root u of one leaves-first elimination at lam.
 
     None once a pivot below u is not positive. steps holds (vertex, parent,
-    alpha*degree, k) steps of a plan (see _leaves_first); the pivot is
+    alpha*degree, k) steps of a plan (see _tree_plan); the pivot is
     f_v = lam - alpha*deg(v) - sum over children w of c / f_w, with
     c = (1-alpha)^2. Up a folded run each pivot is f -> (lam - d2) - c / f
     of the one below, d2 = 2*alpha: the one child's sum is 0.0 + c / f,

@@ -4,8 +4,8 @@ Derived reference values are cross-checked against independent routes:
 companion-matrix eigenvalues (numpy.roots) for polynomial roots, exact
 surd expressions where one exists, frozen regression decimals that
 were produced by a separate bisection implementation, and, for the
-pendant-path limits, the determinant form of their equation and the
-radii of long finite paths.
+pendant-path limits, the determinant form of their equation, the
+radii of long finite paths and, on trees, the dense resolvent route.
 """
 
 import math
@@ -20,6 +20,7 @@ from alphalimits.spectral import (
     char_poly_eval,
     h_of_lambda,
     radius_of,
+    vertex_resolvent,
 )
 from alphalimits.verify import random_connected_graph, random_tree
 from alphalimits import limits as L
@@ -522,6 +523,12 @@ def test_pendant_limits_solve_the_determinant_equation(paths):
     for _ in range(12):
         g = random_connected_graph(rng)
         cases.append((g, int(rng.integers(g.n_vertices)), float(rng.uniform(0.0, 0.95))))
+    # Trees, which take the elimination route, including P_4 at an inner
+    # vertex (rho < 2, limit above 2) and the stars.
+    cases += [(path(4), 1, 0.3), (star(4), 0, 0.6), (star(4), 2, 0.0)]
+    for _ in range(8):
+        g = random_tree(rng, int(rng.integers(2, 13)))
+        cases.append((g, int(rng.integers(g.n_vertices)), float(rng.uniform(0.0, 0.95))))
     for g, u, alpha in cases:
         limit = op(g, u, alpha)
         eq = lambda lam: _determinant_equation(g, u, alpha, paths, lam)
@@ -539,6 +546,103 @@ def test_pendant_limits_need_a_connected_graph():
         pendant_path_limit(g, 0, 0.3)
     with pytest.raises(ValueError):
         two_pendant_paths_limit(g, 0, 0.3)
+
+
+PENDANT_OPS = (pendant_path_limit, two_pendant_paths_limit)
+
+
+@pytest.mark.parametrize("op", PENDANT_OPS)
+@pytest.mark.parametrize("g", (star(3), cycle(5)), ids=("tree", "cycle"))
+def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
+    for u in (-1, g.n_vertices):
+        with pytest.raises(ValueError, match=f"vertex {u} not in graph"):
+            op(g, u, 0.3)
+    # alpha is checked first, then connectivity, then u.
+    with pytest.raises(ValueError, match="alpha"):
+        op(g, -1, 1.0)
+    lonely = Graph(g.n_vertices + 1, g.edges)  # plus an isolated vertex
+    with pytest.raises(ValueError, match="connected"):
+        op(lonely, -1, 0.3)
+    with pytest.raises(ValueError, match="alpha"):
+        op(g, 0, -0.1)
+    # A degree bound below the root is a BracketError, not a wrong value.
+    monkeypatch.setattr(L, "_degree_bound", lambda g, u, added: 2.0 + 2.0 ** -20)
+    with pytest.raises(BracketError, match="degree bound"):
+        op(g, 0, 0.3)
+
+
+def reference_pendant_limit(g, u, alpha, paths, tol=L.DEFAULT_CONFIG.tol):
+    """The dense route: r(lambda) from one eigendecomposition, bisected on
+    (max(2, rho(G)), top] until the bracket is narrower than tol, where top
+    bounds every rho(G + paths). Kept as the reference that the tree
+    elimination route must stay within 2*tol of."""
+    r = vertex_resolvent(g, u, alpha)
+
+    def eq(lam):
+        if lam <= r.top:
+            return -math.inf
+        h = h_of_lambda(lam, alpha)
+        return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+
+    if eq(2.0) >= 0.0:
+        return 2.0
+    lo, hi = max(2.0, r.top), float(g.degrees().max()) + paths + 1.0
+    assert eq(hi) > 0.0
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if eq(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def seeded_trees():
+    """(tree, u) pairs: orders 2-60 and one of order 300, at seeded vertices."""
+    rng = np.random.default_rng(5)
+    trees = [random_tree(rng, int(n)) for n in rng.integers(2, 61, size=30)]
+    trees += [random_tree(rng, n) for n in (2, 60, 300)]
+    return [(g, int(rng.integers(g.n_vertices))) for g in trees]
+
+
+@pytest.mark.parametrize("paths", (1, 2))
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 0.75, 0.94))
+def test_tree_pendant_limits_match_the_dense_route(alpha, paths):
+    op = PENDANT_OPS[paths - 1]
+    tol = L.DEFAULT_CONFIG.tol
+    for g, u in seeded_trees():
+        limit = op(g, u, alpha)
+        reference = reference_pendant_limit(g, u, alpha, paths)
+        assert abs(limit - reference) <= 2 * tol, (g.n_vertices, u)
+
+
+def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree took the dense route")
+
+    g = random_tree(np.random.default_rng(3), 300)
+    expected = [reference_pendant_limit(g, 151, 0.5, paths) for paths in (1, 2)]
+    monkeypatch.setattr(L, "vertex_resolvent", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for op, reference in zip(PENDANT_OPS, expected):
+        assert abs(op(g, 151, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
+
+
+def test_graphs_with_a_cycle_keep_the_resolvent_route(monkeypatch):
+    calls = []
+
+    def spy(g, u, alpha):
+        calls.append(u)
+        return vertex_resolvent(g, u, alpha)
+
+    monkeypatch.setattr(L, "vertex_resolvent", spy)
+    for op in PENDANT_OPS:
+        op(cycle(4), 0, 0.5)
+        op(attach_pendant_path(cycle(3), 1, 4), 5, 0.3)
+    assert calls == [0, 5, 0, 5]
 
 
 # ---------------------------------------------------------------------------
