@@ -10,13 +10,12 @@ polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
 their usual integer forms, so those sequences are beta_n, gamma_n and
 gamma_tilde_n at one alpha. The psi and omega2 equations change sign once
 on a fixed bracket (see their docstrings), so each root is one bisection
-there. The pendant-path limit operators work on any connected
-graph: they divide their characteristic equation by phi(G), which leaves
-the resolvent entry r(lambda) = [(lambda I - A_alpha(G))^-1]_uu. On a
-tree, r is one over the root pivot of a leaves-first elimination rooted
-at u, O(n) per lambda, bisected on [2, degree bound]; any other graph
-takes r from one eigendecomposition and bisects on (max(2, rho(G)),
-degree bound].
+there. The pendant-path limit operators work on any connected graph;
+each limit is the least double at which u's root pivot, loaded with the
+infinite paths, is positive, found as a tree radius is (spectral's
+_least_definite). On a tree that pivot comes from a leaves-first
+elimination rooted at u, O(n) per lambda; any other graph takes it from
+one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (_root_pivot, _tree_plan, _validate_alpha, h_of_lambda,
-                       vertex_resolvent)
+from .spectral import (_least_definite, _root_pivot, _tree_plan, _validate_alpha,
+                       delta_of_lambda, h_of_lambda, vertex_resolvent)
 
 
 class BracketError(RuntimeError):
@@ -43,7 +42,8 @@ class BranchSelectionError(RuntimeError):
 @dataclass(frozen=True)
 class RootConfig:
     """Bisection stops below tol in the bisected variable: t = sqrt(x) for
-    the sequence polynomials, lambda for psi, omega2 and the pendant limits."""
+    the sequence polynomials, lambda for psi and omega2. The pendant limits
+    are exact thresholds and take no tol."""
 
     tol: float = 1e-13
 
@@ -418,27 +418,25 @@ def _degree_bound(g: Graph, u: int, added_degree: int) -> float:
     return float(max(int(degs.max(initial=0)), int(degs[u]) + added_degree, 2)) + 0.25
 
 
-def _pendant_limit(g: Graph, u: int, alpha: float, paths: int,
-                   cfg: RootConfig) -> float:
-    """Largest root of (1 - a h) - paths * (a - (2a - 1) h) r(lambda) above 2.
+def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
+    """The least double at which u's root pivot f_u, loaded with `paths`
+    infinite pendant paths, is positive; 2.0 if it is not negative at 2.
 
-    This is the characteristic equation of G with `paths` pendant paths at
-    u grown without bound, divided by phi(G) > 0. The coefficient
-    a - (2a - 1) h = a (1 - h) + h (1 - a) is positive since h lies in
-    (0, 1] for lambda >= 2, and r(lambda) rises to +infinity as lambda
-    falls to rho(G), so the left side falls to -infinity there. Deleting u
-    from G + P_k leaves blocks with spectra at most max(2, rho(G)), so by
-    interlacing at most one eigenvalue of G + P_k, and hence at most one
-    root of the limit equation, lies above that point.
+    For lambda >= 2 the pivots up a long pendant path settle on
+    tau = (lambda - 2a + delta(lambda)) / 2, the attracting fixed point of
+    f -> (lambda - 2a) - (1-a)^2 / f, so each infinite path adds a to u's
+    diagonal and (1-a)^2 / tau = (1-a) theta, theta = (1-a) / tau, to the
+    sum over its children. The loaded pivot f_u - paths * (a + (1-a) theta)
+    is the characteristic equation (1 - a h) phi(G) - paths (a - (2a-1) h)
+    phi(G)_u divided by (1 - a h) phi(G)_u, since (a - (2a-1) h) / (1 - a h)
+    = a + (1-a) theta. f_u rises where the pivots below u are positive and
+    the load falls, so the threshold is the one root above max(2, rho(G)).
 
-    Route. On a tree, r(lambda) = 1 / f_u with f_u = phi(G) / phi(G - u)
-    the root pivot of a leaves-first elimination rooted at u
-    (spectral._root_pivot), O(n) per lambda with no eigendecomposition.
-    At lambda <= rho(G) some pivot is not positive, so the equation is
-    -infinity there, and it is bisected on [2, degree bound] with no
-    rho(G) needed. Any other graph takes r from one eigendecomposition
-    (spectral.vertex_resolvent) and is bisected on [max(2, rho(G)),
-    degree bound].
+    On a tree f_u is spectral._root_pivot rooted at u, with no
+    eigendecomposition; any other graph takes 1 / r(lambda) from
+    spectral.vertex_resolvent above rho(G), and None at or below it. The
+    loaded pivot is None below 2 too, and spectral._least_definite, the
+    tree radius's search and certificate, returns its threshold.
     """
     _validate_alpha(alpha, upper_open=True)
     if not g.is_connected():
@@ -448,70 +446,63 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int,
     plan = _tree_plan(g, u)
     if plan is None:
         r = vertex_resolvent(g, u, alpha)
-        rho = r.top
-        lo = max(2.0, rho)
 
-        def eq(lam: float) -> float:
-            if lam <= rho:
-                return -math.inf  # at or below the pole
-            h = h_of_lambda(lam, alpha)
-            return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+        def pivot(lam: float) -> float | None:
+            return 1.0 / r(lam) if lam > r.top else None
     else:
         steps = [(v, p, alpha * d, k) for v, p, d, k in plan]
         c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
-        lo = 2.0
 
-        def eq(lam: float) -> float:
-            f = _root_pivot(steps, c, d2, lam)
-            if f is None or f <= 0.0:
-                return -math.inf  # lam <= rho(G)
-            h = h_of_lambda(lam, alpha)
-            return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) / f
+        def pivot(lam: float) -> float | None:
+            return _root_pivot(steps, c, d2, lam)
 
-    if eq(2.0) >= 0.0:
+    s = 1.0 - alpha
+
+    def loaded(lam: float) -> float | None:
+        f = pivot(lam) if lam >= 2.0 else None
+        if f is None:
+            return None
+        tau = 0.5 * (lam - 2.0 * alpha + delta_of_lambda(lam, alpha))
+        return f - paths * (alpha + s * (s / tau))  # f - paths exactly at 2
+
+    f = loaded(2.0)
+    if f is not None and f >= 0.0:
         return 2.0
     top = _degree_bound(g, u, paths)
-    if eq(top) <= 0.0:
+    f = loaded(top)
+    if f is None or f <= 0.0:
         raise BracketError(
-            f"pendant equation not positive at the degree bound {top} "
+            f"loaded pivot not positive at the degree bound {top} "
             f"(u={u}, alpha={alpha})")
-    return _bisect(eq, lo, top, cfg)
+    return _least_definite(loaded, loaded, 2.0, top)
 
 
-def pendant_path_limit(g: Graph, u: int, alpha: float,
-                       cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def pendant_path_limit(g: Graph, u: int, alpha: float) -> float:
     """Limit of rho as one pendant path at u grows without bound.
 
     The largest root above 2 of
     (1 - a h) phi(G) - (a - (2a - 1) h) phi(G)_u = 0,
-    or 2 when the equation has no root there (the path-like case). It is
-    found as the root of (1 - a h) - (a - (2a - 1) h) r(lambda), with
-    r(lambda) = phi(G)_u / phi(G) the resolvent entry at u. On a tree,
-    r = 1 / f_u, the root pivot of a leaves-first elimination rooted at u,
-    and the bracket is [2, degree bound] with the equation -infinity at
-    and below rho(G); no eigendecomposition is taken. Any other graph
-    takes r from one eigendecomposition of A_alpha(G), bracketed on
-    (max(2, rho(G)), degree bound]. Raises ValueError for alpha outside
-    [0, 1), a disconnected G (the resolvent would see only the component
-    of u) or u not a vertex of G, checked in that order, and BracketError
-    when the equation is not positive at the degree bound, instead of
-    returning a wrong value.
+    or 2 when there is none (the path-like case): the least double at which
+    u's root pivot, loaded with one infinite path, is positive (see
+    _pendant_limit). A tree takes no eigendecomposition, any other graph
+    one. Raises ValueError for alpha outside [0, 1), a disconnected G (the
+    resolvent would see only the component of u) or u not a vertex of G,
+    checked in that order, and BracketError when the loaded pivot is not
+    positive at the degree bound, instead of returning a wrong value.
     """
-    return _pendant_limit(g, u, alpha, 1, cfg)
+    return _pendant_limit(g, u, alpha, 1)
 
 
-def two_pendant_paths_limit(g: Graph, u: int, alpha: float,
-                            cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def two_pendant_paths_limit(g: Graph, u: int, alpha: float) -> float:
     """Limit of rho as two pendant paths at u grow without bound.
 
     The largest root above 2 of
     (1 - a h) ((1 - a h) phi(G) - 2a phi(G)_u + 2(2a - 1) h phi(G)_u) = 0,
-    or 2 when none exists. The factor 1 - a h is positive, so it is found
-    as the root of (1 - a h) - 2 (a - (2a - 1) h) r(lambda), by the same
-    routes (elimination on a tree, one eigendecomposition otherwise),
-    brackets and errors as pendant_path_limit.
+    or 2 when none exists. The factor 1 - a h is positive, so it is the
+    threshold of u's root pivot loaded with two infinite paths, by the same
+    routes and errors as pendant_path_limit.
     """
-    return _pendant_limit(g, u, alpha, 2, cfg)
+    return _pendant_limit(g, u, alpha, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone by
 structure. Every tree goes to leaf-to-root elimination in O(n) memory,
-one walk that returns the last pivot: secant steps on that pivot of an
-elimination rooted at a max-degree vertex find the radius in about ten
-passes, and its sign on the elimination rooted at vertex 0 certifies the
-same one-ulp bracket a plain bisection ends on, returning its upper end.
+one walk that returns the last pivot. _least_definite is the one
+threshold search: secant steps on one pivot function pick a point, and
+the sign of another certifies the least double at which it is positive,
+the value plain bisection ends on. A radius searches the elimination
+rooted at a max-degree vertex and certifies on the one rooted at vertex
+0; limits finds its pendant-path limits, loaded root pivots, the same way.
 Each pass follows a plan in which every run of degree-2 vertices is
 folded into the vertex below it, and walks a run only until its pivot
 repeats bit for bit, after which the rest of the run repeats it too; near
@@ -23,11 +25,11 @@ alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
 The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the root
-pivot of _root_pivot on a tree plan rooted at u (limits uses that on
-trees), and vertex_resolvent gives it on any graph from one
-eigendecomposition. The characteristic polynomials of the
-path matrix and of the deleted-end path B_{n+1} have s,t closed forms,
-which verify checks against the exact three-term tridiagonal recurrence.
+pivot of _root_pivot on a tree plan rooted at u, and vertex_resolvent
+gives it on any graph from one eigendecomposition. The characteristic
+polynomials of the path matrix and of the deleted-end path B_{n+1} have
+s,t closed forms, which verify checks against the exact three-term
+tridiagonal recurrence.
 char_poly_eval, an LU determinant, has no caller in the package; the
 benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 """
@@ -245,24 +247,26 @@ def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
     return lam - d - acc[u]
 
 
-def _secant_point(steps: list, c: float, d2: float, start: float, top: float) -> float:
-    """An estimate of rho by secant steps on the root pivot f_u.
+def _secant_point(pivot, start: float, top: float) -> float:
+    """An estimate of rho, the least lam at which pivot(lam) > 0, by secant
+    steps from start.
 
-    steps is the search plan, rooted at u. A probe where a pivot below u
-    fails lies under rho(G - u), and one where f_u > 0 lies above rho:
-    either halves the bracket, which starts as [0, top]. Anywhere else
-    f_u <= 0, and rho <= lam - f_u caps the bracket (see _tree_radius).
-    The first such probe pairs with one 2^-26 * lam to its right, at most
-    halfway to the cap, and each later one with the one before; the chord
-    through the pair meets zero in (lam, rho]. The search stops once
-    step * (step / prev), prev the step before it (the bracket width after
-    a halving), is at most SECANT_ERROR * lam.
+    pivot is None below some point and past it increasing and concave, with
+    pivot - lam increasing (see _tree_radius). A probe where it is None lies
+    under rho, and one where it is positive above: either halves the
+    bracket, which starts as [0, top]. Anywhere else pivot <= 0, and
+    rho <= lam - pivot caps the bracket. The first such probe pairs with
+    one 2^-26 * lam to its right, at most halfway to the cap, and each later
+    one with the one before; the chord through the pair meets zero in
+    (lam, rho]. The search stops once step * (step / prev), prev the step
+    before it (the bracket width after a halving), is at most
+    SECANT_ERROR * lam.
     """
     lo, hi = 0.0, top
     lam, prev = start, top
     x0 = f0 = None
     while True:
-        f = _root_pivot(steps, c, d2, lam)
+        f = pivot(lam)
         if f is None:
             lo = lam
         elif f > 0.0:
@@ -285,6 +289,42 @@ def _secant_point(steps: list, c: float, d2: float, start: float, top: float) ->
         lam, prev = 0.5 * (lo + hi), hi - lo
         if lam == lo or lam == hi:
             return hi
+
+
+def _least_definite(check, search, start: float, top: float) -> float:
+    """The least double at which check(lam) is a positive pivot, or top.
+
+    Pivots are built from IEEE operations monotone in lam, so the passing
+    doubles form an up-set. From the _secant_point of search the check
+    steps down or up, 1, 8, 64, ... ulps, until it holds a failing double
+    and a passing one (0 and top count as such untested), then bisects
+    that bracket to adjacent doubles and returns the upper end, the value
+    plain bisection on [0, top] returns: the search decides only the cost.
+    """
+    def definite(lam):
+        f = check(lam)
+        return f is not None and f > 0.0
+
+    x = min(_secant_point(search, start, top), top)
+    step = math.ulp(x)
+    if x == top or definite(x):
+        lo, hi = max(x - step, 0.0), x
+        while lo > 0.0 and definite(lo):
+            step *= 8.0
+            lo, hi = max(lo - step, 0.0), lo
+    else:
+        lo, hi = x, min(x + step, top)
+        while hi < top and not definite(hi):
+            step *= 8.0
+            lo, hi = hi, min(hi + step, top)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if definite(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def _tree_radius(tree: tuple, alpha: float) -> float:
@@ -311,17 +351,8 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     (lam, rho], and secant steps climb monotonically to rho. The search
     starts at star_radius(max degree), a lower bound on rho.
 
-    Certification. The vertex-0 plan is the only judge, as in a plain
-    bisection on [0, max degree]: a double passes when f_u of that plan is
-    not None and positive. Each pivot is built from IEEE operations
-    monotone in lam, so the passing doubles form an up-set, and its least
-    element (capped at the max degree) is the value returned. From the
-    search's point the check steps down or up, 1, 8, 64, ... ulps, until it
-    holds a failing double and a passing one (0 and the max degree count
-    as such untested), then bisects that bracket to adjacent doubles and
-    returns the upper end. The value is therefore the one bisection from
-    [0, max degree] returns, bit for bit; the search only decides how many
-    eliminations it takes.
+    Certification. _least_definite returns the least double at which f_u
+    of the vertex-0 plan is positive, as plain bisection on [0, max degree].
 
     Cost. Search and check make the same pass, one _root_pivot walk with
     no derivative. Near rho, the pivots up a long pendant path approach the
@@ -335,32 +366,10 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
     check, search = ([(v, p, alpha * d, k) for v, p, d, k in plan] for plan in tree)
     c = (1.0 - alpha) ** 2
     d2 = 2.0 * alpha
-
-    def definite(lam):
-        f = _root_pivot(check, c, d2, lam)
-        return f is not None and f > 0.0
-
     top = float(tree[1][-1][2])  # the search root's degree, the max degree
-    x = min(_secant_point(search, c, d2, star_radius(top, alpha), top), top)
-    step = math.ulp(x)
-    if x == top or definite(x):
-        lo, hi = max(x - step, 0.0), x
-        while lo > 0.0 and definite(lo):
-            step *= 8.0
-            lo, hi = max(lo - step, 0.0), lo
-    else:
-        lo, hi = x, min(x + step, top)
-        while hi < top and not definite(hi):
-            step *= 8.0
-            lo, hi = hi, min(hi + step, top)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if definite(mid):
-            hi = mid
-        else:
-            lo = mid
+    return _least_definite(lambda lam: _root_pivot(check, c, d2, lam),
+                           lambda lam: _root_pivot(search, c, d2, lam),
+                           star_radius(top, alpha), top)
 
 
 def degree_bounds(g: Graph, alpha: float) -> tuple:

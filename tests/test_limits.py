@@ -455,6 +455,10 @@ def test_one_growing_path_mid_p5_gives_omega2():
 def test_growing_path_on_a_path_stays_at_two():
     assert pendant_path_limit(path(2), 1, 0.0) == 2.0
     assert pendant_path_limit(path(1), 0, 0.35) == 2.0
+    # Two paths at a lone vertex make one path: the loaded pivot at 2 is
+    # 2 - 2 exactly, at every alpha.
+    for k in range(100):
+        assert two_pendant_paths_limit(path(1), 0, k / 100) == 2.0
 
 
 def test_growing_path_on_a_cycle_matches_eigenvalues():
@@ -618,17 +622,53 @@ def test_tree_pendant_limits_match_the_dense_route(alpha, paths):
         assert abs(limit - reference) <= 2 * tol, (g.n_vertices, u)
 
 
+@pytest.mark.parametrize("paths", (1, 2))
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 0.75, 0.94))
+def test_tree_and_dense_routes_agree_to_1e_14(alpha, paths, monkeypatch):
+    op = PENDANT_OPS[paths - 1]
+    cases = seeded_trees()
+    tree = [op(g, u, alpha) for g, u in cases]
+    monkeypatch.setattr(L, "_tree_plan", lambda g, root: None)
+    for (g, u), limit in zip(cases, tree):
+        assert abs(op(g, u, alpha) - limit) <= 1e-14, (g.n_vertices, u)
+
+
 def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tree took the dense route")
 
     g = random_tree(np.random.default_rng(3), 300)
-    expected = [reference_pendant_limit(g, 151, 0.5, paths) for paths in (1, 2)]
+    # The leaf 151 has no secant window (rho(G - u), rho(G) and the limit
+    # agree to a few ulps there), so its search is bisection-bound.
+    walks = {151: 60, 0: 40}
+    expected = {(u, paths): reference_pendant_limit(g, u, 0.5, paths)
+                for u in walks for paths in (1, 2)}
     monkeypatch.setattr(L, "vertex_resolvent", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    for op, reference in zip(PENDANT_OPS, expected):
-        assert abs(op(g, 151, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
+    counter = {"walks": 0}
+    walk = L._root_pivot
+
+    def counted(*args):
+        counter["walks"] += 1
+        return walk(*args)
+    monkeypatch.setattr(L, "_root_pivot", counted)
+    for (u, paths), reference in expected.items():
+        counter["walks"] = 0
+        assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
+        assert counter["walks"] <= walks[u], (u, paths, counter["walks"])
+
+
+def test_the_path_load_is_the_h_form_coefficient_exactly():
+    """(a - (2a-1) h) / (1 - a h) = a + (1-a)^2 / tau = a + (1-a) theta at
+    h = theta / (1 - a + a theta) and tau = (1-a) / theta, the values of h
+    and of the pendant path's fixed-point pivot at
+    lambda = (1-a)(theta + 1/theta) + 2a."""
+    for a in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(17, 20), Fraction(99, 100)):
+        for theta in (Fraction(1, 100), Fraction(1, 3), Fraction(5, 7), Fraction(99, 100)):
+            h = theta / (1 - a + a * theta)
+            tau = (1 - a) / theta
+            assert (a - (2 * a - 1) * h) / (1 - a * h) == a + (1 - a) ** 2 / tau == a + (1 - a) * theta
 
 
 def test_graphs_with_a_cycle_keep_the_resolvent_route(monkeypatch):

@@ -39,7 +39,8 @@ from alphalimits.spectral import (
     subdivision_stack,
     tridiag_charpoly_recurrence,
 )
-from alphalimits.verify import ALPHA_GRID
+from alphalimits.limits import pendant_path_limit, two_pendant_paths_limit
+from alphalimits.verify import ALPHA_GRID, random_tree
 
 TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -471,7 +472,14 @@ def test_tree_radius_at_order_1602_takes_few_eliminations(monkeypatch):
 def test_the_search_never_decides_the_bits(monkeypatch):
     """Whatever point the search hands the certificate, from 0 up to the
     max degree, the radius is the reference's bit for bit: the 1, 8, 64,
-    ... ulp steps and the bisection that follow fix it alone."""
+    ... ulp steps and the bisection that follow fix it alone. A pendant-path
+    limit, the same certificate on a loaded pivot, keeps its bits from any
+    point from 2 up to the degree bound."""
+    pendant = [(g, u, op, alpha, op(g, u, alpha))
+               for g, u in ((star(3), 0), (random_tree(np.random.default_rng(3), 300), 151),
+                            (cycle(4), 0), (attach_pendant_path(cycle(3), 1, 4), 5))
+               for op in (pendant_path_limit, two_pendant_paths_limit)
+               for alpha in (0.0, 0.5, 0.94)]
     graphs = [p2_two_paths(40, 40)[0], attach_pendant_path(star(3), 0, 100),
               seeded_tree(2, 200), star(7), join_by_path(star(5), 0, star(5), 0, 20),
               path(2)]
@@ -486,8 +494,18 @@ def test_the_search_never_decides_the_bits(monkeypatch):
                       "one ulp below": lambda start, top: math.nextafter(rho, 0.0)}
             for name, point in points.items():
                 monkeypatch.setattr(spectral, "_secant_point",
-                                    lambda steps, c, d2, start, top: point(start, top))
+                                    lambda pivot, start, top: point(start, top))
                 assert spectral._tree_radius(tree, alpha) == rho, (g.n_vertices, alpha, name)
+    points = {"two": lambda limit, top: 2.0,
+              "degree bound": lambda limit, top: top,
+              "1e-6 below": lambda limit, top: limit * (1.0 - 1e-6),
+              "one ulp below": lambda limit, top: math.nextafter(limit, 0.0)}
+    for name, point in points.items():
+        for g, u, op, alpha, limit in pendant:
+            assert limit > 2.0
+            monkeypatch.setattr(spectral, "_secant_point",
+                                lambda pivot, start, top: point(limit, top))
+            assert op(g, u, alpha) == limit, (g.n_vertices, u, alpha, name)
 
 
 def expand(g, plan):
