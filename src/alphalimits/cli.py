@@ -317,6 +317,8 @@ def cmd_convergence(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
     if args.trials > MAX_TRIALS:

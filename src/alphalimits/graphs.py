@@ -322,9 +322,31 @@ def internal_paths(g: Graph) -> list:
 
 
 def internal_path_edges(g: Graph) -> set:
-    """Every edge (u, v), u < v, that lies on some internal path of g."""
-    return {(min(a, b), max(a, b))
-            for p in internal_paths(g) for a, b in zip(p.vertices, p.vertices[1:])}
+    """Every edge (u, v), u < v, that lies on some internal path of g.
+
+    The edge union of internal_paths, read off g.adj alone: from each
+    branch vertex (degree > 2), each arc through degree-2 vertices is
+    walked and its edges kept if it ends at a branch vertex, not at a
+    leaf. An arc already kept is not walked again from its other end.
+    """
+    adj = g.adj
+    found = set()
+    for v0, nbrs in enumerate(adj):
+        if len(nbrs) <= 2:
+            continue
+        for first in nbrs:
+            e = (v0, first) if v0 < first else (first, v0)
+            if e in found:
+                continue
+            arc = [e]
+            prev, cur = v0, first
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                arc.append((prev, cur) if prev < cur else (cur, prev))
+            if len(adj[cur]) > 2:
+                found.update(arc)
+    return found
 
 
 def edge_in_internal_path(g: Graph, e: tuple) -> bool:
@@ -383,23 +405,21 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_regular(g: Graph) -> bool:
-    d = g.degrees()
-    return bool(np.all(d == d[0]))
+    d = len(g.adj[0])
+    return all(len(nbrs) == d for nbrs in g.adj)
 
 
 def is_double_snake(g: Graph) -> bool:
     """Structural test: a path with exactly two pendant vertices at each end."""
     n = g.n_vertices
-    if n < 6 or g.n_edges != n - 1 or not g.is_connected():
+    if n < 6 or g.n_edges != n - 1:
         return False
-    deg = g.degrees()
-    counts = np.bincount(deg, minlength=4)
-    if counts[1] != 4 or counts[3] != 2 or counts[1] + counts[2] + counts[3] != n:
+    deg = [len(nbrs) for nbrs in g.adj]
+    if (deg.count(1) != 4 or deg.count(3) != 2 or deg.count(2) != n - 6
+            or not g.is_connected()):
         return False
-    branch = [v for v in range(n) if deg[v] == 3]
-    for b in branch:
-        leaves = [w for w in g.adj[b] if deg[w] == 1]
-        if len(leaves) != 2:
+    for b in range(n):
+        if deg[b] == 3 and sum(deg[w] == 1 for w in g.adj[b]) != 2:
             return False
     return True
 

@@ -374,7 +374,7 @@ def _tree_radius(tree: tuple, alpha: float) -> float:
 
 def degree_bounds(g: Graph, alpha: float) -> tuple:
     """Bounds (star_radius(max degree), max degree) on rho(A_alpha(g))."""
-    dmax = float(g.degrees().max())
+    dmax = float(max(len(nbrs) for nbrs in g.adj))
     return star_radius(dmax, alpha), dmax
 
 

@@ -3,14 +3,18 @@
 Two suites back the `verify` subcommand. The lemma suite samples seeded
 random connected graphs of order 4 to 12 and checks the spectral-radius
 bounds, the two monotonicity statements and the subdivision direction on
-every edge. It plans, then solves: it draws the graphs, then one connected
-proper subgraph per graph (from one bridge pass, building only the chosen
+every edge. It plans, then solves: it draws the graphs (each Pruefer
+sequence in one integers call), then one connected proper subgraph per
+graph (from one bridge pass, none on a tree, building only the chosen
 subgraph), assembles every matrix the four checks need, and solves them by
 order with one eigensolve call per order, LEMMA_CHUNK graphs at a time
 (lemma_radii). The check functions compare the solved radii; a strict
 comparison that lands inside STRICT_MARGIN is decided exactly instead, by
 the sign of the pivots of q*I - A_alpha in rational arithmetic for the
-one matrix pair involved (_above). The
+one matrix pair involved (_above). The structure the checks and the
+subgraph pick need (degrees, regularity, cycles, double snakes, internal
+path edges) is read from the graph's adjacency lists, with no numpy; only
+the two assemblies, of G and of H, build a degree array. The
 identity suite evaluates the polynomial and closed-form identities on
 deterministic grids, plus the bipartite spectra check on random trees,
 whose spectra are solved by order the same way. Its checks solve each root
@@ -85,25 +89,28 @@ def _result(name: str, checked: int, bad: list) -> PropertyResult:
 
 
 def random_tree(rng: np.random.Generator, n: int) -> Graph:
-    """Uniform labeled tree by Pruefer decoding."""
+    """Uniform labeled tree by Pruefer decoding.
+
+    The sequence is one integers call of n - 2 draws, the same stream as
+    n - 2 scalar calls. Edges are added to the set in decoding order,
+    which fixes the edge set's iteration order, and tree radii read it.
+    """
     if n < 2:
         raise ValueError("a tree needs at least 2 vertices")
     if n == 2:
         return Graph(2, frozenset({(0, 1)}))
-    seq = [int(rng.integers(0, n)) for _ in range(n - 2)]
+    seq = rng.integers(0, n, size=n - 2).tolist()
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = set()
     for v in seq:
-        for leaf in range(n):
-            if degree[leaf] == 1:
-                edges.add((min(leaf, v), max(leaf, v)))
-                degree[leaf] -= 1
-                degree[v] -= 1
-                break
+        leaf = degree.index(1)  # the least leaf
+        edges.add((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] -= 1
+        degree[v] -= 1
     last = [v for v in range(n) if degree[v] == 1]
-    edges.add((min(last), max(last)))
+    edges.add((last[0], last[1]))
     return Graph(n, frozenset(edges))
 
 
@@ -112,10 +119,10 @@ def random_connected_graph(rng: np.random.Generator) -> Graph:
     n = int(rng.integers(4, 13))
     g = random_tree(rng, n)
     edges = set(g.edges)
-    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if (u, v) not in edges]
     extra = int(rng.integers(0, 4))
-    if extra and non_edges:
+    if extra:
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (u, v) not in edges]
         idx = rng.choice(len(non_edges), size=min(extra, len(non_edges)),
                          replace=False)
         for i in sorted(int(j) for j in idx):
@@ -142,28 +149,30 @@ def _proper_connected_subgraph(g: Graph, rng: np.random.Generator) -> Graph | No
     The sorted edges are shuffled and the first one that is not a bridge
     (one low-link pass, see bridges) is dropped. If every edge is a bridge,
     g is a tree: a shuffled vertex list is drawn and its first leaf is
-    dropped, unless that would leave a single vertex. These are the draws
+    dropped, unless that would leave a single vertex. A connected g with
+    n - 1 edges is a tree, so it skips the bridge pass. These are the draws
     and the subgraph of trying each deletion in turn for connectivity;
     only the chosen subgraph is built.
     """
     edges = sorted(g.edges)
     rng.shuffle(edges)
-    cut = bridges(g)
-    for e in edges:
-        if e not in cut:
-            return _delete_edge(g, e)
+    if g.n_edges != g.n_vertices - 1:
+        cut = bridges(g)
+        for e in edges:
+            if e not in cut:
+                return _delete_edge(g, e)
     verts = list(range(g.n_vertices))
     rng.shuffle(verts)
     if g.n_vertices >= 3:
-        deg = g.degrees()
         for v in verts:
-            if deg[v] == 1:
+            if len(g.adj[v]) == 1:
                 return _delete_vertex(g, v)
     return None
 
 
 def _is_cycle(g: Graph) -> bool:
-    return g.n_vertices >= 3 and bool(np.all(g.degrees() == 2)) and g.is_connected()
+    return (g.n_vertices >= 3 and all(len(nbrs) == 2 for nbrs in g.adj)
+            and g.is_connected())
 
 
 # ---------------------------------------------------------------------------

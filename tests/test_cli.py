@@ -299,6 +299,16 @@ def test_verify_rejects_trials_over_cap(capsys):
     assert "trials 10001 > cap 10000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["lemmas", "identities", "all"])
+def test_verify_rejects_a_negative_seed(suite, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--seed", "-1", "--trials", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+
+
 def test_table_rejects_zero_terms_for_classic(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "classic", "--n-max", "0"])

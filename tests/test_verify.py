@@ -19,13 +19,20 @@ import pytest
 from alphalimits import limits, spectral, verify
 from alphalimits.graphs import (
     Graph,
+    cycle,
+    double_snake,
     format_graph,
     internal_path_edges,
+    internal_paths,
     is_double_snake,
     is_regular,
+    lollipop,
+    path,
+    star,
     subdivide_edge,
+    wheel5,
 )
-from alphalimits.spectral import assemble_a_alpha, stack_radii, star_radius
+from alphalimits.spectral import assemble_a_alpha, degree_bounds, stack_radii, star_radius
 from alphalimits.verify import (
     EQUALITY_TOL,
     LEMMA_ALPHAS,
@@ -317,3 +324,127 @@ def test_a_failing_check_reports_its_first_three_counterexamples():
     lines = [f"alpha=0.5 rho=-1.0 bounds=({star_radius(float(g.degrees().max()), 0.5)},"
              f"{float(g.degrees().max())}) g={format_graph(g)}" for g in graphs]
     assert result == PropertyResult("radius-bounds", False, 5, "; ".join(lines[:3]))
+
+
+def scalar_draw_tree(rng, n):
+    """random_tree as it was with one scalar integers call per Pruefer
+    entry and a linear leaf scan: the reference for the draw stream and
+    for the edge set's layout."""
+    if n < 2:
+        raise ValueError("a tree needs at least 2 vertices")
+    if n == 2:
+        return Graph(2, frozenset({(0, 1)}))
+    seq = [int(rng.integers(0, n)) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = set()
+    for v in seq:
+        for leaf in range(n):
+            if degree[leaf] == 1:
+                edges.add((min(leaf, v), max(leaf, v)))
+                degree[leaf] -= 1
+                degree[v] -= 1
+                break
+    last = [v for v in range(n) if degree[v] == 1]
+    edges.add((min(last), max(last)))
+    return Graph(n, frozenset(edges))
+
+
+def scalar_draw_connected_graph(rng):
+    n = int(rng.integers(4, 13))
+    g = scalar_draw_tree(rng, n)
+    edges = set(g.edges)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in edges]
+    extra = int(rng.integers(0, 4))
+    if extra and non_edges:
+        idx = rng.choice(len(non_edges), size=min(extra, len(non_edges)),
+                         replace=False)
+        for i in sorted(int(j) for j in idx):
+            edges.add(non_edges[i])
+    return Graph(n, frozenset(edges))
+
+
+def test_draws_and_edge_layout_match_the_scalar_draw_reference():
+    # tree radii read the edge set's iteration order, so equal graphs are
+    # not enough: list(g.edges) must match too
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            g, h = random_connected_graph(rng), scalar_draw_connected_graph(ref)
+            assert g == h and list(g.edges) == list(h.edges), (seed, format_graph(h))
+        assert rng.integers(2**62) == ref.integers(2**62)
+    for n in (2, 3, 60, 300):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        g, h = random_tree(rng, n), scalar_draw_tree(ref, n)
+        assert g == h and list(g.edges) == list(h.edges), n
+        assert rng.integers(2**62) == ref.integers(2**62)
+
+
+def degree_array_double_snake(g):
+    n = g.n_vertices
+    if n < 6 or g.n_edges != n - 1 or not g.is_connected():
+        return False
+    deg = g.degrees()
+    counts = np.bincount(deg, minlength=4)
+    if counts[1] != 4 or counts[3] != 2 or counts[1] + counts[2] + counts[3] != n:
+        return False
+    return all(sum(deg[w] == 1 for w in g.adj[b]) == 2 for b in range(n) if deg[b] == 3)
+
+
+def structure_cases():
+    """Seeded graphs of order 1-14, connected or not, and the named cases."""
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for n in range(1, 15):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for p in (0.0, 0.15, 0.3, 0.6, 1.0):
+            for _ in range(4):
+                keep = rng.random(len(pairs)) < p
+                graphs.append(Graph(n, frozenset(e for e, k in zip(pairs, keep) if k)))
+        if n >= 2:
+            graphs += [random_tree(rng, n) for _ in range(6)]
+    graphs += [random_connected_graph(rng) for _ in range(100)]
+    graphs += [path(n) for n in range(1, 9)] + [cycle(n) for n in range(3, 9)]
+    graphs += [star(k) for k in range(1, 5)] + [lollipop(n) for n in range(4, 9)]
+    graphs += [double_snake(n) for n in range(6, 11)]
+    graphs += [
+        wheel5(),
+        Graph(5),                                                 # edgeless
+        Graph(8, cycle(4).edges | {(4, 5), (5, 6)}),              # disconnected
+        # a star and a lollipop: double-snake degree counts, n - 1 edges
+        Graph(8, star(3).edges | {(4, 5), (5, 6), (4, 6), (4, 7)}),
+        # two TypeI loops on one vertex, and a pendant
+        Graph(6, frozenset({(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5)})),
+    ]
+    return graphs
+
+
+def test_structure_helpers_equal_their_degree_array_forms():
+    kinds = set()
+    for g in structure_cases():
+        deg = g.degrees()
+        paths = internal_paths(g)
+        union = {(min(a, b), max(a, b))
+                 for p in paths for a, b in zip(p.vertices, p.vertices[1:])}
+        kinds.update(p.kind for p in paths)
+        assert internal_path_edges(g) == union, format_graph(g)
+        assert is_regular(g) == bool(np.all(deg == deg[0])), format_graph(g)
+        assert is_double_snake(g) == degree_array_double_snake(g), format_graph(g)
+        assert verify._is_cycle(g) == (g.n_vertices >= 3 and bool(np.all(deg == 2))
+                                       and g.is_connected()), format_graph(g)
+        for alpha in LEMMA_ALPHAS:
+            dmax = float(deg.max())
+            assert degree_bounds(g, alpha) == (star_radius(dmax, alpha), dmax)
+    assert kinds == {"TypeI", "TypeII"}
+
+
+def test_lemma_suite_reads_degrees_only_to_assemble(monkeypatch):
+    # one Graph.degrees call per assembly, of G and of its subgraph H; the
+    # checks and the subgraph pick read g.adj
+    calls = []
+    degrees = Graph.degrees
+    monkeypatch.setattr(Graph, "degrees", lambda g: calls.append(1) or degrees(g))
+    run_lemma_suite(0, 20)
+    assert len(calls) <= 2 * 20
