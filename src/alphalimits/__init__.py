@@ -17,14 +17,12 @@ from .graphs import (
     cycle,
     double_snake,
     edge_in_internal_path,
-    folded_preorder,
     format_graph,
     internal_path_edges,
     internal_paths,
     is_bipartite,
     is_double_snake,
     is_regular,
-    join_by_path,
     lollipop,
     p2_two_paths,
     parse_graph,

@@ -279,6 +279,8 @@ def cmd_convergence(args) -> tuple:
         raise ValueError(f"{family} needs --n-fixed")
     if not takes_n_fixed and n_fixed is not None:
         raise ValueError(f"--n-fixed applies to p2mn only, not {family}")
+    if n_fixed is not None and n_fixed < 0:
+        raise ValueError(f"--n-fixed must be non-negative, got {n_fixed}")
     if n_fixed is not None and n_fixed > MAX_ORDER:
         raise ValueError(f"n-fixed {n_fixed} > cap {MAX_ORDER}")
     cfg = RootConfig(tol=args.tol)

@@ -6,11 +6,11 @@ root vertex (pendant path attachments and the like) document or return it.
 A graph's adjacency is built once, on first use: Graph.adj holds one
 neighbour list per vertex, filled from the frozen edge set in its own
 iteration order, and every degree, neighbour and traversal query reads it.
-The lists are shared by all callers, who must not mutate them; neighbors
-returns a sorted copy, and internal_paths sorts only the lists of branch
-vertices. bfs is the one breadth-first traversal, behind connectivity and
-bipartiteness; folded_preorder is the depth-first walk behind the
-leaves-first elimination plans of the spectral layer.
+The lists are shared by all callers, who must not mutate them;
+internal_paths sorts only the lists of branch vertices. bfs is the one
+breadth-first traversal, behind connectivity and bipartiteness; the
+depth-first walk behind the leaves-first elimination plans lives in the
+spectral layer, which reads Graph.adj itself.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class Graph:
             a[u, v] = a[v, u] = 1.0
         return a
 
-    def neighbors(self, u: int) -> list:
-        return sorted(self.adj[u])
-
     def is_connected(self) -> bool:
         return len(bfs(self, 0)[0]) == self.n_vertices
 
@@ -91,47 +88,6 @@ def bfs(g: Graph, root: int) -> tuple:
                 parent[w] = u
                 order.append(w)
     return order, parent
-
-
-def folded_preorder(g: Graph, root: int) -> list:
-    """A depth-first preorder of root's component, with each run of degree-2
-    vertices other than root folded into the vertex below it.
-
-    Returns (vertex, parent, k) triples in preorder: the k vertices above
-    vertex form a run of degree-2 vertices, each with one child, the one
-    below it, and parent is the parent of the run's top (n for root).
-    Children are taken in g.adj order. On a tree, expanding each triple to
-    its run's top down to vertex gives the preorder itself, so a subtree is
-    one contiguous stretch of it, and a run is listed as one triple. A
-    vertex is marked when it is reached, so on a graph with cycles the
-    triples still list root's component once, vertices plus runs, but do
-    not follow a depth-first search.
-    """
-    n = g.n_vertices
-    adj = g.adj
-    parent = [-1] * n
-    parent[root] = n
-    out = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        v, k = u, 0
-        if u != root:
-            ends = adj[v]
-            while len(ends) == 2:  # v's parent is marked; step to its child
-                a, b = ends
-                w = a if parent[a] == -1 else b
-                if parent[w] != -1:
-                    break
-                parent[w] = v
-                v, k = w, k + 1
-                ends = adj[v]
-        out.append((v, parent[u], k))
-        for w in reversed(adj[v]):
-            if parent[w] == -1:
-                parent[w] = v
-                stack.append(w)
-    return out
 
 
 @dataclass(frozen=True)
@@ -239,32 +195,6 @@ def attach_pendant_path(g: Graph, u: int, n: int) -> Graph:
     edges.add((u, base))
     edges |= {(base + i, base + i + 1) for i in range(n - 1)}
     return Graph(base + n, frozenset(edges))
-
-
-def join_by_path(x: Graph, xv: int, y: Graph, yv: int, n: int) -> Graph:
-    """Disjoint union of x and y joined by a path with n interior vertices.
-
-    The connecting walk from xv to yv has length n + 1; n = 0 is a direct
-    edge. y's vertices are shifted by x.n_vertices, interior vertices come
-    last.
-    """
-    if not (0 <= xv < x.n_vertices):
-        raise ValueError(f"vertex {xv} not in first graph")
-    if not (0 <= yv < y.n_vertices):
-        raise ValueError(f"vertex {yv} not in second graph")
-    if n < 0:
-        raise ValueError("interior vertex count must be non-negative")
-    off = x.n_vertices
-    edges = set(x.edges)
-    edges |= {(u + off, v + off) for u, v in y.edges}
-    if n == 0:
-        edges.add((xv, yv + off))
-    else:
-        base = off + y.n_vertices
-        edges.add((xv, base))
-        edges |= {(base + i, base + i + 1) for i in range(n - 1)}
-        edges.add((base + n - 1, yv + off))
-    return Graph(off + y.n_vertices + n, frozenset(edges))
 
 
 def subdivide_edge(g: Graph, e: tuple) -> Graph:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (_least_definite, _root_pivot, _tree_plan, _validate_alpha,
-                       delta_of_lambda, h_of_lambda, vertex_resolvent)
+from .spectral import (_least_definite, _tree_pivot, _validate_alpha, delta_of_lambda,
+                       h_of_lambda, vertex_resolvent)
 
 
 class BracketError(RuntimeError):
@@ -432,7 +432,7 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     = a + (1-a) theta. f_u rises where the pivots below u are positive and
     the load falls, so the threshold is the one root above max(2, rho(G)).
 
-    On a tree f_u is spectral._root_pivot rooted at u, with no
+    On a tree f_u is spectral._tree_pivot rooted at u, with no
     eigendecomposition; any other graph takes 1 / r(lambda) from
     spectral.vertex_resolvent above rho(G), and None at or below it. The
     loaded pivot is None below 2 too, and spectral._least_definite, the
@@ -443,18 +443,12 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
         raise ValueError("pendant-path limits need a connected graph")
     if not (0 <= u < g.n_vertices):
         raise ValueError(f"vertex {u} not in graph")
-    plan = _tree_plan(g, u)
-    if plan is None:
+    pivot = _tree_pivot(g, u, alpha)
+    if pivot is None:
         r = vertex_resolvent(g, u, alpha)
 
         def pivot(lam: float) -> float | None:
             return 1.0 / r(lam) if lam > r.top else None
-    else:
-        steps = [(v, p, alpha * d, k) for v, p, d, k in plan]
-        c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
-
-        def pivot(lam: float) -> float | None:
-            return _root_pivot(steps, c, d2, lam)
 
     s = 1.0 - alpha
 

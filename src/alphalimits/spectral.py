@@ -5,7 +5,10 @@ adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone by
 structure. Every tree goes to leaf-to-root elimination in O(n) memory,
-one walk that returns the last pivot. _least_definite is the one
+one walk that returns the last pivot. The elimination has one seam:
+_tree_plan builds a tree's plan from Graph.adj, _tree_pivot scales it by
+alpha and returns its root pivot as a function of lam, and _root_pivot
+walks it; limits reads only _tree_pivot. _least_definite is the one
 threshold search: secant steps on one pivot function pick a point, and
 the sign of another certifies the least double at which it is positive,
 the value plain bisection ends on. A radius searches the elimination
@@ -25,7 +28,7 @@ alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
 The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the root
-pivot of _root_pivot on a tree plan rooted at u, and vertex_resolvent
+pivot of _tree_pivot rooted at u, and vertex_resolvent
 gives it on any graph from one eigendecomposition. The characteristic
 polynomials of the path matrix and of the deleted-end path B_{n+1} have
 s,t closed forms, which verify checks against the exact three-term
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, folded_preorder
+from .graphs import Graph
 
 DEGENERATE_DELTA = 1e-9
 # Predicted relative error at which the tree-radius secant search stops.
@@ -161,33 +164,57 @@ def subdivision_stack(g: Graph, alpha: float, m: np.ndarray) -> np.ndarray:
 def radius_of(g: Graph, alpha: float) -> float:
     """Spectral radius of A_alpha(g), by the one choice of route.
 
-    A tree goes to leaf-to-root elimination, which returns the upper end
-    of the one-ulp bracket that plain bisection on the vertex-0 pivot test,
-    from [0, max degree], ends on (see _tree_radius): within 1e-12 of the
+    A graph with a cycle or more than one component gets the value of
+    stack_radii on a one-matrix stack. A tree goes to leaf-to-root
+    elimination, which returns the least double at which elimination finds
+    lam*I - A_alpha positive definite, or the max degree if it is less: the
+    upper end of the one-ulp bracket that plain bisection on the vertex-0
+    pivot test, from [0, max degree], ends on. It is within 1e-12 of the
     dense value on the tested orders 1-1602, and the max degree exactly at
-    alpha = 1. A graph with a cycle or more than one component gets the
-    value of stack_radii on a one-matrix stack.
+    alpha = 1.
+
+    lam > rho iff lam*I - A_alpha is positive definite. Eliminating leaves
+    first leaves the pivot f_v = lam - alpha*deg(v) - sum over children c
+    of (1-alpha)^2 / f_c at every vertex, and the matrix is positive
+    definite iff every pivot is positive (Jacobs & Trevisan, "Locating the
+    eigenvalues of trees", LAA 434, 2011). rho <= max degree for every
+    alpha in [0,1].
+
+    Search. Rooted at a max-degree vertex u, the lowest index on ties, the
+    pivots below u are all positive on (rho(G - u), inf), where rho(G - u)
+    is the top eigenvalue of A_alpha with row and column u deleted, and
+    rho(G - u) < rho. There f_u = phi(G) / phi(G - u) = lam - alpha*deg(u)
+    - (1-alpha)^2 * sum over children c of [(lam*I - B_c)^-1]_cc, with B_c
+    the block of c's subtree; each such resolvent entry is a sum of
+    q^2 / (lam - mu) over eigenvalues mu < lam, so positive, decreasing and
+    convex: f_u is increasing and concave, and so is f_u - lam. So
+    rho <= lam - f_u at any lam of the window (rho(G - u), rho], and a
+    chord through two points of the window, extended to the right, lies
+    above f_u: its zero lies in (lam, rho], and secant steps climb
+    monotonically to rho. The search starts at star_radius(max degree), a
+    lower bound on rho.
+
+    Certification. _least_definite returns the least double at which f_u
+    of the vertex-0 plan is positive, as plain bisection on [0, max degree].
+
+    Cost. Search and check make the same pass, one _root_pivot walk with
+    no derivative. Near rho, the pivots up a long pendant path approach the
+    attracting fixed point of f -> (lam - 2*alpha) - (1-alpha)^2 / f and,
+    in doubles, reach it after tens of vertices; the passes skip the rest
+    of each folded run (see _root_pivot), so a pass costs about the number
+    of branch vertices and leaves plus those tens per run, not n. Below
+    lam = 2 that map has no fixed point, as at rho of a path at alpha = 0:
+    no pivot repeats, and each run is walked in full.
     """
-    tree = _leaves_first(g)
-    if tree is None:
-        return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
     _validate_alpha(alpha)
-    return _tree_radius(tree, alpha)
-
-
-def _leaves_first(g: Graph) -> tuple | None:
-    """Two leaves-first elimination plans of a tree: (check, search), or None.
-
-    check is _tree_plan(g, 0); search is rooted at a vertex u of maximum
-    degree (the lowest index on ties), so its last step holds the max
-    degree, and is check itself when u = 0. Returns None unless g is a tree.
-    """
-    check = _tree_plan(g, 0)
+    check = _tree_pivot(g, 0, alpha)
     if check is None:
-        return None
+        return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
     degree = [len(a) for a in g.adj]
-    hub = degree.index(max(degree))
-    return check, (check if hub == 0 else _tree_plan(g, hub))
+    top = max(degree)
+    hub = degree.index(top)
+    search = check if hub == 0 else _tree_pivot(g, hub, alpha)
+    return _least_definite(check, search, star_radius(top, alpha), float(top))
 
 
 def _tree_plan(g: Graph, root: int) -> list | None:
@@ -202,19 +229,59 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     is two steps and a spider one per arm plus its hub. root must be a
     vertex of g.
 
-    The plan is graphs.folded_preorder reversed, so a vertex's children
+    The plan is a depth-first preorder, children taken in g.adj order,
+    reversed: a subtree is one contiguous stretch, and a vertex's children
     come in reverse g.adj order, the order in which a reversed BFS order
     feeds them. A pivot's sum over three or more children depends on that
     order, and with it every pivot equals, bit for bit, the one of the
-    unfolded reversed-BFS elimination.
+    unfolded reversed-BFS elimination. A vertex is marked when it is
+    reached, so the walk ends on any graph.
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
         return None
-    runs = folded_preorder(g, root)
-    if len(runs) + sum(k for _, _, k in runs) != n:
+    adj = g.adj
+    parent = [-1] * n
+    parent[root] = n
+    steps = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        v, k = u, 0
+        if u != root:
+            ends = adj[v]
+            while len(ends) == 2:  # v's parent is marked; step to its child
+                a, b = ends
+                w = a if parent[a] == -1 else b
+                if parent[w] != -1:
+                    break
+                parent[w] = v
+                v, k = w, k + 1
+                ends = adj[v]
+        steps.append((v, parent[u], len(adj[v]), k))
+        for w in reversed(adj[v]):
+            if parent[w] == -1:
+                parent[w] = v
+                stack.append(w)
+    if -1 in parent:
         return None
-    return [(v, p, len(g.adj[v]), k) for v, p, k in reversed(runs)]
+    steps.reverse()
+    return steps
+
+
+def _tree_pivot(g: Graph, root: int, alpha: float):
+    """lam -> f_root, the root pivot of the elimination rooted at root at
+    lam (see _root_pivot), or None unless g is a tree.
+
+    The one place a plan is scaled by alpha: each degree becomes
+    alpha*degree, with c = (1-alpha)^2 and d2 = 2*alpha.
+    """
+    plan = _tree_plan(g, root)
+    if plan is None:
+        return None
+    steps = [(v, p, alpha * d, k) for v, p, d, k in plan]
+    c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+    return lambda lam: _root_pivot(steps, c, d2, lam)
 
 
 def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
@@ -252,7 +319,7 @@ def _secant_point(pivot, start: float, top: float) -> float:
     steps from start.
 
     pivot is None below some point and past it increasing and concave, with
-    pivot - lam increasing (see _tree_radius). A probe where it is None lies
+    pivot - lam increasing (see radius_of). A probe where it is None lies
     under rho, and one where it is positive above: either halves the
     bracket, which starts as [0, top]. Anywhere else pivot <= 0, and
     rho <= lam - pivot caps the bracket. The first such probe pairs with
@@ -325,51 +392,6 @@ def _least_definite(check, search, start: float, top: float) -> float:
             hi = mid
         else:
             lo = mid
-
-
-def _tree_radius(tree: tuple, alpha: float) -> float:
-    """rho(A_alpha(tree)), the least double at which elimination finds
-    lam*I - A_alpha positive definite, or the max degree if it is less.
-
-    lam > rho iff lam*I - A_alpha is positive definite. Eliminating leaves
-    first leaves the pivot f_v = lam - alpha*deg(v) - sum over children c
-    of (1-alpha)^2 / f_c at every vertex, and the matrix is positive
-    definite iff every pivot is positive (Jacobs & Trevisan, "Locating the
-    eigenvalues of trees", LAA 434, 2011). rho <= max degree for every
-    alpha in [0,1].
-
-    Search. Rooted at a max-degree vertex u, the pivots below u are all
-    positive on (rho(G - u), inf), where rho(G - u) is the top eigenvalue
-    of A_alpha with row and column u deleted, and rho(G - u) < rho. There
-    f_u = phi(G) / phi(G - u) = lam - alpha*deg(u) - (1-alpha)^2 * sum over
-    children c of [(lam*I - B_c)^-1]_cc, with B_c the block of c's
-    subtree; each such resolvent entry is a sum of q^2 / (lam - mu) over
-    eigenvalues mu < lam, so positive, decreasing and convex: f_u is
-    increasing and concave, and so is f_u - lam. So rho <= lam - f_u at
-    any lam of the window (rho(G - u), rho], and a chord through two points
-    of the window, extended to the right, lies above f_u: its zero lies in
-    (lam, rho], and secant steps climb monotonically to rho. The search
-    starts at star_radius(max degree), a lower bound on rho.
-
-    Certification. _least_definite returns the least double at which f_u
-    of the vertex-0 plan is positive, as plain bisection on [0, max degree].
-
-    Cost. Search and check make the same pass, one _root_pivot walk with
-    no derivative. Near rho, the pivots up a long pendant path approach the
-    attracting fixed point of f -> (lam - 2*alpha) - (1-alpha)^2 / f and,
-    in doubles, reach it after tens of vertices; the passes skip the rest
-    of each folded run (see _root_pivot), so a pass costs about the number
-    of branch vertices and leaves plus those tens per run, not n. Below
-    lam = 2 that map has no fixed point, as at rho of a path at alpha = 0:
-    no pivot repeats, and each run is walked in full.
-    """
-    check, search = ([(v, p, alpha * d, k) for v, p, d, k in plan] for plan in tree)
-    c = (1.0 - alpha) ** 2
-    d2 = 2.0 * alpha
-    top = float(tree[1][-1][2])  # the search root's degree, the max degree
-    return _least_definite(lambda lam: _root_pivot(check, c, d2, lam),
-                           lambda lam: _root_pivot(search, c, d2, lam),
-                           star_radius(top, alpha), top)
 
 
 def degree_bounds(g: Graph, alpha: float) -> tuple:

@@ -309,6 +309,17 @@ def test_verify_rejects_a_negative_seed(suite, capsys):
     assert "Traceback" not in err
 
 
+def test_convergence_rejects_a_negative_n_fixed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "p2mn", "--sizes", "5", "--n-fixed", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n-fixed must be non-negative, got -3" in err
+    assert "Traceback" not in err
+    code, out = run_cli(capsys, "convergence", "p2mn", "--sizes", "5", "--n-fixed", "0")
+    assert code == 0 and "# n_fixed: 0" in out
+
+
 def test_table_rejects_zero_terms_for_classic(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "classic", "--n-max", "0"])

@@ -15,13 +15,11 @@ from alphalimits.graphs import (
     cycle,
     double_snake,
     edge_in_internal_path,
-    folded_preorder,
     format_graph,
     internal_paths,
     is_bipartite,
     is_double_snake,
     is_regular,
-    join_by_path,
     lollipop,
     p2_two_paths,
     parse_graph,
@@ -30,6 +28,7 @@ from alphalimits.graphs import (
     subdivide_edge,
     wheel5,
 )
+from alphalimits.spectral import _tree_plan
 
 
 def test_graph_rejects_loops_and_out_of_range():
@@ -146,14 +145,6 @@ def test_attach_pendant_path():
         attach_pendant_path(star(3), 9, 1)
 
 
-def test_join_by_path():
-    g = join_by_path(star(3), 0, star(3), 0, 3)
-    assert g.n_vertices == 4 + 4 + 3
-    assert g.is_connected()
-    deg = g.degrees()
-    assert deg[0] == 4 and deg[4] == 4
-
-
 def test_subdivide_edge_counts():
     g = cycle(5)
     gs = subdivide_edge(g, (0, 1))
@@ -231,7 +222,7 @@ def test_parse_errors_carry_position():
 
 def test_neighbors_sorted_and_connectivity():
     g = wheel5()
-    assert g.neighbors(0) == [1, 2, 3, 4]
+    assert sorted(g.adj[0]) == [1, 2, 3, 4]
     assert g.is_connected()
     assert not Graph(4, frozenset({(0, 1), (2, 3)})).is_connected()
 
@@ -240,7 +231,8 @@ def test_bridges_by_low_link():
     assert bridges(path(5)) == set(path(5).edges)
     assert bridges(cycle(6)) == set()
     assert bridges(lollipop(6)) == {(0, 5)}
-    two_cycles = join_by_path(cycle(3), 0, cycle(4), 1, 2)
+    # a triangle 0-1-2 and a 4-cycle 3-4-5-6 joined by the path 0-7-8-4
+    two_cycles = parse_graph("9; 0-1,0-2,1-2,3-4,3-6,4-5,5-6,0-7,4-8,7-8")
     assert bridges(two_cycles) == {(0, 7), (7, 8), (4, 8)}
     assert bridges(Graph(3, frozenset({(0, 1)}))) == {(0, 1)}
     assert bridges(Graph(1)) == set()
@@ -289,10 +281,9 @@ def test_adjacency_and_bfs_against_brute_force(n, data):
     ends = [x for e in g.edges for x in e]
     assert g.degrees().tolist() == [ends.count(v) for v in range(n)]
     label = _component_labels(g)
+    is_tree = g.n_edges == n - 1 and len(set(label)) == 1
     for root in range(n):
-        runs = folded_preorder(g, root)
-        assert len({v for v, _, _ in runs}) == len(runs)
-        assert len(runs) + sum(k for _, _, k in runs) == label.count(label[root])
+        assert (_tree_plan(g, root) is None) == (not is_tree)
         order, parent = bfs(g, root)
         assert order[0] == root and parent[root] == n
         assert len(order) == len(set(order))
@@ -312,35 +303,6 @@ def test_adjacency_and_bfs_against_brute_force(n, data):
     two_colourable = any(all(side[u] != side[v] for u, v in g.edges)
                          for side in itertools.product((0, 1), repeat=n))
     assert is_bipartite(g) == two_colourable
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=1, max_value=40), st.data())
-def test_folded_preorder_is_the_preorder_with_runs_folded(n, data):
-    # parents near each vertex give long runs of degree-2 vertices
-    g = Graph(n, frozenset(
-        (data.draw(st.integers(min_value=max(0, v - 3), max_value=v - 1)), v)
-        for v in range(1, n)))
-    root = data.draw(st.integers(min_value=0, max_value=n - 1))
-    pre = []
-
-    def walk(u, p):  # the textbook recursive preorder, children in adj order
-        pre.append((u, p))
-        for w in g.adj[u]:
-            if w != p:
-                walk(w, u)
-
-    walk(root, n)
-    expected, run = [], None
-    for v, p in pre:
-        if v != root and len(g.adj[v]) == 2:
-            run = run or [p, 0]
-            run[1] += 1
-        else:
-            top_parent, k = run or (p, 0)
-            expected.append((v, top_parent, k))
-            run = None
-    assert folded_preorder(g, root) == expected
 
 
 def test_cached_adjacency_is_not_part_of_the_value():

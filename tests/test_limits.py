@@ -24,6 +24,7 @@ from alphalimits.spectral import (
 )
 from alphalimits.verify import random_connected_graph, random_tree
 from alphalimits import limits as L
+from alphalimits import spectral
 from alphalimits.limits import (
     BracketError,
     BranchSelectionError,
@@ -628,7 +629,7 @@ def test_tree_and_dense_routes_agree_to_1e_14(alpha, paths, monkeypatch):
     op = PENDANT_OPS[paths - 1]
     cases = seeded_trees()
     tree = [op(g, u, alpha) for g, u in cases]
-    monkeypatch.setattr(L, "_tree_plan", lambda g, root: None)
+    monkeypatch.setattr(L, "_tree_pivot", lambda g, root, alpha: None)
     for (g, u), limit in zip(cases, tree):
         assert abs(op(g, u, alpha) - limit) <= 1e-14, (g.n_vertices, u)
 
@@ -647,12 +648,12 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     counter = {"walks": 0}
-    walk = L._root_pivot
+    walk = spectral._root_pivot
 
     def counted(*args):
         counter["walks"] += 1
         return walk(*args)
-    monkeypatch.setattr(L, "_root_pivot", counted)
+    monkeypatch.setattr(spectral, "_root_pivot", counted)
     for (u, paths), reference in expected.items():
         counter["walks"] = 0
         assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol

@@ -14,7 +14,6 @@ from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
     cycle,
-    join_by_path,
     lollipop,
     p2_two_paths,
     path,
@@ -276,7 +275,7 @@ def no_dense(monkeypatch):
 def no_elimination(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("tree elimination off a tree")
-    monkeypatch.setattr(spectral, "_tree_radius", fail)
+    monkeypatch.setattr(spectral, "_root_pivot", fail)
 
 
 def reference_leaves_first(g):
@@ -442,11 +441,20 @@ def test_tree_radius_matches_dense_property(g, alpha):
     assert abs(rho - dense_radius(g, alpha)) <= 1e-12
 
 
+def two_stars(k, m):
+    """Two stars K_{1,k}, centres 0 and k + m + 1, whose centres are joined
+    by a path with m interior vertices."""
+    g = attach_pendant_path(star(k), 0, m + 1)
+    for _ in range(k):
+        g = attach_pendant_path(g, k + m + 1, 1)
+    return g
+
+
 def test_tree_radius_equals_reference_with_tied_hubs():
     # Two equal stars joined by a long path: removing one hub leaves the
     # other, so rho(G - u) sits just below rho, and at alpha = 1 on it.
     for k, m in ((1, 3), (5, 200), (40, 100), (128, 10)):
-        g = join_by_path(star(k), 0, star(k), 0, m)
+        g = two_stars(k, m)
         for alpha in TREE_ALPHAS:
             assert radius_of(g, alpha) == reference_radius(g, alpha)
 
@@ -481,10 +489,8 @@ def test_the_search_never_decides_the_bits(monkeypatch):
                for op in (pendant_path_limit, two_pendant_paths_limit)
                for alpha in (0.0, 0.5, 0.94)]
     graphs = [p2_two_paths(40, 40)[0], attach_pendant_path(star(3), 0, 100),
-              seeded_tree(2, 200), star(7), join_by_path(star(5), 0, star(5), 0, 20),
-              path(2)]
+              seeded_tree(2, 200), star(7), two_stars(5, 20), path(2)]
     for g in graphs:
-        tree = spectral._leaves_first(g)
         for alpha in TREE_ALPHAS:
             rho = reference_radius(g, alpha)
             points = {"zero": lambda start, top: 0.0,
@@ -495,7 +501,7 @@ def test_the_search_never_decides_the_bits(monkeypatch):
             for name, point in points.items():
                 monkeypatch.setattr(spectral, "_secant_point",
                                     lambda pivot, start, top: point(start, top))
-                assert spectral._tree_radius(tree, alpha) == rho, (g.n_vertices, alpha, name)
+                assert radius_of(g, alpha) == rho, (g.n_vertices, alpha, name)
     points = {"two": lambda limit, top: 2.0,
               "degree bound": lambda limit, top: top,
               "1e-6 below": lambda limit, top: limit * (1.0 - 1e-6),
@@ -535,10 +541,45 @@ def spider(arms):
     return g
 
 
-def test_leaves_first_orders():
-    # vertex 3, the centre of the star, is the one vertex of degree 5
-    g = join_by_path(path(3), 2, star(4), 0, 128)
-    check, search = spectral._leaves_first(g)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_tree_plan_is_the_preorder_with_runs_folded(n, data):
+    # parents near each vertex give long runs of degree-2 vertices
+    g = Graph(n, frozenset(
+        (data.draw(st.integers(min_value=max(0, v - 3), max_value=v - 1)), v)
+        for v in range(1, n)))
+    root = data.draw(st.integers(min_value=0, max_value=n - 1))
+    pre = []
+
+    def walk(u, p):  # the textbook recursive preorder, children in adj order
+        pre.append((u, p))
+        for w in g.adj[u]:
+            if w != p:
+                walk(w, u)
+
+    walk(root, n)
+    expected, run = [], None
+    for v, p in pre:
+        if v != root and len(g.adj[v]) == 2:
+            run = run or [p, 0]
+            run[1] += 1
+        else:
+            top_parent, k = run or (p, 0)
+            expected.append((v, top_parent, k))
+            run = None
+    plan = spectral._tree_plan(g, root)
+    assert [(v, p, k) for v, p, _, k in reversed(plan)] == expected
+    assert all(d == len(g.adj[v]) for v, _, d, _ in plan)
+
+
+def test_leaves_first_orders(monkeypatch):
+    # a path of 132 vertices from 0 to 131, then four leaves on 131: vertex
+    # 131 is the one vertex of degree 5
+    g = attach_pendant_path(path(3), 2, 129)
+    for _ in range(4):
+        g = attach_pendant_path(g, 131, 1)
+    hub = int(np.argmax(g.degrees()))
+    check, search = spectral._tree_plan(g, 0), spectral._tree_plan(g, hub)
     for plan in (check, search):
         order = expand(g, plan)
         assert sorted(v for v, _ in order) == list(range(g.n_vertices))
@@ -549,11 +590,20 @@ def test_leaves_first_orders():
             seen.add(v)
         assert order[-1] == (plan[-1][0], g.n_vertices) and plan[-1][3] == 0
     assert check[-1][:2] == (0, g.n_vertices)
-    hub = int(np.argmax(g.degrees()))
-    assert search[-1][:2] == (hub, g.n_vertices) and hub == 3
-    g0 = attach_pendant_path(star(3), 0, 128)
-    check, search = spectral._leaves_first(g0)
-    assert search is check
+    assert search[-1][:2] == (hub, g.n_vertices) and hub == 131
+    # radius_of builds the search's pivot only when the hub is not vertex 0
+    roots = []
+    build = spectral._tree_pivot
+
+    def recorded(g, root, alpha):
+        roots.append(root)
+        return build(g, root, alpha)
+    monkeypatch.setattr(spectral, "_tree_pivot", recorded)
+    radius_of(g, 0.5)
+    assert roots == [0, hub]
+    roots.clear()
+    radius_of(attach_pendant_path(star(3), 0, 128), 0.5)
+    assert roots == [0]
 
 
 def test_leaves_first_pivots_match_the_private_build():
@@ -568,20 +618,20 @@ def test_leaves_first_pivots_match_the_private_build():
     graphs += [seeded_tree(seed, int(rng.integers(128, 1001))) for seed in range(12)]
     graphs += [spider(range(40, 40 + 3 * arms, 3)[::-1]) for arms in (3, 4, 6, 9)]
     graphs += [path(n) for n in (128, 500, 1602)]
-    graphs.append(join_by_path(star(40), 0, star(40), 0, 100))
+    graphs.append(two_stars(40, 100))
     shifts = [sign * 10.0 ** -k for k in range(2, 16) for sign in (1, -1)]
     for g in graphs:
         top = float(g.degrees().max())
-        plans = spectral._leaves_first(g)
         orders = reference_leaves_first(g)
         for alpha in TREE_ALPHAS:
-            c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+            c = (1.0 - alpha) ** 2
             rho = radius_of(g, alpha)
             lams = [rho * (1.0 + e) for e in shifts] + list(rng.uniform(0.0, top, 4))
-            for plan, order in zip(plans, orders):
-                plan, order = scaled(plan, alpha), scaled(order, alpha)
+            for order in orders:  # rooted at vertex 0 and at the hub
+                pivot = spectral._tree_pivot(g, order[-1][0], alpha)
+                order = scaled(order, alpha)
                 for lam in lams:
-                    got = spectral._root_pivot(plan, c, d2, lam)
+                    got = pivot(lam)
                     want = reference_root_pivot(order, c, lam)
                     assert (got is None) == (want is None), (alpha, lam)
                     if got is not None:
@@ -590,12 +640,14 @@ def test_leaves_first_pivots_match_the_private_build():
                     assert definite == reference_definite(order, c, lam), (alpha, lam)
     for g in (cycle(128), Graph(129, cycle(128).edges),
               unicyclic_200(), cycle_plus_path_200()):
-        assert spectral._leaves_first(g) is None
+        for root in (0, 1, g.n_vertices - 1):
+            assert spectral._tree_plan(g, root) is None
+            assert spectral._tree_pivot(g, root, 0.5) is None
 
 
 def test_two_long_pendant_paths_plan_in_few_steps():
-    check, search = spectral._leaves_first(p2_two_paths(800, 800)[0])
-    assert search is check and len(check) <= 8
+    g = p2_two_paths(800, 800)[0]
+    assert int(np.argmax(g.degrees())) == 0 and len(spectral._tree_plan(g, 0)) <= 8
 
 
 def test_pendant_pivots_repeat_within_150_vertices_at_rho():
@@ -722,12 +774,12 @@ def test_radius_of_equals_its_route_exactly():
               p2_two_paths(2, 3)[0], path(7), seeded_tree(2, 200),
               unicyclic_200(), cycle_plus_path_200()]
     for g in graphs:
-        tree = spectral._leaves_first(g)
+        tree = spectral._tree_plan(g, 0) is not None
         batched = stack_radii(alpha_stack(g, BATCH_ALPHAS))
         for alpha, dense in zip(BATCH_ALPHAS, batched):
             r = radius_of(g, alpha)
             assert type(r) is float
-            assert r == (dense if tree is None else spectral._tree_radius(tree, alpha))
+            assert r == (reference_radius(g, alpha) if tree else dense)
 
 
 def test_radius_of_sends_large_trees_to_elimination(monkeypatch):
