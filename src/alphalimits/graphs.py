@@ -6,15 +6,18 @@ root vertex (pendant path attachments and the like) document or return it.
 A graph's adjacency is built once, on first use: Graph.adj holds one
 neighbour list per vertex, filled from the frozen edge set in its own
 iteration order, and every degree, neighbour and traversal query reads it.
-The lists are shared by all callers, who must not mutate them;
-internal_paths sorts only the lists of branch vertices. bfs is the one
-breadth-first traversal, behind connectivity and bipartiteness; the
+The lists are shared by all callers, who must not mutate them. One walk,
+_internal_arcs, follows the degree-2 arcs out of each branch vertex and
+defines the internal paths: internal_paths lists its arcs, and
+internal_path_edges and edge_in_internal_path read its edge set. bfs is
+the one breadth-first traversal, behind connectivity and bipartiteness; the
 depth-first walk behind the leaves-first elimination plans lives in the
 spectral layer, which reads Graph.adj itself.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +33,10 @@ class Graph:
 
     def __post_init__(self):
         n = self.n_vertices
+        try:
+            operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
@@ -214,6 +221,41 @@ def subdivide_edge(g: Graph, e: tuple) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _internal_arcs(g: Graph) -> tuple:
+    """(walks, edges): the one walk that finds the internal paths of g.
+
+    From each branch vertex v0 (degree > 2) in ascending order, and each
+    of its neighbours in ascending order, the arc through degree-2 vertices
+    is followed on g.adj to its end and kept iff that end is a branch
+    vertex, not a leaf. An arc whose first edge already lies on a kept arc
+    is that arc walked backwards, so it is skipped: each maximal arc is
+    kept once, from its lower end, or its lower first step on a cycle
+    hanging from one vertex. walks holds the kept arcs as vertex tuples
+    v0..vk; edges holds their edges (u, v), u < v.
+    """
+    adj = g.adj
+    walks = []
+    edges = set()
+    for v0, nbrs in enumerate(adj):
+        if len(nbrs) <= 2:
+            continue
+        for first in sorted(nbrs):
+            e = (v0, first) if v0 < first else (first, v0)
+            if e in edges:
+                continue
+            walk, arc = [v0, first], [e]
+            prev, cur = v0, first
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                walk.append(cur)
+                arc.append((prev, cur) if prev < cur else (cur, prev))
+            if len(adj[cur]) > 2:
+                walks.append(tuple(walk))
+                edges.update(arc)
+    return walks, edges
+
+
 def internal_paths(g: Graph) -> list:
     """All maximal internal paths of g.
 
@@ -221,62 +263,16 @@ def internal_paths(g: Graph) -> list:
     exactly 2. Each maximal degree-2 arc between branch vertices is
     reported once; an edge joining two branch vertices is a k = 1 path.
     TypeI paths close a cycle on a single branch vertex. Paths are listed
-    by branch vertex v0, then by first step in ascending order; the choice
-    of next step at a degree-2 vertex does not depend on list order.
+    by branch vertex v0, then by first step in ascending order, as
+    _internal_arcs walks them.
     """
-    deg = g.degrees()
-    adj = g.adj
-    found = []
-    seen_keys = set()
-    for v0 in range(g.n_vertices):
-        if deg[v0] <= 2:
-            continue
-        for first in sorted(adj[v0]):
-            walk = [v0, first]
-            prev, cur = v0, first
-            while deg[cur] == 2:
-                a, b = adj[cur]
-                nxt = b if a == prev else a
-                walk.append(nxt)
-                prev, cur = cur, nxt
-            if deg[cur] <= 2:
-                continue  # dead-ends at a leaf chain, not internal
-            interior = frozenset(walk[1:-1])
-            key = (frozenset((walk[0], walk[-1])), interior)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            kind = "TypeI" if walk[0] == walk[-1] else "TypeII"
-            found.append(InternalPath(tuple(walk), kind))
-    return found
+    return [InternalPath(w, "TypeI" if w[0] == w[-1] else "TypeII")
+            for w in _internal_arcs(g)[0]]
 
 
 def internal_path_edges(g: Graph) -> set:
-    """Every edge (u, v), u < v, that lies on some internal path of g.
-
-    The edge union of internal_paths, read off g.adj alone: from each
-    branch vertex (degree > 2), each arc through degree-2 vertices is
-    walked and its edges kept if it ends at a branch vertex, not at a
-    leaf. An arc already kept is not walked again from its other end.
-    """
-    adj = g.adj
-    found = set()
-    for v0, nbrs in enumerate(adj):
-        if len(nbrs) <= 2:
-            continue
-        for first in nbrs:
-            e = (v0, first) if v0 < first else (first, v0)
-            if e in found:
-                continue
-            arc = [e]
-            prev, cur = v0, first
-            while len(adj[cur]) == 2:
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                arc.append((prev, cur) if prev < cur else (cur, prev))
-            if len(adj[cur]) > 2:
-                found.update(arc)
-    return found
+    """Every edge (u, v), u < v, that lies on some internal path of g."""
+    return _internal_arcs(g)[1]
 
 
 def edge_in_internal_path(g: Graph, e: tuple) -> bool:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (_least_definite, _tree_pivot, _validate_alpha, delta_of_lambda,
-                       h_of_lambda, vertex_resolvent)
+from .spectral import (_least_definite, _tree_pivot, _validate_alpha, degree_bounds,
+                       delta_of_lambda, h_of_lambda, vertex_resolvent)
 
 
 class BracketError(RuntimeError):
@@ -411,11 +411,10 @@ def omega2_closed_form(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _degree_bound(g: Graph, u: int, added_degree: int) -> float:
+def _degree_bound(g: Graph, u: int, alpha: float, added_degree: int) -> float:
     """Strictly above the largest degree of g plus the paths at u, which
     bounds every rho(G + pendant paths) and so the limit."""
-    degs = g.degrees()
-    return float(max(int(degs.max(initial=0)), int(degs[u]) + added_degree, 2)) + 0.25
+    return max(degree_bounds(g, alpha)[1], len(g.adj[u]) + added_degree, 2) + 0.25
 
 
 def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
@@ -462,7 +461,7 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     f = loaded(2.0)
     if f is not None and f >= 0.0:
         return 2.0
-    top = _degree_bound(g, u, paths)
+    top = _degree_bound(g, u, alpha, paths)
     f = loaded(top)
     if f is None or f <= 0.0:
         raise BracketError(
@@ -572,7 +571,8 @@ def limit_table(kind: str, n_max: int, alphas=None,
     and new start at n = 1 at alpha 0, with limit sqrt(2 + sqrt 5), and
     laplacian (2 eta at alpha 1/2) ends in 2 + EPSILON_SURD; these three
     take no alphas (ValueError). versionI and versionII start at n = 0, run
-    at each of alphas (default 0) and end in psi(alpha).
+    at each of alphas, any iterable read once (default 0; none at all is a
+    ValueError), and end in psi(alpha).
     """
     spec = _TABLES.get(kind)
     if spec is None:
@@ -583,6 +583,9 @@ def limit_table(kind: str, n_max: int, alphas=None,
         raise ValueError(f"{kind} table runs at alpha {spec.fixed[0]:g} only")
     if alphas is None:
         alphas = (0.0,) if spec.fixed is None else (spec.fixed[0],)
+    alphas = tuple(alphas)  # rows and limits both walk it
+    if not alphas:
+        raise ValueError(f"{kind} table needs at least one alpha")
     rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
                  for alpha in alphas for n in range(spec.n_min, n_max + 1))
     limits = (spec.fixed,) if spec.fixed is not None else tuple(

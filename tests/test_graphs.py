@@ -40,6 +40,14 @@ def test_graph_rejects_loops_and_out_of_range():
         Graph(0, frozenset())
 
 
+def test_graph_rejects_a_vertex_count_that_is_not_an_integer():
+    for n in (3.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(n, frozenset({(0, 2)}))
+    g = Graph(np.int64(3), frozenset({(0, 2)}))  # numpy ints pass
+    assert g == Graph(3, frozenset({(0, 2)})) and g.adj == [[2], [], [0]]
+
+
 def test_graph_normalizes_edge_orientation():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == frozenset({(0, 2), (1, 2)})

@@ -571,7 +571,7 @@ def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
     with pytest.raises(ValueError, match="alpha"):
         op(g, 0, -0.1)
     # A degree bound below the root is a BracketError, not a wrong value.
-    monkeypatch.setattr(L, "_degree_bound", lambda g, u, added: 2.0 + 2.0 ** -20)
+    monkeypatch.setattr(L, "_degree_bound", lambda g, u, alpha, added: 2.0 + 2.0 ** -20)
     with pytest.raises(BracketError, match="degree bound"):
         op(g, 0, 0.3)
 
@@ -862,6 +862,17 @@ def test_limit_table_validation():
         limit_table("classic", 0)
     with pytest.raises(ValueError):
         limit_table("nope", 3)
+
+
+def test_limit_table_rejects_an_empty_alpha_sequence():
+    for kind in ("versionI", "versionII"):
+        for alphas in ((), [], iter(())):
+            with pytest.raises(ValueError, match="at least one alpha"):
+                limit_table(kind, 3, alphas)
+    # any iterable is read once: each alpha gets its rows and its limit
+    t = limit_table("versionI", 2, (a for a in (0.1, 0.2)))
+    assert [r.alpha for r in t.rows] == [0.1] * 3 + [0.2] * 3
+    assert [a for a, _ in t.limits] == [0.1, 0.2]
 
 
 def test_eta_all_values_below_limit():

@@ -448,3 +448,63 @@ def test_lemma_suite_reads_degrees_only_to_assemble(monkeypatch):
     monkeypatch.setattr(Graph, "degrees", lambda g: calls.append(1) or degrees(g))
     run_lemma_suite(0, 20)
     assert len(calls) <= 2 * 20
+
+
+def reference_internal_paths(g):
+    """The key-dedupe form of internal_paths: every arc from each branch
+    vertex, by sorted first step, kept if it ends at a branch vertex and its
+    (end set, interior set) key is new."""
+    deg = g.degrees()
+    found, seen_keys = [], set()
+    for v0 in range(g.n_vertices):
+        if deg[v0] <= 2:
+            continue
+        for first in sorted(g.adj[v0]):
+            walk = [v0, first]
+            prev, cur = v0, first
+            while deg[cur] == 2:
+                a, b = g.adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+                walk.append(cur)
+            key = (frozenset((walk[0], walk[-1])), frozenset(walk[1:-1]))
+            if deg[cur] <= 2 or key in seen_keys:
+                continue
+            seen_keys.add(key)
+            found.append((tuple(walk), "TypeI" if walk[0] == walk[-1] else "TypeII"))
+    return found
+
+
+def test_internal_paths_equal_the_key_dedupe_walk():
+    rng = np.random.default_rng(35)
+    seeded = []
+    for n in range(3, 12):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(40):
+            keep = rng.random(len(pairs)) < 0.35
+            seeded.append(Graph(n, frozenset(e for e, k in zip(pairs, keep) if k)))
+    named = [
+        # two TypeI loops on one vertex, the second entered from its high end
+        Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (0, 6), (6, 5), (0, 5), (0, 3)})),
+        # a branch-branch edge, and two TypeII arcs joining the same two ends
+        Graph(7, frozenset({(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1),
+                            (0, 5), (1, 6)})),
+        # dead-end arcs on both ends of a TypeII arc, and a bare leaf
+        Graph(9, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6),
+                            (6, 7), (3, 8)})),
+        # a pure-cycle component beside K4, whose edges all join branch vertices
+        Graph(9, cycle(5).edges | {(u, v) for u in range(5, 9) for v in range(u + 1, 9)}),
+        # a loop hanging from the higher end of a TypeII arc, a path to a leaf
+        Graph(10, frozenset({(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6),
+                             (6, 4), (5, 7), (7, 8), (8, 9)})),
+    ]
+    kinds = set()
+    for g in structure_cases() + seeded + named:
+        paths = internal_paths(g)
+        ref = reference_internal_paths(g)
+        assert [(p.vertices, p.kind) for p in paths] == ref, format_graph(g)
+        assert internal_path_edges(g) == {
+            (min(a, b), max(a, b)) for w, _ in ref for a, b in zip(w, w[1:])}, format_graph(g)
+        kinds.update(kind for _, kind in ref)
+    assert kinds == {"TypeI", "TypeII"}
+    assert [kind for _, kind in reference_internal_paths(named[0])] == ["TypeI"] * 2
+    assert [kind for _, kind in reference_internal_paths(named[1])] == ["TypeII"] * 3
