@@ -350,6 +350,16 @@ HANDLERS = {"radius": cmd_radius, "table": cmd_table, "psi": cmd_psi,
             "convergence": cmd_convergence, "verify": cmd_verify}
 
 
+def _sizes(text: str) -> list:
+    """The --sizes list; anything but comma-separated integers is a usage
+    error that names the value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sizes must be comma-separated integers, got {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser; it holds no state across parse_args calls."""
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="finite-family approach to a limit")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--alpha", dest="alpha_single", type=float, default=0.0)
-    p.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
+    p.add_argument("--sizes", type=_sizes,
                    required=True, help="comma-separated ascending path lengths")
     p.add_argument("--n-fixed", type=int, default=None,
                    help="fixed short-path order for p2mn")

@@ -14,8 +14,9 @@ there. The pendant-path limit operators work on any connected graph;
 each limit is the least double at which u's root pivot, loaded with the
 infinite paths, is positive, found as a tree radius is (spectral's
 _least_definite). On a tree that pivot comes from a leaves-first
-elimination rooted at u, O(n) per lambda; any other graph takes it from
-one eigendecomposition.
+elimination rooted at u, O(n) per lambda, and the search from the same
+plan re-rooted at the hub with the load on u; any other graph takes it
+from one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (_least_definite, _tree_pivot, _validate_alpha, degree_bounds,
+from .spectral import (_least_definite, _tree_thresholds, _validate_alpha, degree_bounds,
                        delta_of_lambda, h_of_lambda, vertex_resolvent)
 
 
@@ -411,10 +412,10 @@ def omega2_closed_form(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _degree_bound(g: Graph, u: int, alpha: float, added_degree: int) -> float:
-    """Strictly above the largest degree of g plus the paths at u, which
-    bounds every rho(G + pendant paths) and so the limit."""
-    return max(degree_bounds(g, alpha)[1], len(g.adj[u]) + added_degree, 2) + 0.25
+def _degree_bound(top: float, degree: int, added_degree: int) -> float:
+    """Strictly above the largest degree of g, top, and of u, degree, plus the
+    paths at u, which bounds every rho(G + pendant paths) and so the limit."""
+    return max(top, degree + added_degree, 2) + 0.25
 
 
 def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
@@ -431,43 +432,53 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     = a + (1-a) theta. f_u rises where the pivots below u are positive and
     the load falls, so the threshold is the one root above max(2, rho(G)).
 
-    On a tree f_u is spectral._tree_pivot rooted at u, with no
-    eigendecomposition; any other graph takes 1 / r(lambda) from
-    spectral.vertex_resolvent above rho(G), and None at or below it. The
-    loaded pivot is None below 2 too, and spectral._least_definite, the
-    tree radius's search and certificate, returns its threshold.
+    On a tree spectral._tree_thresholds makes the one elimination plan,
+    rooted at u, with no eigendecomposition: its check is the loaded f_u,
+    and its search the pivot of the plan re-rooted at the hub, with the
+    load on u's diagonal. The loaded matrix is positive definite iff every
+    pivot is positive, in any elimination order, so both decide the same
+    test, and the check alone fixes the bits. The hub's pivot can have
+    the secant window near the threshold that u's lacks when u is a leaf;
+    when it has none either, the search bisects. Any other graph takes 1 / r(lambda) from
+    spectral.vertex_resolvent above rho(G), and None at or below it, as
+    both check and search. The load is None below 2, and so are both
+    pivots; spectral._least_definite, the tree radius's search and
+    certificate, returns the threshold of the check.
     """
     _validate_alpha(alpha, upper_open=True)
-    if not g.is_connected():
-        raise ValueError("pendant-path limits need a connected graph")
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph")
-    pivot = _tree_pivot(g, u, alpha)
-    if pivot is None:
-        r = vertex_resolvent(g, u, alpha)
-
-        def pivot(lam: float) -> float | None:
-            return 1.0 / r(lam) if lam > r.top else None
-
     s = 1.0 - alpha
 
-    def loaded(lam: float) -> float | None:
-        f = pivot(lam) if lam >= 2.0 else None
-        if f is None:
+    def load(lam: float) -> float | None:
+        if lam < 2.0:
             return None
         tau = 0.5 * (lam - 2.0 * alpha + delta_of_lambda(lam, alpha))
-        return f - paths * (alpha + s * (s / tau))  # f - paths exactly at 2
+        return paths * (alpha + s * (s / tau))  # paths exactly at 2
 
-    f = loaded(2.0)
+    # a tree's plan reaches every vertex, so it shows g connected
+    thresholds = _tree_thresholds(g, u, alpha, load) if 0 <= u < g.n_vertices else None
+    if thresholds is None:
+        if not g.is_connected():
+            raise ValueError("pendant-path limits need a connected graph")
+        if not (0 <= u < g.n_vertices):
+            raise ValueError(f"vertex {u} not in graph")
+        r = vertex_resolvent(g, u, alpha)
+
+        def check(lam: float) -> float | None:
+            extra = load(lam)
+            return None if extra is None or lam <= r.top else 1.0 / r(lam) - extra
+
+        thresholds = check, check, degree_bounds(g, alpha)[1]
+    check, search, top = thresholds
+    f = check(2.0)
     if f is not None and f >= 0.0:
         return 2.0
-    top = _degree_bound(g, u, alpha, paths)
-    f = loaded(top)
+    top = _degree_bound(top, len(g.adj[u]), paths)
+    f = check(top)
     if f is None or f <= 0.0:
         raise BracketError(
             f"loaded pivot not positive at the degree bound {top} "
             f"(u={u}, alpha={alpha})")
-    return _least_definite(loaded, loaded, 2.0, top)
+    return _least_definite(check, search, 2.0, top)
 
 
 def pendant_path_limit(g: Graph, u: int, alpha: float) -> float:

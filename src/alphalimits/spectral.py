@@ -6,19 +6,23 @@ value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone by
 structure. Every tree goes to leaf-to-root elimination in O(n) memory,
 one walk that returns the last pivot. The elimination has one seam:
-_tree_plan builds a tree's plan from Graph.adj, _tree_pivot scales it by
-alpha and returns its root pivot as a function of lam, and _root_pivot
-walks it; limits reads only _tree_pivot. _least_definite is the one
-threshold search: secant steps on one pivot function pick a point, and
-the sign of another certifies the least double at which it is positive,
-the value plain bisection ends on. A radius searches the elimination
-rooted at a max-degree vertex and certifies on the one rooted at vertex
-0; limits finds its pendant-path limits, loaded root pivots, the same way.
-Each pass follows a plan in which every run of degree-2 vertices is
-folded into the vertex below it, and walks a run only until its pivot
-repeats bit for bit, after which the rest of the run repeats it too; near
-the radius a pendant path of any length then costs tens of steps, and
-every pivot is the one of a plain pass over all n vertices. A graph with
+_tree_plan builds a tree's plan from Graph.adj, once per threshold, and
+_tree_thresholds scales it by alpha and returns (check, search, top) to
+radius_of and limits, which read nothing else of it. _least_definite is
+the one threshold search: secant steps on the search pivot pick a point,
+and the sign of the check certifies the least double at which it is
+positive, the value plain bisection ends on. The check is _root_pivot on
+the plan rooted where the certificate is (vertex 0 for a radius, u for a
+pendant-path limit, a loaded root pivot); the search is _search_pivot on
+the same plan contracted to its steps and re-rooted at the hub, a
+max-degree vertex, in O(steps) (_rerooted), with no second plan and no
+degree pass. Each plan folds every run of degree-2 vertices into the
+vertex below it. The check walks a run only until its pivot repeats bit
+for bit, after which the rest of the run repeats it too, so near the
+radius a pendant path of any length costs tens of steps and every pivot
+is the one of a plain pass over all n vertices. The search advances a
+run in O(1) above lam = 2, from the fixed points of the run map
+(_run_constants, _advance), and steps it otherwise. A graph with
 a cycle or more than one component is solved densely: full_spectrum is
 the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
 stack, stack_radii reads each slice's radius off it, and solve_by_order,
@@ -27,9 +31,9 @@ order for stacks of mixed orders.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
-The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the root
-pivot of _tree_pivot rooted at u, and vertex_resolvent
-gives it on any graph from one eigendecomposition. The characteristic
+The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the check
+pivot of _tree_thresholds rooted at u, and vertex_resolvent gives it on
+any graph from one eigendecomposition. The characteristic
 polynomials of the path matrix and of the deleted-end path B_{n+1} have
 s,t closed forms, which verify checks against the exact three-term
 tridiagonal recurrence.
@@ -180,7 +184,8 @@ def radius_of(g: Graph, alpha: float) -> float:
     eigenvalues of trees", LAA 434, 2011). rho <= max degree for every
     alpha in [0,1].
 
-    Search. Rooted at a max-degree vertex u, the lowest index on ties, the
+    Search. Rooted at a max-degree vertex u, the lowest index on ties (on
+    a path, vertex 0, as only its ends and vertex 0 are plan steps), the
     pivots below u are all positive on (rho(G - u), inf), where rho(G - u)
     is the top eigenvalue of A_alpha with row and column u deleted, and
     rho(G - u) < rho. There f_u = phi(G) / phi(G - u) = lam - alpha*deg(u)
@@ -192,29 +197,32 @@ def radius_of(g: Graph, alpha: float) -> float:
     chord through two points of the window, extended to the right, lies
     above f_u: its zero lies in (lam, rho], and secant steps climb
     monotonically to rho. The search starts at star_radius(max degree), a
-    lower bound on rho.
+    lower bound on rho. Its pivot comes from the vertex-0 plan contracted
+    to its steps and re-rooted at u (_tree_thresholds), so the max degree,
+    u and the search's plan all come from the one plan walk.
 
     Certification. _least_definite returns the least double at which f_u
     of the vertex-0 plan is positive, as plain bisection on [0, max degree].
 
-    Cost. Search and check make the same pass, one _root_pivot walk with
-    no derivative. Near rho, the pivots up a long pendant path approach the
-    attracting fixed point of f -> (lam - 2*alpha) - (1-alpha)^2 / f and,
-    in doubles, reach it after tens of vertices; the passes skip the rest
-    of each folded run (see _root_pivot), so a pass costs about the number
-    of branch vertices and leaves plus those tens per run, not n. Below
-    lam = 2 that map has no fixed point, as at rho of a path at alpha = 0:
-    no pivot repeats, and each run is walked in full.
+    Cost. One _tree_plan walk, then one pass per probe, with no
+    derivative. A search probe (_search_pivot) costs one step per plan
+    step: above lam = 2 the run map f -> (lam - 2*alpha) - (1-alpha)^2 / f
+    has the fixed points tau+- of _run_constants, and a folded run whose
+    first pivot is above tau- is advanced to its top in closed form. A
+    check (_root_pivot) steps each run: near rho its pivots approach tau+
+    and, in doubles, reach it after tens of vertices, and the check skips
+    the rest of the run, so it costs about the number of branch vertices
+    and leaves plus those tens per run, not n. On the four convergence
+    families at order 800-1602 a radius takes 1-2 checks. Below lam = 2
+    the run map has no fixed point, as at rho of a path at alpha = 0: no
+    pivot repeats, and both passes walk each run in full.
     """
     _validate_alpha(alpha)
-    check = _tree_pivot(g, 0, alpha)
-    if check is None:
+    thresholds = _tree_thresholds(g, 0, alpha)
+    if thresholds is None:
         return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
-    degree = [len(a) for a in g.adj]
-    top = max(degree)
-    hub = degree.index(top)
-    search = check if hub == 0 else _tree_pivot(g, hub, alpha)
-    return _least_definite(check, search, star_radius(top, alpha), float(top))
+    check, search, top = thresholds
+    return _least_definite(check, search, star_radius(top, alpha), top)
 
 
 def _tree_plan(g: Graph, root: int) -> list | None:
@@ -269,9 +277,20 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     return steps
 
 
-def _tree_pivot(g: Graph, root: int, alpha: float):
-    """lam -> f_root, the root pivot of the elimination rooted at root at
-    lam (see _root_pivot), or None unless g is a tree.
+def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
+    """(check, search, top) of the tree g from its one plan rooted at root,
+    or None unless g is a tree.
+
+    top is g's max degree, as a float. check(lam) is f_root, the root pivot
+    of _tree_plan(g, root) at lam (see _root_pivot), less load(lam) when a
+    load is given: the certificate. search(lam) is the root pivot of the
+    same plan re-rooted at the hub, the lowest-indexed step vertex of the
+    largest degree (see _rerooted), with load(lam) added to root's
+    diagonal, from _search_pivot. load is None or lam -> the extra diagonal
+    at root, None where it is not defined, and there check and search are
+    None too. Every vertex of degree 3 or more is a step, so on any tree
+    but a path the hub is the lowest-indexed max-degree vertex; every step
+    of a path is an end or root, and a path's hub is an end or root.
 
     The one place a plan is scaled by alpha: each degree becomes
     alpha*degree, with c = (1-alpha)^2 and d2 = 2*alpha.
@@ -279,16 +298,68 @@ def _tree_pivot(g: Graph, root: int, alpha: float):
     plan = _tree_plan(g, root)
     if plan is None:
         return None
-    steps = [(v, p, alpha * d, k) for v, p, d, k in plan]
+    top = max(d for _, _, d, _ in plan)
+    hub = min(v for v, _, d, _ in plan if d == top)
+    if any(k for _, _, _, k in plan):  # a folded vertex has degree 2
+        top = max(top, 2)
     c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
-    return lambda lam: _root_pivot(steps, c, d2, lam)
+    steps = _scaled(plan, alpha)
+    if hub == root:
+        searched, slot = steps, len(steps) - 1
+    else:
+        rerooted = _rerooted(plan, hub)
+        searched = _scaled(rerooted, alpha)
+        slot = [v for v, _, _, _ in rerooted].index(root)
+    def check(lam):
+        extra = 0.0 if load is None else load(lam)
+        if extra is None:
+            return None
+        f = _root_pivot(steps, c, d2, lam)
+        return None if f is None else f - extra  # f itself when extra is 0.0
+
+    def search(lam):
+        extra = 0.0 if load is None else load(lam)
+        return None if extra is None else _search_pivot(searched, c, d2, lam, slot, extra)
+    return check, search, float(top)
+
+
+def _rerooted(plan: list, hub: int) -> list:
+    """plan, a _tree_plan, re-rooted at hub, one of its step vertices, in
+    O(steps).
+
+    The steps on the way from hub up to the root turn over: each takes the
+    one it was the parent of as its parent, with that step's folded run,
+    whose vertices all have degree 2, so the run folds into the other end;
+    hub becomes the root, its parent the spare slot. The other steps keep
+    their parents and their order, and the turned steps follow them, from
+    the old root down to hub, so every child still comes before its parent.
+    Each vertex keeps its degree and stays a step or folded as it was.
+    """
+    up = {v: (p, d, k) for v, p, d, k in plan}
+    spare = plan[-1][1]
+    turned = {}  # vertex on the way -> its new (parent, run)
+    v, p, k = hub, spare, 0
+    while v != spare:
+        turned[v] = (p, k)
+        p, k, v = v, up[v][2], up[v][0]
+    rest = [step for step in plan if step[0] not in turned]
+    return rest + [(v, p, up[v][1], k) for v, (p, k) in reversed(turned.items())]
+
+
+def _scaled(plan: list, alpha: float) -> list:
+    """plan with each degree scaled to alpha*degree, and each vertex and
+    parent replaced by its step's position, the root's parent by len(plan):
+    a walk's accumulators then take one slot per step, not per vertex."""
+    position = {v: i for i, (v, _, _, _) in enumerate(plan)}
+    position[plan[-1][1]] = len(plan)
+    return [(i, position[p], alpha * d, k) for i, (_, p, d, k) in enumerate(plan)]
 
 
 def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
     """f_u, the pivot at the root u of one leaves-first elimination at lam.
 
-    None once a pivot below u is not positive. steps holds (vertex, parent,
-    alpha*degree, k) steps of a plan (see _tree_plan); the pivot is
+    None once a pivot below u is not positive. steps is a plan as _scaled
+    gives it, (slot, parent slot, alpha*degree, k) steps; the pivot is
     f_v = lam - alpha*deg(v) - sum over children w of c / f_w, with
     c = (1-alpha)^2. Up a folded run each pivot is f -> (lam - d2) - c / f
     of the one below, d2 = 2*alpha: the one child's sum is 0.0 + c / f,
@@ -312,6 +383,67 @@ def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
         acc[p] += c / f
     u, _, d, _ = steps[-1]
     return lam - d - acc[u]
+
+
+def _search_pivot(steps: list, c: float, d2: float, lam: float,
+                  slot: int, extra: float) -> float | None:
+    """f_u as _root_pivot finds it, up to rounding, with extra added to the
+    diagonal of step slot's vertex and each folded run advanced at once.
+
+    Above lam = 2 the run map f -> (lam - d2) - c / f has the real fixed
+    points tau+- (see _run_constants), and a run whose first pivot exceeds
+    tau- ends where _advance puts it, in O(1) whatever its length; every
+    pivot on it stays above tau- >= 0. Any other run is stepped exactly as
+    _root_pivot steps it. The search pivot of _least_definite: it decides
+    only the cost.
+    """
+    e = lam - d2
+    acc = [0.0] * (steps[-1][1] + 1)
+    acc[slot] = extra
+    tau_minus, delta, log_q = _run_constants(lam, c, d2) if lam > 2.0 else (math.inf, 0.0, 0.0)
+    for v, p, d, k in steps[:-1]:
+        f = lam - d - acc[v]
+        if f <= 0.0:
+            return None
+        if k and f > tau_minus:
+            f = _advance(f, k, tau_minus, delta, log_q)
+        else:
+            for _ in range(k):
+                f_next = e - c / f
+                if f_next == f:
+                    break
+                if f_next <= 0.0:
+                    return None
+                f = f_next
+        acc[p] += c / f
+    u, _, d, _ = steps[-1]
+    return lam - d - acc[u]
+
+
+def _run_constants(lam: float, c: float, d2: float) -> tuple:
+    """(tau-, delta, log q) of the run map f -> (lam - d2) - c / f at lam > 2.
+
+    Its fixed points are tau+- = (lam - d2 +- delta) / 2, delta =
+    delta_of_lambda(lam, alpha) > 0 at alpha = d2 / 2, with tau+ * tau- = c,
+    so tau- is taken as c / tau+, free of cancellation. q = tau- / tau+ = 1 - delta / tau+
+    lies in [0, 1), and log q is log1p(-delta / tau+), or -inf at q = 0
+    (alpha = 1, where c = 0).
+    """
+    delta = delta_of_lambda(lam, 0.5 * d2)
+    tau = 0.5 * (lam - d2 + delta)
+    ratio = delta / tau
+    return c / tau, delta, (math.log1p(-ratio) if ratio < 1.0 else -math.inf)
+
+
+def _advance(f: float, k: int, tau_minus: float, delta: float, log_q: float) -> float:
+    """The pivot k steps of the run map up from f > tau- (see _run_constants).
+
+    The map takes (f - tau+) / (f - tau-) to q times itself, so
+    h = 1 / (f - tau-) goes to q^k * h + (1 - q^k) / delta, a sum of two
+    positive terms, with q^k = exp(k log q) and 1 - q^k = -expm1(k log q).
+    """
+    x = k * log_q
+    return tau_minus + 1.0 / (math.exp(x) / (f - tau_minus) - math.expm1(x) / delta)
 
 
 def _secant_point(pivot, start: float, top: float) -> float:

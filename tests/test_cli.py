@@ -198,6 +198,16 @@ def test_convergence_rejects_unsorted_sizes(capsys):
     assert exc.value.code == 2
 
 
+def test_convergence_names_a_malformed_sizes_list(capsys):
+    for sizes in ("10,abc", "10,,20", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "p2nn", "--sizes", sizes])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"sizes must be comma-separated integers, got '{sizes}'" in err, err
+        assert "lambda" not in err
+
+
 def test_convergence_rejects_orders_over_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "p2nn", "--sizes", "1500"])

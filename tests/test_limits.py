@@ -551,6 +551,13 @@ def test_pendant_limits_need_a_connected_graph():
         pendant_path_limit(g, 0, 0.3)
     with pytest.raises(ValueError):
         two_pendant_paths_limit(g, 0, 0.3)
+    # n - 1 edges, a triangle and an edge: the tree plan from any vertex
+    # misses a component, and the limit is refused, not taken on one side
+    g = Graph(5, frozenset({(0, 1), (1, 2), (0, 2), (3, 4)}))
+    for u in range(5):
+        for op in (pendant_path_limit, two_pendant_paths_limit):
+            with pytest.raises(ValueError, match="connected"):
+                op(g, u, 0.3)
 
 
 PENDANT_OPS = (pendant_path_limit, two_pendant_paths_limit)
@@ -571,7 +578,7 @@ def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
     with pytest.raises(ValueError, match="alpha"):
         op(g, 0, -0.1)
     # A degree bound below the root is a BracketError, not a wrong value.
-    monkeypatch.setattr(L, "_degree_bound", lambda g, u, alpha, added: 2.0 + 2.0 ** -20)
+    monkeypatch.setattr(L, "_degree_bound", lambda top, degree, added: 2.0 + 2.0 ** -20)
     with pytest.raises(BracketError, match="degree bound"):
         op(g, 0, 0.3)
 
@@ -629,7 +636,7 @@ def test_tree_and_dense_routes_agree_to_1e_14(alpha, paths, monkeypatch):
     op = PENDANT_OPS[paths - 1]
     cases = seeded_trees()
     tree = [op(g, u, alpha) for g, u in cases]
-    monkeypatch.setattr(L, "_tree_pivot", lambda g, root, alpha: None)
+    monkeypatch.setattr(L, "_tree_thresholds", lambda g, root, alpha, load: None)
     for (g, u), limit in zip(cases, tree):
         assert abs(op(g, u, alpha) - limit) <= 1e-14, (g.n_vertices, u)
 
@@ -639,25 +646,29 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
         raise AssertionError("a tree took the dense route")
 
     g = random_tree(np.random.default_rng(3), 300)
-    # The leaf 151 has no secant window (rho(G - u), rho(G) and the limit
-    # agree to a few ulps there), so its search is bisection-bound.
-    walks = {151: 60, 0: 40}
     expected = {(u, paths): reference_pendant_limit(g, u, 0.5, paths)
-                for u in walks for paths in (1, 2)}
+                for u in (151, 0) for paths in (1, 2)}
     monkeypatch.setattr(L, "vertex_resolvent", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    counter = {"walks": 0}
-    walk = spectral._root_pivot
-
-    def counted(*args):
-        counter["walks"] += 1
-        return walk(*args)
-    monkeypatch.setattr(spectral, "_root_pivot", counted)
+    counter = {"_tree_plan": 0, "_root_pivot": 0, "_search_pivot": 0}
+    for name in counter:
+        def counted(*args, walk=getattr(spectral, name), name=name):
+            counter[name] += 1
+            return walk(*args)
+        monkeypatch.setattr(spectral, name, counted)
     for (u, paths), reference in expected.items():
-        counter["walks"] = 0
+        counter.update(dict.fromkeys(counter, 0))
         assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
-        assert counter["walks"] <= walks[u], (u, paths, counter["walks"])
+        # one plan; exact walks at 2, at the degree bound and two for the
+        # certificate
+        assert counter["_tree_plan"] == 1, (u, paths, counter)
+        assert counter["_root_pivot"] <= 4, (u, paths, counter)
+        if u == 151:
+            # the leaf 151 has no secant window, and neither has the hub 89,
+            # the lowest of this tree's four degree-5 vertices: the search
+            # is bisection-bound on the hub-rooted plan (43 probes measured)
+            assert counter["_search_pivot"] <= 45, (u, paths, counter)
 
 
 def test_the_path_load_is_the_h_form_coefficient_exactly():

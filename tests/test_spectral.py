@@ -391,15 +391,15 @@ def test_moved_golden_radii_are_rho_rounded_up(name, size, g, alpha):
 
 
 def count_eliminations(monkeypatch):
-    """Counter of elimination passes: the one _root_pivot walk that the
-    secant search and the certificate both make."""
-    counter = {"passes": 0}
-    walk = spectral._root_pivot
-
-    def counted(*args):
-        counter["passes"] += 1
-        return walk(*args)
-    monkeypatch.setattr(spectral, "_root_pivot", counted)
+    """Counters of plans and passes: the one _tree_plan of a threshold, its
+    exact _root_pivot walks (the certificate) and its search probes."""
+    counter = {"plans": 0, "passes": 0, "probes": 0}
+    for key, name in (("plans", "_tree_plan"), ("passes", "_root_pivot"),
+                      ("probes", "_search_pivot")):
+        def counted(*args, walk=getattr(spectral, name), key=key):
+            counter[key] += 1
+            return walk(*args)
+        monkeypatch.setattr(spectral, name, counted)
     return counter
 
 
@@ -467,14 +467,41 @@ def test_tree_radius_equals_reference_on_stars():
 
 
 def test_tree_radius_at_order_1602_takes_few_eliminations(monkeypatch):
-    # p2nn at order 1602, and the other three families at size 800
+    # p2nn at order 1602, and the other three families at size 800: one
+    # plan and 1-2 exact walks measured, about ten search probes
     counter = count_eliminations(monkeypatch)
     for family in ("p2nn", "p2mn", "k13", "p5u"):
         g = CONVERGENCE_FAMILIES[family][0](800)
         for alpha in TREE_ALPHAS:
-            counter["passes"] = 0
+            counter.update(plans=0, passes=0, probes=0)
             radius_of(g, alpha)
-            assert 1 <= counter["passes"] <= 15, (family, alpha, counter["passes"])
+            assert counter["plans"] == 1, (family, alpha, counter)
+            assert 1 <= counter["passes"] <= 4, (family, alpha, counter)
+            assert counter["probes"] <= 15, (family, alpha, counter)
+
+
+def test_one_plan_per_tree_threshold(monkeypatch):
+    """radius_of and each pendant operator make one _tree_plan walk on a
+    tree, rooted at the certificate's root: vertex 0 and u."""
+    roots = []
+    build = spectral._tree_plan
+
+    def recorded(g, root):
+        roots.append(root)
+        return build(g, root)
+    monkeypatch.setattr(spectral, "_tree_plan", recorded)
+    trees = [path(2), path(9), star(4), seeded_tree(3, 200), p2_two_paths(40, 40)[0],
+             attach_pendant_path(path(5), 2, 60), random_tree(np.random.default_rng(3), 300)]
+    for g in trees:
+        for alpha in (0.0, 0.5, 1.0):
+            roots.clear()
+            radius_of(g, alpha)
+            assert roots == [0], (g.n_vertices, alpha)
+        for u in (0, g.n_vertices // 2, g.n_vertices - 1):
+            for op in (pendant_path_limit, two_pendant_paths_limit):
+                roots.clear()
+                op(g, u, 0.5)
+                assert roots == [u], (g.n_vertices, u, op.__name__)
 
 
 def test_the_search_never_decides_the_bits(monkeypatch):
@@ -579,7 +606,8 @@ def test_leaves_first_orders(monkeypatch):
     for _ in range(4):
         g = attach_pendant_path(g, 131, 1)
     hub = int(np.argmax(g.degrees()))
-    check, search = spectral._tree_plan(g, 0), spectral._tree_plan(g, hub)
+    check = spectral._tree_plan(g, 0)
+    search = spectral._rerooted(check, hub)
     for plan in (check, search):
         order = expand(g, plan)
         assert sorted(v for v, _ in order) == list(range(g.n_vertices))
@@ -591,19 +619,26 @@ def test_leaves_first_orders(monkeypatch):
         assert order[-1] == (plan[-1][0], g.n_vertices) and plan[-1][3] == 0
     assert check[-1][:2] == (0, g.n_vertices)
     assert search[-1][:2] == (hub, g.n_vertices) and hub == 131
-    # radius_of builds the search's pivot only when the hub is not vertex 0
-    roots = []
-    build = spectral._tree_pivot
+    # radius_of walks one plan, rooted at vertex 0, and searches it
+    # re-rooted at the hub; a plan whose hub is its root is searched as it is
+    roots, hubs = [], []
+    build, turn = spectral._tree_plan, spectral._rerooted
 
-    def recorded(g, root, alpha):
+    def recorded_build(g, root):
         roots.append(root)
-        return build(g, root, alpha)
-    monkeypatch.setattr(spectral, "_tree_pivot", recorded)
+        return build(g, root)
+
+    def recorded_turn(plan, hub):
+        hubs.append(hub)
+        return turn(plan, hub)
+    monkeypatch.setattr(spectral, "_tree_plan", recorded_build)
+    monkeypatch.setattr(spectral, "_rerooted", recorded_turn)
     radius_of(g, 0.5)
-    assert roots == [0, hub]
+    assert roots == [0] and hubs == [hub]
     roots.clear()
+    hubs.clear()
     radius_of(attach_pendant_path(star(3), 0, 128), 0.5)
-    assert roots == [0]
+    assert roots == [0] and hubs == []
 
 
 def test_leaves_first_pivots_match_the_private_build():
@@ -628,7 +663,7 @@ def test_leaves_first_pivots_match_the_private_build():
             rho = radius_of(g, alpha)
             lams = [rho * (1.0 + e) for e in shifts] + list(rng.uniform(0.0, top, 4))
             for order in orders:  # rooted at vertex 0 and at the hub
-                pivot = spectral._tree_pivot(g, order[-1][0], alpha)
+                pivot = spectral._tree_thresholds(g, order[-1][0], alpha)[0]
                 order = scaled(order, alpha)
                 for lam in lams:
                     got = pivot(lam)
@@ -642,7 +677,88 @@ def test_leaves_first_pivots_match_the_private_build():
               unicyclic_200(), cycle_plus_path_200()):
         for root in (0, 1, g.n_vertices - 1):
             assert spectral._tree_plan(g, root) is None
-            assert spectral._tree_pivot(g, root, 0.5) is None
+            assert spectral._tree_thresholds(g, root, 0.5) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(TREE_ALPHAS),
+       st.floats(min_value=-12.0, max_value=0.8),
+       st.floats(min_value=-4.0, max_value=0.5),
+       st.integers(min_value=1, max_value=2000))
+def test_a_run_advanced_in_closed_form_matches_stepping(alpha, lam_exp, gap_exp, k):
+    """_advance puts a run of k vertices where k steps of the run map take
+    it, to 1e-12 relative, for lam = 2 + 10^lam_exp and a first pivot
+    10^gap_exp * lam above tau-. Closer to tau- the stepping itself loses
+    digits: at 1e-6 * lam it is off by up to 2e-12 against 60-digit
+    arithmetic, where the closed form stays within 1e-13."""
+    lam = 2.0 + 10.0 ** lam_exp
+    c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+    tau_minus, delta, log_q = spectral._run_constants(lam, c, d2)
+    assert 0.0 <= tau_minus < lam - d2 - tau_minus  # tau- < tau+
+    f = f0 = tau_minus + 10.0 ** gap_exp * lam
+    for _ in range(k):
+        f = (lam - d2) - c / f
+        assert f > tau_minus
+    got = spectral._advance(f0, k, tau_minus, delta, log_q)
+    assert abs(got - f) <= 1e-12 * f, (got, f)
+
+
+def plan_cases():
+    """Seeded trees and the four convergence families, each with the hubs
+    to re-root its vertex-0 plan at: its max-degree hub and three seeded
+    step vertices."""
+    rng = np.random.default_rng(29)
+    graphs = [seeded_tree(seed, n) for seed, n in enumerate((2, 9, 40, 128, 300, 700))]
+    graphs += [build(size) for build, sizes in CONVERGENCE_FAMILIES.values()
+               for size in sizes[:2]]
+    graphs += [path(30), spider((3, 5, 8)), two_stars(5, 20)]
+    for g in graphs:
+        plan = spectral._tree_plan(g, 0)
+        top = max(d for _, _, d, _ in plan)
+        hubs = {min(v for v, _, d, _ in plan if d == top)}
+        hubs.update(plan[int(i)][0] for i in rng.integers(len(plan), size=3))
+        yield g, plan, sorted(hubs)
+
+
+def test_a_rerooted_plan_keeps_degrees_and_folded_length():
+    for g, plan, hubs in plan_cases():
+        n = g.n_vertices
+        for hub in hubs:
+            turned = spectral._rerooted(plan, hub)
+            order = expand(g, turned)  # asserts each degree and each run
+            assert sorted(v for v, _ in order) == list(range(n))
+            seen = set()
+            for v, p in order:  # leaves first
+                assert all(w in seen for w in g.adj[v] if w != p)
+                seen.add(v)
+            assert turned[-1][:2] == (hub, n) and turned[-1][3] == 0
+            assert {v for v, *_ in turned} == {v for v, *_ in plan}
+            assert all(d == len(g.adj[v]) for v, _, d, _ in turned)
+            assert sum(k for *_, k in turned) == sum(k for *_, k in plan) == n - len(plan)
+            assert spectral._rerooted(plan, plan[-1][0]) == plan
+
+
+def test_the_search_pivot_agrees_with_the_exact_walk_away_from_the_threshold():
+    """On the same re-rooted plan, _search_pivot and _root_pivot agree in
+    None-ness and in sign, and to 1e-9, at lam 1e-6 to 1e-2 from rho on
+    either side and across [0, max degree]."""
+    rng = np.random.default_rng(31)
+    shifts = [sign * 10.0 ** -j for j in range(2, 7) for sign in (1, -1)]
+    for g, plan, hubs in plan_cases():
+        for alpha in TREE_ALPHAS:
+            rho = radius_of(g, alpha)
+            top = max(d for _, _, d, _ in plan)
+            lams = [rho * (1.0 + e) for e in shifts] + list(rng.uniform(0.0, top, 4))
+            c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
+            for hub in hubs:
+                steps = spectral._scaled(spectral._rerooted(plan, hub), alpha)
+                for lam in lams:
+                    exact = spectral._root_pivot(steps, c, d2, lam)
+                    fast = spectral._search_pivot(steps, c, d2, lam, 0, 0.0)
+                    assert (fast is None) == (exact is None), (g.n_vertices, alpha, hub, lam)
+                    if exact is not None:
+                        assert (fast > 0.0) == (exact > 0.0), (g.n_vertices, alpha, hub, lam)
+                        assert abs(fast - exact) <= 1e-9 * max(1.0, lam), (fast, exact)
 
 
 def test_two_long_pendant_paths_plan_in_few_steps():
