@@ -14,9 +14,8 @@ there. The pendant-path limit operators work on any connected graph;
 each limit is the least double at which u's root pivot, loaded with the
 infinite paths, is positive, found as a tree radius is (spectral's
 _least_definite). On a tree that pivot comes from a leaves-first
-elimination rooted at u, O(n) per lambda, and the search from the same
-plan re-rooted at the hub with the load on u; any other graph takes it
-from one eigendecomposition.
+elimination rooted at u, O(n) per lambda, which the search probes too;
+any other graph takes it from one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -433,17 +432,15 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     the load falls, so the threshold is the one root above max(2, rho(G)).
 
     On a tree spectral._tree_thresholds makes the one elimination plan,
-    rooted at u, with no eigendecomposition: its check is the loaded f_u,
-    and its search the pivot of the plan re-rooted at the hub, with the
-    load on u's diagonal. The loaded matrix is positive definite iff every
-    pivot is positive, in any elimination order, so both decide the same
-    test, and the check alone fixes the bits. The hub's pivot can have
-    the secant window near the threshold that u's lacks when u is a leaf;
-    when it has none either, the search bisects. Any other graph takes 1 / r(lambda) from
-    spectral.vertex_resolvent above rho(G), and None at or below it, as
-    both check and search. The load is None below 2, and so are both
-    pivots; spectral._least_definite, the tree radius's search and
-    certificate, returns the threshold of the check.
+    rooted at u, with no eigendecomposition, and returns the loaded f_u as
+    both check and search. A search on the plan re-rooted at the hub, as a
+    radius's is, takes fewer probes on most trees but more on some: the
+    lowest-indexed max-degree vertex can lack a secant window as a leaf u
+    does, and then its bisection can cost more probes than u's. Any other
+    graph takes 1 / r(lambda) from spectral.vertex_resolvent above rho(G),
+    and None at or below it, as both check and search. The load is None
+    below 2, and so is the pivot; spectral._least_definite, the tree
+    radius's search and certificate, returns the threshold of the check.
     """
     _validate_alpha(alpha, upper_open=True)
     s = 1.0 - alpha

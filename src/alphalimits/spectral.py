@@ -11,23 +11,24 @@ _tree_thresholds scales it by alpha and returns (check, search, top) to
 radius_of and limits, which read nothing else of it. _least_definite is
 the one threshold search: secant steps on the search pivot pick a point,
 and the sign of the check certifies the least double at which it is
-positive, the value plain bisection ends on. The check is _root_pivot on
-the plan rooted where the certificate is (vertex 0 for a radius, u for a
-pendant-path limit, a loaded root pivot); the search is _search_pivot on
-the same plan contracted to its steps and re-rooted at the hub, a
-max-degree vertex, in O(steps) (_rerooted), with no second plan and no
-degree pass. Each plan folds every run of degree-2 vertices into the
-vertex below it. The check walks a run only until its pivot repeats bit
-for bit, after which the rest of the run repeats it too, so near the
-radius a pendant path of any length costs tens of steps and every pivot
-is the one of a plain pass over all n vertices. The search advances a
-run in O(1) above lam = 2, from the fixed points of the run map
-(_run_constants, _advance), and steps it otherwise. A graph with
-a cycle or more than one component is solved densely: full_spectrum is
-the one checked symmetric eigensolve, of a matrix or of a (k, n, n)
-stack, stack_radii reads each slice's radius off it, and solve_by_order,
-the one place matrices are grouped by order, makes one such call per
-order for stacks of mixed orders.
+positive, the value plain bisection ends on. Both are _walk, the one
+elimination pass. The check is the exact walk of the plan rooted where
+the certificate is (vertex 0 for a radius, u for a pendant-path limit, a
+loaded root pivot). A radius's search walks the same plan contracted to
+its steps and re-rooted at the hub, a max-degree vertex, in O(steps)
+(_rerooted), with no second plan and no degree pass; a pendant limit
+searches on its check. Each plan folds every run of degree-2 vertices
+into the vertex below it. The exact walk steps a run only until its
+pivot repeats bit for bit, after which the rest of the run repeats it
+too, so near the radius a pendant path of any length costs tens of steps
+and every pivot is the one of a plain pass over all n vertices. The
+radius's search advances a run in O(1) above lam = 2, from the fixed
+points of the run map (_run_constants, _advance), and steps it
+otherwise. A graph with a cycle or more than one component is solved
+densely: full_spectrum is the one checked symmetric eigensolve, of a
+matrix or of a (k, n, n) stack, stack_radii reads each slice's radius
+off it, and solve_by_order, the one place matrices are grouped by order,
+makes one such call per order for stacks of mixed orders.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
@@ -204,18 +205,18 @@ def radius_of(g: Graph, alpha: float) -> float:
     Certification. _least_definite returns the least double at which f_u
     of the vertex-0 plan is positive, as plain bisection on [0, max degree].
 
-    Cost. One _tree_plan walk, then one pass per probe, with no
-    derivative. A search probe (_search_pivot) costs one step per plan
-    step: above lam = 2 the run map f -> (lam - 2*alpha) - (1-alpha)^2 / f
-    has the fixed points tau+- of _run_constants, and a folded run whose
-    first pivot is above tau- is advanced to its top in closed form. A
-    check (_root_pivot) steps each run: near rho its pivots approach tau+
-    and, in doubles, reach it after tens of vertices, and the check skips
-    the rest of the run, so it costs about the number of branch vertices
-    and leaves plus those tens per run, not n. On the four convergence
-    families at order 800-1602 a radius takes 1-2 checks. Below lam = 2
-    the run map has no fixed point, as at rho of a path at alpha = 0: no
-    pivot repeats, and both passes walk each run in full.
+    Cost. One _tree_plan walk, then one _walk per probe, with no
+    derivative. A search probe costs one step per plan step: above lam = 2
+    the run map f -> (lam - 2*alpha) - (1-alpha)^2 / f has the fixed points
+    tau+- of _run_constants, and a folded run whose first pivot is above
+    tau- is advanced to its top in closed form. A check steps each run:
+    near rho its pivots approach tau+ and, in doubles, reach it after tens
+    of vertices, and the check skips the rest of the run, so it costs about
+    the number of branch vertices and leaves plus those tens per run, not
+    n. On the four convergence families at order 800-1602 a radius takes
+    1-2 checks. Below lam = 2 the run map has no fixed point, as at rho of
+    a path at alpha = 0: no pivot repeats, and both walks step each run in
+    full.
     """
     _validate_alpha(alpha)
     thresholds = _tree_thresholds(g, 0, alpha)
@@ -282,15 +283,18 @@ def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
     or None unless g is a tree.
 
     top is g's max degree, as a float. check(lam) is f_root, the root pivot
-    of _tree_plan(g, root) at lam (see _root_pivot), less load(lam) when a
-    load is given: the certificate. search(lam) is the root pivot of the
-    same plan re-rooted at the hub, the lowest-indexed step vertex of the
-    largest degree (see _rerooted), with load(lam) added to root's
-    diagonal, from _search_pivot. load is None or lam -> the extra diagonal
-    at root, None where it is not defined, and there check and search are
-    None too. Every vertex of degree 3 or more is a step, so on any tree
-    but a path the hub is the lowest-indexed max-degree vertex; every step
-    of a path is an end or root, and a path's hub is an end or root.
+    of _tree_plan(g, root) at lam with every run stepped (see _walk): the
+    certificate. search(lam) is the root pivot of the same plan re-rooted
+    at the hub, the lowest-indexed step vertex of the largest degree (see
+    _rerooted), with runs advanced in closed form above lam = 2. Every
+    vertex of degree 3 or more is a step, so on any tree but a path the hub
+    is the lowest-indexed max-degree vertex; every step of a path is an end
+    or root, and a path's hub is an end or root.
+
+    A load is lam -> the extra diagonal at root, None where it is not
+    defined; check is then f_root - load(lam), or None where either is, and
+    search is check: the hub can lack the secant window that a leaf root
+    lacks, and then costs more probes than root (see _pendant_limit).
 
     The one place a plan is scaled by alpha: each degree becomes
     alpha*degree, with c = (1-alpha)^2 and d2 = 2*alpha.
@@ -304,22 +308,19 @@ def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
         top = max(top, 2)
     c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
     steps = _scaled(plan, alpha)
-    if hub == root:
-        searched, slot = steps, len(steps) - 1
-    else:
-        rerooted = _rerooted(plan, hub)
-        searched = _scaled(rerooted, alpha)
-        slot = [v for v, _, _, _ in rerooted].index(root)
+    if load is not None:
+        def loaded(lam):
+            extra = load(lam)
+            f = None if extra is None else _walk(steps, c, d2, lam)
+            return None if f is None else f - extra
+        return loaded, loaded, float(top)
+    searched = steps if hub == root else _scaled(_rerooted(plan, hub), alpha)
+
     def check(lam):
-        extra = 0.0 if load is None else load(lam)
-        if extra is None:
-            return None
-        f = _root_pivot(steps, c, d2, lam)
-        return None if f is None else f - extra  # f itself when extra is 0.0
+        return _walk(steps, c, d2, lam)
 
     def search(lam):
-        extra = 0.0 if load is None else load(lam)
-        return None if extra is None else _search_pivot(searched, c, d2, lam, slot, extra)
+        return _walk(searched, c, d2, lam, _run_constants(lam, c, d2) if lam > 2.0 else _STEPPED)
     return check, search, float(top)
 
 
@@ -355,7 +356,12 @@ def _scaled(plan: list, alpha: float) -> list:
     return [(i, position[p], alpha * d, k) for i, (_, p, d, k) in enumerate(plan)]
 
 
-def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
+# Run constants (tau-, delta, log q) under which _walk steps every run.
+_STEPPED = (math.inf, 0.0, 0.0)
+
+
+def _walk(steps: list, c: float, d2: float, lam: float,
+          runs: tuple = _STEPPED) -> float | None:
     """f_u, the pivot at the root u of one leaves-first elimination at lam.
 
     None once a pivot below u is not positive. steps is a plan as _scaled
@@ -363,44 +369,17 @@ def _root_pivot(steps: list, c: float, d2: float, lam: float) -> float | None:
     f_v = lam - alpha*deg(v) - sum over children w of c / f_w, with
     c = (1-alpha)^2. Up a folded run each pivot is f -> (lam - d2) - c / f
     of the one below, d2 = 2*alpha: the one child's sum is 0.0 + c / f,
-    which is c / f exactly. That map reads the previous pivot alone, so
-    once a pivot repeats bit for bit every later one on the run equals it,
-    and the rest of the run is skipped.
+    which is c / f exactly. A run is stepped: that map reads the previous
+    pivot alone, so once a pivot repeats bit for bit every later one on the
+    run equals it, and the rest of the run is skipped. Given the
+    _run_constants of lam > 2 as runs, a run whose first pivot exceeds tau-
+    ends instead where _advance puts it, in O(1) whatever its length, and
+    every pivot on it stays above tau- >= 0. Under _STEPPED, tau- = inf,
+    every run is stepped, and the walk is the exact pivot test.
     """
+    tau_minus, delta, log_q = runs
     e = lam - d2
     acc = [0.0] * (steps[-1][1] + 1)
-    for v, p, d, k in steps[:-1]:
-        f = lam - d - acc[v]
-        if f <= 0.0:
-            return None
-        for _ in range(k):
-            f_next = e - c / f
-            if f_next == f:
-                break
-            if f_next <= 0.0:
-                return None
-            f = f_next
-        acc[p] += c / f
-    u, _, d, _ = steps[-1]
-    return lam - d - acc[u]
-
-
-def _search_pivot(steps: list, c: float, d2: float, lam: float,
-                  slot: int, extra: float) -> float | None:
-    """f_u as _root_pivot finds it, up to rounding, with extra added to the
-    diagonal of step slot's vertex and each folded run advanced at once.
-
-    Above lam = 2 the run map f -> (lam - d2) - c / f has the real fixed
-    points tau+- (see _run_constants), and a run whose first pivot exceeds
-    tau- ends where _advance puts it, in O(1) whatever its length; every
-    pivot on it stays above tau- >= 0. Any other run is stepped exactly as
-    _root_pivot steps it. The search pivot of _least_definite: it decides
-    only the cost.
-    """
-    e = lam - d2
-    acc = [0.0] * (steps[-1][1] + 1)
-    acc[slot] = extra
-    tau_minus, delta, log_q = _run_constants(lam, c, d2) if lam > 2.0 else (math.inf, 0.0, 0.0)
     for v, p, d, k in steps[:-1]:
         f = lam - d - acc[v]
         if f <= 0.0:

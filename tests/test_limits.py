@@ -646,12 +646,16 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
         raise AssertionError("a tree took the dense route")
 
     g = random_tree(np.random.default_rng(3), 300)
+    # The leaf 151 has no secant window (rho(G - u), rho(G) and the limit
+    # agree to a few ulps there), so its search is bisection-bound: 58
+    # walks measured, and 35-37 at u = 0.
+    walks = {151: 60, 0: 40}
     expected = {(u, paths): reference_pendant_limit(g, u, 0.5, paths)
-                for u in (151, 0) for paths in (1, 2)}
+                for u in walks for paths in (1, 2)}
     monkeypatch.setattr(L, "vertex_resolvent", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    counter = {"_tree_plan": 0, "_root_pivot": 0, "_search_pivot": 0}
+    counter = {"_tree_plan": 0, "_walk": 0}
     for name in counter:
         def counted(*args, walk=getattr(spectral, name), name=name):
             counter[name] += 1
@@ -660,15 +664,9 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
     for (u, paths), reference in expected.items():
         counter.update(dict.fromkeys(counter, 0))
         assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
-        # one plan; exact walks at 2, at the degree bound and two for the
-        # certificate
+        # one plan; every walk, search probe or check, on it
         assert counter["_tree_plan"] == 1, (u, paths, counter)
-        assert counter["_root_pivot"] <= 4, (u, paths, counter)
-        if u == 151:
-            # the leaf 151 has no secant window, and neither has the hub 89,
-            # the lowest of this tree's four degree-5 vertices: the search
-            # is bisection-bound on the hub-rooted plan (43 probes measured)
-            assert counter["_search_pivot"] <= 45, (u, paths, counter)
+        assert counter["_walk"] <= walks[u], (u, paths, counter)
 
 
 def test_the_path_load_is_the_h_form_coefficient_exactly():

@@ -275,7 +275,7 @@ def no_dense(monkeypatch):
 def no_elimination(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("tree elimination off a tree")
-    monkeypatch.setattr(spectral, "_root_pivot", fail)
+    monkeypatch.setattr(spectral, "_walk", fail)
 
 
 def reference_leaves_first(g):
@@ -390,16 +390,31 @@ def test_moved_golden_radii_are_rho_rounded_up(name, size, g, alpha):
     assert not exact_definite(g, alpha, math.nextafter(r, 0.0))
 
 
-def count_eliminations(monkeypatch):
-    """Counters of plans and passes: the one _tree_plan of a threshold, its
-    exact _root_pivot walks (the certificate) and its search probes."""
+def count_eliminations(monkeypatch, module=spectral):
+    """Counters of a threshold's one _tree_plan walk and of the calls of
+    the check (exact walks, the certificate) and the search (probes) that
+    module's _tree_thresholds returns."""
     counter = {"plans": 0, "passes": 0, "probes": 0}
-    for key, name in (("plans", "_tree_plan"), ("passes", "_root_pivot"),
-                      ("probes", "_search_pivot")):
-        def counted(*args, walk=getattr(spectral, name), key=key):
+    build, thresholds = spectral._tree_plan, module._tree_thresholds
+
+    def counted_build(*args):
+        counter["plans"] += 1
+        return build(*args)
+
+    def counted(pivot, key):
+        def call(lam):
             counter[key] += 1
-            return walk(*args)
-        monkeypatch.setattr(spectral, name, counted)
+            return pivot(lam)
+        return call
+
+    def counted_thresholds(*args):
+        found = thresholds(*args)
+        if found is None:
+            return None
+        check, search, top = found
+        return counted(check, "passes"), counted(search, "probes"), top
+    monkeypatch.setattr(spectral, "_tree_plan", counted_build)
+    monkeypatch.setattr(module, "_tree_thresholds", counted_thresholds)
     return counter
 
 
@@ -739,9 +754,9 @@ def test_a_rerooted_plan_keeps_degrees_and_folded_length():
 
 
 def test_the_search_pivot_agrees_with_the_exact_walk_away_from_the_threshold():
-    """On the same re-rooted plan, _search_pivot and _root_pivot agree in
-    None-ness and in sign, and to 1e-9, at lam 1e-6 to 1e-2 from rho on
-    either side and across [0, max degree]."""
+    """On the same re-rooted plan, the walk with runs advanced in closed
+    form and the exact walk agree in None-ness and in sign, and to 1e-9, at
+    lam 1e-6 to 1e-2 from rho on either side and across [0, max degree]."""
     rng = np.random.default_rng(31)
     shifts = [sign * 10.0 ** -j for j in range(2, 7) for sign in (1, -1)]
     for g, plan, hubs in plan_cases():
@@ -753,8 +768,9 @@ def test_the_search_pivot_agrees_with_the_exact_walk_away_from_the_threshold():
             for hub in hubs:
                 steps = spectral._scaled(spectral._rerooted(plan, hub), alpha)
                 for lam in lams:
-                    exact = spectral._root_pivot(steps, c, d2, lam)
-                    fast = spectral._search_pivot(steps, c, d2, lam, 0, 0.0)
+                    exact = spectral._walk(steps, c, d2, lam)
+                    runs = spectral._run_constants(lam, c, d2) if lam > 2.0 else spectral._STEPPED
+                    fast = spectral._walk(steps, c, d2, lam, runs)
                     assert (fast is None) == (exact is None), (g.n_vertices, alpha, hub, lam)
                     if exact is not None:
                         assert (fast > 0.0) == (exact > 0.0), (g.n_vertices, alpha, hub, lam)
