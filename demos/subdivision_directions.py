@@ -10,7 +10,7 @@ snakes at alpha = 0 are the two frozen exceptions.
 from alphalimits import (
     cycle,
     double_snake,
-    edge_in_internal_path,
+    internal_path_edges,
     internal_paths,
     lollipop,
     radius_of,
@@ -31,9 +31,10 @@ print()
 
 print("subdividing each lollipop edge at alpha =", alpha)
 base = radius_of(g, alpha)
+internal = internal_path_edges(g)
 for e in sorted(g.edges):
     after = radius_of(subdivide_edge(g, e), alpha)
-    where = "internal" if edge_in_internal_path(g, e) else "outside "
+    where = "internal" if e in internal else "outside "
     arrow = "down" if after < base else "up"
     print(f"  edge {e}  {where}  rho {base:.8f} -> {after:.8f}  ({arrow})")
 print()

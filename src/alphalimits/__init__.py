@@ -16,7 +16,6 @@ from .graphs import (
     bridges,
     cycle,
     double_snake,
-    edge_in_internal_path,
     format_graph,
     internal_path_edges,
     internal_paths,
@@ -41,7 +40,6 @@ from .limits import (
     RootConfig,
     TableRow,
     beta_n,
-    difference_poly_f,
     eta_classic,
     eta_n,
     gamma_n,
@@ -52,13 +50,11 @@ from .limits import (
     new_version_sequence,
     omega1,
     omega2,
-    omega2_closed_form,
     pendant_path_limit,
     phi_version1,
     phi_version2,
     psi,
     psi_closed_form,
-    theta_substitution,
     two_pendant_paths_limit,
 )
 from .spectral import (
@@ -66,27 +62,30 @@ from .spectral import (
     alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
-    bn_charpoly_closed,
     char_poly_eval,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,
-    path_charpoly_closed,
     radius_of,
     solve_by_order,
     stack_radii,
     star_radius,
     subdivision_stack,
-    tridiag_charpoly_recurrence,
     vertex_resolvent,
 )
 from .verify import (
     PropertyResult,
+    bn_charpoly_closed,
+    difference_poly_f,
+    omega2_closed_form,
+    path_charpoly_closed,
     random_connected_graph,
     random_tree,
     run_identity_suite,
     run_lemma_suite,
     run_suite,
+    theta_substitution,
+    tridiag_charpoly_recurrence,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

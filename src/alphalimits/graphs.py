@@ -9,10 +9,10 @@ iteration order, and every degree, neighbour and traversal query reads it.
 The lists are shared by all callers, who must not mutate them. One walk,
 _internal_arcs, follows the degree-2 arcs out of each branch vertex and
 defines the internal paths: internal_paths lists its arcs, and
-internal_path_edges and edge_in_internal_path read its edge set. bfs is
-the one breadth-first traversal, behind connectivity and bipartiteness; the
-depth-first walk behind the leaves-first elimination plans lives in the
-spectral layer, which reads Graph.adj itself.
+internal_path_edges returns its edge set. bfs is the one breadth-first
+traversal, behind connectivity and bipartiteness; the depth-first walk
+behind the leaves-first elimination plans lives in the spectral layer,
+which reads Graph.adj itself.
 """
 
 from __future__ import annotations
@@ -273,11 +273,6 @@ def internal_paths(g: Graph) -> list:
 def internal_path_edges(g: Graph) -> set:
     """Every edge (u, v), u < v, that lies on some internal path of g."""
     return _internal_arcs(g)[1]
-
-
-def edge_in_internal_path(g: Graph, e: tuple) -> bool:
-    """Whether edge e lies on some internal path of g."""
-    return (min(e), max(e)) in internal_path_edges(g)
 
 
 def bridges(g: Graph) -> set:

@@ -10,7 +10,9 @@ polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
 their usual integer forms, so those sequences are beta_n, gamma_n and
 gamma_tilde_n at one alpha. The psi and omega2 equations change sign once
 on a fixed bracket (see their docstrings), so each root is one bisection
-there. The pendant-path limit operators work on any connected graph;
+there. The routes kept only to cross-check these (omega2's closed form,
+the theta substitution and the one-step difference of phi_version1) live
+in verify. The pendant-path limit operators work on any connected graph;
 each limit is the least double at which u's root pivot, loaded with the
 infinite paths, is positive, found as a tree radius is (spectral's
 _least_definite). On a tree that pivot comes from a leaves-first
@@ -161,20 +163,6 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
     return HalfPoly(tuple(c))
 
 
-def difference_poly_f(x: float, alpha: float) -> float:
-    """(x^2 - 2x^(3/2) + 2x - 1) a^2 + 2(1 - x + x^(3/2) - x^2) a + x^2 + x - 1.
-
-    Equals phi_version1(n+1, a)(x) - x * phi_version1(n, a)(x) for every n.
-    """
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    a = alpha
-    r = math.sqrt(x)
-    return ((x * x - 2 * x * r + 2 * x - 1) * a * a
-            + 2 * (1 - x + x * r - x * x) * a
-            + x * x + x - 1)
-
-
 # ---------------------------------------------------------------------------
 # the eta sequences and their relatives
 # ---------------------------------------------------------------------------
@@ -286,7 +274,7 @@ def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the limiting value Psi and the closed forms
+# the limiting value Psi and its closed form
 # ---------------------------------------------------------------------------
 
 
@@ -303,11 +291,12 @@ def psi(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 
     At lambda = (1-a)(theta + 1/theta) + 2a, theta in (0, 1), the equation is
     (a - 1) F(theta) / (theta^2 (1 - a + a theta)) with F(theta) =
-    difference_poly_f(theta^2, a). Only the constant of F is negative, so F
-    rises on theta > 0 and the equation, from a - 1 at lambda = 2, changes
-    sign once on (2, inf): one bisection on [2, 3.2]. At lambda = 2 the
-    bisection takes that proved value a - 1, which the float form can round
-    to the wrong sign (at a = 1 - 2^-53 it gives +2.2e-16). psi(1) = 3.
+    verify.difference_poly_f(theta^2, a). Only the constant of F is
+    negative, so F rises on theta > 0 and the equation, from a - 1 at
+    lambda = 2, changes sign once on (2, inf): one bisection on [2, 3.2].
+    At lambda = 2 the bisection takes that proved value a - 1, which the
+    float form can round to the wrong sign (at a = 1 - 2^-53 it gives
+    +2.2e-16). psi(1) = 3.
     """
     _validate_alpha(alpha)
     if alpha == 1.0:
@@ -379,31 +368,6 @@ def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """
     _validate_alpha(alpha, upper_open=True)
     return _bisect(lambda l: _omega2_equation(l, alpha), 2.0, 3.5, cfg)
-
-
-def omega2_closed_form(alpha: float) -> float:
-    """Quartic-solution surd form of omega2; cross-check for the root route.
-
-    An imaginary residue above 1e-7 raises BranchSelectionError.
-    """
-    _validate_alpha(alpha, upper_open=True)
-    a = alpha
-    h1 = 4 - 8 * a - 3 * a * a
-    h2 = 19 * a * a + 8 * a - 4
-    h3 = 13 * a**4 - 32 * a**3 + 32 * a * a - 16 * a + 4
-    rad = (172800 - 2073600 * a + 11453184 * a**2 - 38499840 * a**3
-           + 87733584 * a**4 - 142826112 * a**5 + 170398080 * a**6
-           - 150197760 * a**7 + 97143840 * a**8 - 44993664 * a**9
-           + 14176512 * a**10 - 2730240 * a**11 + 243216 * a**12)
-    inner = (-416 + 2496 * a - 6300 * a**2 + 8560 * a**3 - 6624 * a**4
-             + 2784 * a**5 - 502 * a**6) - cmath.sqrt(complex(rad))
-    h4 = complex(inner) ** (1.0 / 3.0)
-    h5 = (h2 + 2 ** (1.0 / 3.0) * h3 / h4 + 2 ** (-1.0 / 3.0) * h4) / 3.0
-    h6 = 512 * a**3 - 32 * a * h2 + 112 * (-a + 2 * a * a + a**3)
-    h7 = 13 * a * a - 8 * a + 4
-    s1 = cmath.sqrt(h1 + h5)
-    val = 2 * a + 0.5 * s1 + 0.5 * cmath.sqrt(h7 - h5 + h6 / (4.0 * s1))
-    return _real_part(val, alpha, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +468,6 @@ def two_pendant_paths_limit(g: Graph, u: int, alpha: float) -> float:
     routes and errors as pendant_path_limit.
     """
     return _pendant_limit(g, u, alpha, 2)
-
-
-# ---------------------------------------------------------------------------
-# substitutions
-# ---------------------------------------------------------------------------
-
-
-def theta_substitution(theta: float, alpha: float) -> float:
-    """lambda = (1-a) theta + (1-a)/theta + 2a; theta and 1/theta agree."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    return (1.0 - alpha) * theta + (1.0 - alpha) / theta + 2.0 * alpha
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,7 @@ alpha_stack assembles a graph's matrix at several alphas at once
 every edge subdivision of a graph as one stack straight from its matrix.
 The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the check
 pivot of _tree_thresholds rooted at u, and vertex_resolvent gives it on
-any graph from one eigendecomposition. The characteristic
-polynomials of the path matrix and of the deleted-end path B_{n+1} have
-s,t closed forms, which verify checks against the exact three-term
-tridiagonal recurrence.
+any graph from one eigendecomposition.
 char_poly_eval, an LU determinant, has no caller in the package; the
 benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 """
@@ -51,7 +48,6 @@ import numpy as np
 
 from .graphs import Graph
 
-DEGENERATE_DELTA = 1e-9
 # Predicted relative error at which the tree-radius secant search stops.
 SECANT_ERROR = 2.0 ** -50
 
@@ -565,85 +561,13 @@ def char_poly_eval(g: Graph, alpha: float, lam: float) -> float:
 
 
 def delta_of_lambda(lam: float, alpha: float) -> float:
-    """sqrt((lam - 4*alpha + 2)(lam - 2)); rejects a negative radicand."""
+    """sqrt((lam - 4*alpha + 2)(lam - 2)); rejects a negative or NaN radicand."""
     rad = (lam - 4.0 * alpha + 2.0) * (lam - 2.0)
-    if rad < 0:
-        raise ValueError(f"negative radicand at lambda={lam}, alpha={alpha}")
+    if not (rad >= 0.0):
+        raise ValueError(f"negative or NaN radicand at lambda={lam}, alpha={alpha}")
     return math.sqrt(rad)
 
 
 def h_of_lambda(lam: float, alpha: float) -> float:
     """(lam - delta) / (2*alpha*(lam-2) + 2)."""
     return (lam - delta_of_lambda(lam, alpha)) / (2.0 * alpha * (lam - 2.0) + 2.0)
-
-
-def tridiag_charpoly_recurrence(diag, offdiag, lam: float) -> float:
-    """det(lam*I - T) for a symmetric tridiagonal T, by three-term recurrence.
-
-    p_k = (lam - d_k) p_{k-1} - e_{k-1}^2 p_{k-2} with p_0 = 1. Exact for
-    every lam, including points where the closed path forms degenerate.
-    """
-    diag = list(diag)
-    offdiag = list(offdiag)
-    if len(offdiag) != max(len(diag) - 1, 0):
-        raise ValueError("offdiag must be one shorter than diag")
-    p_prev, p = 1.0, 1.0
-    for k, d in enumerate(diag):
-        p_next = (lam - d) * p - (offdiag[k - 1] ** 2 * p_prev if k > 0 else 0.0)
-        p_prev, p = p, p_next
-    return p
-
-
-def _path_tridiag(k: int, alpha: float):
-    if k == 1:
-        return [0.0], []
-    diag = [alpha] + [2.0 * alpha] * (k - 2) + [alpha]
-    off = [1.0 - alpha] * (k - 1)
-    return diag, off
-
-
-def path_charpoly_closed(n_plus_1: int, alpha: float, lam: float) -> float:
-    """phi(P_{n+1}) evaluated at lam through the s,t closed form.
-
-    Valid for lam >= 2 where delta is real; a near-zero delta (confluent
-    s = t) dispatches to the tridiagonal recurrence, which needs no limit.
-    """
-    k = n_plus_1
-    if k < 1:
-        raise ValueError("path order must be at least 1")
-    _validate_alpha(alpha, upper_open=True)
-    if lam < 2.0:
-        raise ValueError("closed form is only evaluated at lambda >= 2")
-    d = delta_of_lambda(lam, alpha)
-    if abs(d) < DEGENERATE_DELTA:
-        return tridiag_charpoly_recurrence(*_path_tridiag(k, alpha), lam)
-    n = k - 1
-    s = (lam - 2.0 * alpha + d) / 2.0
-    t = (lam - 2.0 * alpha - d) / 2.0
-    return ((s + alpha) ** 2 * s**n - (t + alpha) ** 2 * t**n) / d
-
-
-def bn_charpoly_closed(n_plus_1: int, alpha: float, lam: float) -> float:
-    """phi(B_{n+1}): path matrix of order n+2 with one end row/column deleted.
-
-    The closed form divides by alpha, so alpha = 0 is rejected; at alpha = 0
-    the deleted matrix is just the path matrix of lower order and callers
-    should use path_charpoly_closed there.
-    """
-    k = n_plus_1
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"closed form needs alpha in (0,1), got {alpha}")
-    if lam < 2.0:
-        raise ValueError("closed form is only evaluated at lambda >= 2")
-    d = delta_of_lambda(lam, alpha)
-    if abs(d) < DEGENERATE_DELTA:
-        diag, off = _path_tridiag(k + 1, alpha)
-        return tridiag_charpoly_recurrence(diag[:-1], off[:-1], lam)
-    n = k - 1
-    s = (lam - 2.0 * alpha + d) / 2.0
-    t = (lam - 2.0 * alpha - d) / 2.0
-    c = (1.0 - alpha) ** 2 / alpha
-    scale = alpha / (alpha * (lam - 2.0) + 1.0)
-    return scale * ((s + alpha) ** 2 * (s + c) * s**n - (t + alpha) ** 2 * (t + c) * t**n) / d

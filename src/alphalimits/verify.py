@@ -20,10 +20,20 @@ deterministic grids, plus the bipartite spectra check on random trees,
 whose spectra are solved by order the same way. Its checks solve each root
 once, and bound float error by the polynomial with absolute coefficients.
 Every check reports a PropertyResult; a failing one carries a counterexample.
+
+The routes that exist only to cross-check limits and spectral live here,
+off the hot path: the s,t closed forms of the path and deleted-end path
+characteristic polynomials (path_charpoly_closed, bn_charpoly_closed) and
+the exact three-term tridiagonal recurrence they are checked against
+(tridiag_charpoly_recurrence), the theta substitution lambda(theta)
+(theta_substitution), the n-free difference of consecutive version I
+polynomials (difference_poly_f) and the surd form of omega2
+(omega2_closed_form).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,21 +54,21 @@ from .graphs import (
     subdivide_edge,
 )
 from .spectral import (
-    _path_tridiag,
+    _validate_alpha,
     alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
-    bn_charpoly_closed,
     degree_bounds,
+    delta_of_lambda,
     full_spectrum,
     h_of_lambda,
-    path_charpoly_closed,
     solve_by_order,
     stack_radii,
     subdivision_stack,
-    tridiag_charpoly_recurrence,
 )
 
+# delta below which the path closed forms take the recurrence (s = t)
+DEGENERATE_DELTA = 1e-9
 STRICT_MARGIN = 1e-12
 EQUALITY_TOL = 1e-10
 LEMMA_ALPHAS = (0.0, 0.2, 0.5, 0.8)
@@ -362,6 +372,135 @@ def run_lemma_suite(seed: int, trials: int = 200) -> list:
 
 
 # ---------------------------------------------------------------------------
+# cross-check routes
+# ---------------------------------------------------------------------------
+
+
+def tridiag_charpoly_recurrence(diag, offdiag, lam: float) -> float:
+    """det(lam*I - T) for a symmetric tridiagonal T, by three-term recurrence.
+
+    p_k = (lam - d_k) p_{k-1} - e_{k-1}^2 p_{k-2} with p_0 = 1. Exact for
+    every lam, including points where the closed path forms degenerate.
+    """
+    diag = list(diag)
+    offdiag = list(offdiag)
+    if len(offdiag) != max(len(diag) - 1, 0):
+        raise ValueError("offdiag must be one shorter than diag")
+    p_prev, p = 1.0, 1.0
+    for k, d in enumerate(diag):
+        p_next = (lam - d) * p - (offdiag[k - 1] ** 2 * p_prev if k > 0 else 0.0)
+        p_prev, p = p, p_next
+    return p
+
+
+def _path_tridiag(k: int, alpha: float):
+    if k == 1:
+        return [0.0], []
+    diag = [alpha] + [2.0 * alpha] * (k - 2) + [alpha]
+    off = [1.0 - alpha] * (k - 1)
+    return diag, off
+
+
+def _path_roots(lam: float, alpha: float) -> tuple | None:
+    """(delta, s, t) with s, t = (lam - 2*alpha +- delta) / 2, the bases of
+    the path closed forms; None where delta < DEGENERATE_DELTA (s = t).
+    Rejects lam < 2 or NaN, where delta is not real."""
+    if not (lam >= 2.0):
+        raise ValueError("closed form is only evaluated at lambda >= 2")
+    d = delta_of_lambda(lam, alpha)
+    if d < DEGENERATE_DELTA:
+        return None
+    return d, (lam - 2.0 * alpha + d) / 2.0, (lam - 2.0 * alpha - d) / 2.0
+
+
+def path_charpoly_closed(n_plus_1: int, alpha: float, lam: float) -> float:
+    """phi(P_{n+1}) evaluated at lam through the s,t closed form.
+
+    Valid for lam >= 2 where delta is real; a near-zero delta (confluent
+    s = t) dispatches to the tridiagonal recurrence, which needs no limit.
+    """
+    k = n_plus_1
+    if k < 1:
+        raise ValueError("path order must be at least 1")
+    _validate_alpha(alpha, upper_open=True)
+    roots = _path_roots(lam, alpha)
+    if roots is None:
+        return tridiag_charpoly_recurrence(*_path_tridiag(k, alpha), lam)
+    d, s, t = roots
+    n = k - 1
+    return ((s + alpha) ** 2 * s**n - (t + alpha) ** 2 * t**n) / d
+
+
+def bn_charpoly_closed(n_plus_1: int, alpha: float, lam: float) -> float:
+    """phi(B_{n+1}): path matrix of order n+2 with one end row/column deleted.
+
+    The closed form divides by alpha, so alpha = 0 is rejected; at alpha = 0
+    the deleted matrix is just the path matrix of lower order and callers
+    should use path_charpoly_closed there.
+    """
+    k = n_plus_1
+    if k < 1:
+        raise ValueError("order must be at least 1")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"closed form needs alpha in (0,1), got {alpha}")
+    roots = _path_roots(lam, alpha)
+    if roots is None:
+        diag, off = _path_tridiag(k + 1, alpha)
+        return tridiag_charpoly_recurrence(diag[:-1], off[:-1], lam)
+    d, s, t = roots
+    n = k - 1
+    c = (1.0 - alpha) ** 2 / alpha
+    scale = alpha / (alpha * (lam - 2.0) + 1.0)
+    return scale * ((s + alpha) ** 2 * (s + c) * s**n - (t + alpha) ** 2 * (t + c) * t**n) / d
+
+
+def theta_substitution(theta: float, alpha: float) -> float:
+    """lambda = (1-a) theta + (1-a)/theta + 2a; theta and 1/theta agree."""
+    if not (theta > 0):
+        raise ValueError("theta must be positive")
+    return (1.0 - alpha) * theta + (1.0 - alpha) / theta + 2.0 * alpha
+
+
+def difference_poly_f(x: float, alpha: float) -> float:
+    """(x^2 - 2x^(3/2) + 2x - 1) a^2 + 2(1 - x + x^(3/2) - x^2) a + x^2 + x - 1.
+
+    Equals phi_version1(n+1, a)(x) - x * phi_version1(n, a)(x) for every n.
+    """
+    if not (x >= 0):
+        raise ValueError("x must be non-negative")
+    a = alpha
+    r = math.sqrt(x)
+    return ((x * x - 2 * x * r + 2 * x - 1) * a * a
+            + 2 * (1 - x + x * r - x * x) * a
+            + x * x + x - 1)
+
+
+def omega2_closed_form(alpha: float) -> float:
+    """Quartic-solution surd form of omega2; cross-check for the root route.
+
+    An imaginary residue above 1e-7 raises BranchSelectionError.
+    """
+    _validate_alpha(alpha, upper_open=True)
+    a = alpha
+    h1 = 4 - 8 * a - 3 * a * a
+    h2 = 19 * a * a + 8 * a - 4
+    h3 = 13 * a**4 - 32 * a**3 + 32 * a * a - 16 * a + 4
+    rad = (172800 - 2073600 * a + 11453184 * a**2 - 38499840 * a**3
+           + 87733584 * a**4 - 142826112 * a**5 + 170398080 * a**6
+           - 150197760 * a**7 + 97143840 * a**8 - 44993664 * a**9
+           + 14176512 * a**10 - 2730240 * a**11 + 243216 * a**12)
+    inner = (-416 + 2496 * a - 6300 * a**2 + 8560 * a**3 - 6624 * a**4
+             + 2784 * a**5 - 502 * a**6) - cmath.sqrt(complex(rad))
+    h4 = complex(inner) ** (1.0 / 3.0)
+    h5 = (h2 + 2 ** (1.0 / 3.0) * h3 / h4 + 2 ** (-1.0 / 3.0) * h4) / 3.0
+    h6 = 512 * a**3 - 32 * a * h2 + 112 * (-a + 2 * a * a + a**3)
+    h7 = 13 * a * a - 8 * a + 4
+    s1 = cmath.sqrt(h1 + h5)
+    val = 2 * a + 0.5 * s1 + 0.5 * cmath.sqrt(h7 - h5 + h6 / (4.0 * s1))
+    return limits._real_part(val, alpha, 1e-7)
+
+
+# ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
 
@@ -519,7 +658,7 @@ def check_ordering_constants(psis: dict) -> PropertyResult:
             bad.append(f"alpha={alpha} psi >= omega1")
         if o2 < p - 1e-9:
             bad.append(f"alpha={alpha} omega2 below psi")
-        if abs(o2 - limits.omega2_closed_form(alpha)) > 1e-7:
+        if abs(o2 - omega2_closed_form(alpha)) > 1e-7:
             bad.append(f"alpha={alpha} omega2 off its closed form")
     return _result("ordering-constants", checked, bad)
 
@@ -536,7 +675,7 @@ def check_difference_identity() -> PropertyResult:
             for x in (0.1, 0.35, 0.6, 0.85):
                 t = math.sqrt(x)
                 lhs = pn1.eval_t(t) - x * pn.eval_t(t)
-                rhs = limits.difference_poly_f(x, alpha)
+                rhs = difference_poly_f(x, alpha)
                 scale = mn1.eval_t(t) + x * mn.eval_t(t)
                 checked += 1
                 if abs(lhs - rhs) > 1e-12 * max(scale, 1.0):
@@ -550,7 +689,7 @@ def check_theta_h_identity() -> PropertyResult:
     checked = 0
     for alpha in ALPHA_GRID:
         for theta in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
-            lam = limits.theta_substitution(theta, alpha)
+            lam = theta_substitution(theta, alpha)
             if lam <= 2.0:
                 continue
             h = h_of_lambda(lam, alpha)
@@ -560,7 +699,7 @@ def check_theta_h_identity() -> PropertyResult:
         for n in (1, 3, 7):
             g = limits.gamma_n(n, alpha)
             checked += 1
-            if abs(limits.theta_substitution(math.sqrt(g), alpha)
+            if abs(theta_substitution(math.sqrt(g), alpha)
                    - limits._eta_from_root(g, alpha)) > 1e-11:
                 bad.append(f"eta mismatch n={n} alpha={alpha}")
     return _result("theta-h-identity", checked, bad)

@@ -22,7 +22,13 @@ from alphalimits.spectral import (
     radius_of,
     vertex_resolvent,
 )
-from alphalimits.verify import random_connected_graph, random_tree
+from alphalimits.verify import (
+    difference_poly_f,
+    omega2_closed_form,
+    random_connected_graph,
+    random_tree,
+    theta_substitution,
+)
 from alphalimits import limits as L
 from alphalimits import spectral
 from alphalimits.limits import (
@@ -31,7 +37,6 @@ from alphalimits.limits import (
     HalfPoly,
     RootConfig,
     beta_n,
-    difference_poly_f,
     eta_classic,
     eta_n,
     gamma_n,
@@ -42,13 +47,11 @@ from alphalimits.limits import (
     new_version_sequence,
     omega1,
     omega2,
-    omega2_closed_form,
     pendant_path_limit,
     phi_version1,
     phi_version2,
     psi,
     psi_closed_form,
-    theta_substitution,
     two_pendant_paths_limit,
 )
 

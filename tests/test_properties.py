@@ -9,21 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphalimits.graphs import Graph, format_graph, parse_graph, subdivide_edge
-from alphalimits.limits import (
-    difference_poly_f,
-    eta_n,
-    gamma_n,
-    phi_version1,
-    phi_version2,
-    psi,
-    theta_substitution,
-)
+from alphalimits.limits import eta_n, gamma_n, phi_version1, phi_version2, psi
 from alphalimits.spectral import (
     assemble_a_alpha,
     assemble_laplacian,
     char_poly_eval,
     full_spectrum,
     h_of_lambda,
+)
+from alphalimits.verify import (
+    difference_poly_f,
+    theta_substitution,
     tridiag_charpoly_recurrence,
 )
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphalimits import spectral
+from alphalimits import spectral, verify
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
@@ -25,21 +25,24 @@ from alphalimits.spectral import (
     alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
-    bn_charpoly_closed,
     char_poly_eval,
     delta_of_lambda,
     full_spectrum,
     h_of_lambda,
-    path_charpoly_closed,
     radius_of,
     solve_by_order,
     stack_radii,
     star_radius,
     subdivision_stack,
-    tridiag_charpoly_recurrence,
 )
 from alphalimits.limits import pendant_path_limit, two_pendant_paths_limit
-from alphalimits.verify import ALPHA_GRID, random_tree
+from alphalimits.verify import (
+    ALPHA_GRID,
+    bn_charpoly_closed,
+    path_charpoly_closed,
+    random_tree,
+    tridiag_charpoly_recurrence,
+)
 
 TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -206,8 +209,8 @@ def test_tridiag_recurrence():
     # reference: P_k, and B_k as P_{k+1} without its last row and column.
     for k in (2, 3, 5, 10, 25, 50):
         for alpha in ALPHA_GRID:
-            diag, off = spectral._path_tridiag(k, alpha)
-            diag_b, off_b = spectral._path_tridiag(k + 1, alpha)
+            diag, off = verify._path_tridiag(k, alpha)
+            diag_b, off_b = verify._path_tridiag(k + 1, alpha)
             for lam in np.linspace(2.05, 4.0, 8):
                 m = assemble_a_alpha(path(k), alpha)
                 det = np.linalg.det(lam * np.eye(k) - m)
@@ -221,8 +224,6 @@ def test_tridiag_recurrence():
 @pytest.mark.parametrize("name, tag", (("path_charpoly_closed", "path k="),
                                        ("bn_charpoly_closed", "bn k=")))
 def test_closed_form_check_fails_on_a_perturbed_form(name, tag, monkeypatch):
-    from alphalimits import verify
-
     assert verify.check_closed_form_charpoly().passed
     exact = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda *a: exact(*a) * (1.0 + 1e-8))

@@ -10,12 +10,15 @@ the same radii bit for bit and the same PropertyResults.
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphalimits
 from alphalimits import limits, spectral, verify
 from alphalimits.graphs import (
     Graph,
@@ -291,8 +294,8 @@ def test_identity_suite_solves_psi_once_per_alpha_and_tol(monkeypatch):
 def test_ordering_constants_fail_on_an_omega2_closed_form_off_by_1e_6(monkeypatch):
     psis = {alpha: limits.psi(alpha) for alpha in verify.ALPHA_GRID}
     assert verify.check_ordering_constants(psis).passed
-    closed = limits.omega2_closed_form
-    monkeypatch.setattr(limits, "omega2_closed_form", lambda a: closed(a) + 1e-6)
+    closed = verify.omega2_closed_form
+    monkeypatch.setattr(verify, "omega2_closed_form", lambda a: closed(a) + 1e-6)
     result = verify.check_ordering_constants(psis)
     assert not result.passed
     assert result.detail.startswith("alpha=0.0 omega2 off its closed form")
@@ -508,3 +511,42 @@ def test_internal_paths_equal_the_key_dedupe_walk():
     assert kinds == {"TypeI", "TypeII"}
     assert [kind for _, kind in reference_internal_paths(named[0])] == ["TypeI"] * 2
     assert [kind for _, kind in reference_internal_paths(named[1])] == ["TypeII"] * 3
+
+
+MOVED_ROUTES = ("tridiag_charpoly_recurrence", "path_charpoly_closed", "bn_charpoly_closed",
+                "theta_substitution", "difference_poly_f", "omega2_closed_form")
+
+
+def package_imports(module: str) -> set:
+    """The sibling modules that alphalimits/<module>.py imports."""
+    tree = ast.parse(Path(spectral.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_cross_check_routes_live_in_verify_alone():
+    for name in MOVED_ROUTES:
+        assert getattr(alphalimits, name) is getattr(verify, name), name
+    for name in MOVED_ROUTES + ("_path_tridiag", "DEGENERATE_DELTA"):
+        assert hasattr(verify, name), name
+        assert not hasattr(spectral, name), name
+        assert not hasattr(limits, name), name
+    assert package_imports("spectral") == {"graphs"}
+    assert package_imports("limits") == {"graphs", "spectral"}
+    assert "cli" not in package_imports("verify")
+
+
+@pytest.mark.parametrize("call", (
+    lambda: spectral.delta_of_lambda(math.nan, 0.3),
+    lambda: verify.path_charpoly_closed(4, 0.3, math.nan),
+    lambda: verify.bn_charpoly_closed(4, 0.3, math.nan),
+    lambda: verify.theta_substitution(math.nan, 0.3),
+    lambda: verify.difference_poly_f(math.nan, 0.3),
+), ids=("delta_of_lambda", "path_charpoly_closed", "bn_charpoly_closed",
+        "theta_substitution", "difference_poly_f"))
+def test_range_guards_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
