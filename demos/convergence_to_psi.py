@@ -30,7 +30,7 @@ print(f"rho of the two-equal-paths tree vs Psi({alpha})")
 target = psi(alpha)
 prev_gap = None
 for m in (5, 10, 20, 40, 80, 160):
-    g, _ = p2_two_paths(m, m)
+    g = p2_two_paths(m, m)
     rho = radius_of(g, alpha)
     gap = target - rho
     if abs(gap) <= SATURATION_FLOOR:
@@ -48,7 +48,7 @@ print()
 # n-th limit point eta_n(alpha), one rung below Psi.
 print("frozen short side: limits eta_n")
 for n in (1, 2, 3):
-    g, _ = p2_two_paths(400, n)
+    g = p2_two_paths(400, n)
     print(f"  n={n}  rho(m=400)={radius_of(g, alpha):.12f}"
           f"  eta_{n}({alpha})={eta_n(n, alpha):.12f}")
 print()

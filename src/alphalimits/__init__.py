@@ -12,14 +12,12 @@ from .graphs import (
     Graph,
     InternalPath,
     attach_pendant_path,
-    bfs,
     bridges,
     cycle,
     double_snake,
     format_graph,
     internal_path_edges,
     internal_paths,
-    is_bipartite,
     is_double_snake,
     is_regular,
     lollipop,

@@ -126,7 +126,7 @@ SPEC_FAMILIES = {
     "path": (1, lambda n: path(n)),
     "cycle": (1, lambda n: cycle(n)),
     "wheel5": (0, lambda: wheel5()),
-    "p2": (2, lambda m, n: p2_two_paths(m, n)[0]),
+    "p2": (2, lambda m, n: p2_two_paths(m, n)),
     "lollipop": (1, lambda n: lollipop(n)),
     "dsnake": (1, lambda n: double_snake(n)),
 }
@@ -248,9 +248,9 @@ def cmd_psi(args) -> tuple:
 # name -> (graph builder, target, takes --n-fixed). Each lambda looks its
 # builder up per call, like SPEC_FAMILIES.
 FAMILIES = {
-    "p2nn": (lambda size, n_fixed: p2_two_paths(size, size)[0],
+    "p2nn": (lambda size, n_fixed: p2_two_paths(size, size),
              lambda alpha, n_fixed, cfg: limits.psi(alpha, cfg), False),
-    "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed)[0],
+    "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed),
              lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True),
     "k13": (lambda size, n_fixed: attach_pendant_path(star(3), 0, size),
             lambda alpha, n_fixed, cfg: limits.omega1(alpha), False),

@@ -1,7 +1,7 @@
 """Simple undirected graphs and the specific families the limit constructions use.
 
 Vertices are contiguous 0-based integers. Constructors that have a designated
-root vertex (pendant path attachments and the like) document or return it.
+root vertex (pendant path attachments and the like) document it.
 
 A graph's adjacency is built once, on first use: Graph.adj holds one
 neighbour list per vertex, filled from the frozen edge set in its own
@@ -9,10 +9,9 @@ iteration order, and every degree, neighbour and traversal query reads it.
 The lists are shared by all callers, who must not mutate them. One walk,
 _internal_arcs, follows the degree-2 arcs out of each branch vertex and
 defines the internal paths: internal_paths lists its arcs, and
-internal_path_edges returns its edge set. bfs is the one breadth-first
-traversal, behind connectivity and bipartiteness; the depth-first walk
-behind the leaves-first elimination plans lives in the spectral layer,
-which reads Graph.adj itself.
+internal_path_edges returns its edge set. Graph.is_connected walks
+breadth first; the depth-first walk behind the leaves-first elimination
+plans lives in the spectral layer, which reads Graph.adj itself.
 """
 
 from __future__ import annotations
@@ -74,27 +73,15 @@ class Graph:
         return a
 
     def is_connected(self) -> bool:
-        return len(bfs(self, 0)[0]) == self.n_vertices
-
-
-def bfs(g: Graph, root: int) -> tuple:
-    """(order, parent) of a breadth-first search of root's component.
-
-    order lists the component's vertices, root first, each vertex's
-    neighbours taken in g.adj order. parent[v] is v's parent in the search
-    tree, n for the root and -1 for a vertex outside the component.
-    """
-    n = g.n_vertices
-    adj = g.adj
-    parent = [-1] * n
-    parent[root] = n
-    order = [root]
-    for u in order:  # grows while it is walked: a BFS queue
-        for w in adj[u]:
-            if parent[w] == -1:
-                parent[w] = u
-                order.append(w)
-    return order, parent
+        seen = [False] * self.n_vertices
+        seen[0] = True
+        order = [0]
+        for u in order:  # grows while it is walked: a BFS queue
+            for w in self.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        return len(order) == self.n_vertices
 
 
 @dataclass(frozen=True)
@@ -170,12 +157,11 @@ def double_snake(n: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def p2_two_paths(m: int, n: int) -> tuple:
+def p2_two_paths(m: int, n: int) -> Graph:
     """An edge u-w with pendant paths of orders m and n hung from u.
 
-    Returns (graph, u). Vertices: u = 0, w = 1, then the m-path, then the
-    n-path; m + n + 2 vertices in total. Orders 0 are allowed and drop the
-    corresponding path.
+    Vertices: u = 0, w = 1, then the m-path, then the n-path; m + n + 2
+    vertices in total. Orders 0 are allowed and drop the corresponding path.
     """
     if m < 0 or n < 0:
         raise ValueError("path orders must be non-negative")
@@ -186,7 +172,7 @@ def p2_two_paths(m: int, n: int) -> tuple:
     if n >= 1:
         edges.add((0, 2 + m))
         edges |= {(2 + m + i, 3 + m + i) for i in range(n - 1)}
-    return Graph(m + n + 2, frozenset(edges)), 0
+    return Graph(m + n + 2, frozenset(edges))
 
 
 def attach_pendant_path(g: Graph, u: int, n: int) -> Graph:
@@ -310,19 +296,6 @@ def bridges(g: Graph) -> set:
                     if low[u] > disc[p]:
                         found.add((min(p, u), max(p, u)))
     return found
-
-
-def is_bipartite(g: Graph) -> bool:
-    """2-colouring test: each vertex on the side opposite its BFS parent,
-    then no edge within a side."""
-    side = [-1] * g.n_vertices
-    for s in range(g.n_vertices):
-        if side[s] == -1:
-            order, parent = bfs(g, s)
-            side[s] = 0
-            for v in order[1:]:
-                side[v] = 1 - side[parent[v]]
-    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_regular(g: Graph) -> bool:

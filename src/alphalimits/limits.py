@@ -420,9 +420,7 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     if thresholds is None:
         if not g.is_connected():
             raise ValueError("pendant-path limits need a connected graph")
-        if not (0 <= u < g.n_vertices):
-            raise ValueError(f"vertex {u} not in graph")
-        r = vertex_resolvent(g, u, alpha)
+        r = vertex_resolvent(g, u, alpha)  # raises for u outside g
 
         def check(lam: float) -> float | None:
             extra = load(lam)

@@ -153,14 +153,14 @@ def test_criterion_07_convergence_experiments():
     problems = []
     start = time.perf_counter()
     for a in alphas:
-        rhos = [radius_of(p2_two_paths(m, m)[0], a) for m in range(2, 11)]
+        rhos = [radius_of(p2_two_paths(m, m), a) for m in range(2, 11)]
         if not all(hi > lo for lo, hi in zip(rhos, rhos[1:])):
             problems.append(f"two-path radii not strictly increasing at alpha={a}")
-        big = radius_of(p2_two_paths(800, 800)[0], a)
+        big = radius_of(p2_two_paths(800, 800), a)
         if abs(big - psi(a, TIGHT)) >= 1e-3:
             problems.append(f"limit gap {abs(big - psi(a, TIGHT)):.2e} at alpha={a}")
         for n in range(1, 6):
-            r = radius_of(p2_two_paths(800, n)[0], a)
+            r = radius_of(p2_two_paths(800, n), a)
             if abs(r - eta_n(n, a, TIGHT)) >= 1e-3:
                 problems.append(f"eta_{n} gap at alpha={a}")
         r = radius_of(attach_pendant_path(star(3), 0, 800), a)

@@ -1,7 +1,5 @@
 """Constructors, internal-path extraction and the edge-list text format."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +8,12 @@ from hypothesis import strategies as st
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
-    bfs,
     bridges,
     cycle,
     double_snake,
     format_graph,
     internal_path_edges,
     internal_paths,
-    is_bipartite,
     is_double_snake,
     is_regular,
     lollipop,
@@ -134,13 +130,12 @@ def test_lollipop_and_double_snake():
 
 
 def test_two_paths_at_one_end():
-    g, u = p2_two_paths(3, 4)
-    assert u == 0
+    g = p2_two_paths(3, 4)
     assert g.n_vertices == 2 + 3 + 4
-    assert g.degrees()[u] == 3
+    assert g.degrees()[0] == 3  # u = 0 carries both paths
     # the other edge endpoint stays a leaf
     assert g.degrees()[1] == 1
-    h, _ = p2_two_paths(4, 3)
+    h = p2_two_paths(4, 3)
     assert sorted(g.degrees()) == sorted(h.degrees())
 
 
@@ -205,9 +200,6 @@ def test_branch_to_branch_edge_is_internal():
 
 
 def test_bipartite_and_regular():
-    assert is_bipartite(cycle(4))
-    assert not is_bipartite(cycle(5))
-    assert is_bipartite(double_snake(7))
     assert is_regular(cycle(8))
     assert not is_regular(star(3))
 
@@ -292,25 +284,7 @@ def test_adjacency_and_bfs_against_brute_force(n, data):
     is_tree = g.n_edges == n - 1 and len(set(label)) == 1
     for root in range(n):
         assert (_tree_plan(g, root) is None) == (not is_tree)
-        order, parent = bfs(g, root)
-        assert order[0] == root and parent[root] == n
-        assert len(order) == len(set(order))
-        assert set(order) == {v for v in range(n) if label[v] == label[root]}
-        position = {v: i for i, v in enumerate(order)}
-        for v in range(n):
-            if v not in position:
-                assert parent[v] == -1
-            elif v != root:
-                assert (min(v, parent[v]), max(v, parent[v])) in g.edges
-                assert position[parent[v]] < position[v]
-        depth = {root: 0}
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        assert [depth[v] for v in order] == sorted(depth.values())
     assert g.is_connected() == (len(set(label)) == 1)
-    two_colourable = any(all(side[u] != side[v] for u, v in g.edges)
-                         for side in itertools.product((0, 1), repeat=n))
-    assert is_bipartite(g) == two_colourable
 
 
 def test_cached_adjacency_is_not_part_of_the_value():

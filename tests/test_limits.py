@@ -264,7 +264,7 @@ def test_eta_matches_growing_path_eigenvalues():
     from alphalimits.spectral import radius_of
 
     for n, alpha in ((1, 0.3), (3, 0.6)):
-        g, _ = p2_two_paths(300, n)
+        g = p2_two_paths(300, n)
         assert abs(radius_of(g, alpha) - eta_n(n, alpha)) < 1e-8
 
 

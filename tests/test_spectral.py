@@ -378,8 +378,8 @@ def exact_definite(g, alpha, lam):
 # The goldens' radii that moved from the dense route to elimination:
 # (golden file, size, graph, alpha).
 MOVED_GOLDEN_RADII = [
-    ("convergence_p2nn", s, p2_two_paths(s, s)[0], 0.25) for s in (10, 20, 40)
-] + [("convergence_p2mn", s, p2_two_paths(s, 2)[0], 0.0) for s in (50, 100)]
+    ("convergence_p2nn", s, p2_two_paths(s, s), 0.25) for s in (10, 20, 40)
+] + [("convergence_p2mn", s, p2_two_paths(s, 2), 0.0) for s in (50, 100)]
 
 
 @pytest.mark.parametrize("name, size, g, alpha", MOVED_GOLDEN_RADII,
@@ -421,8 +421,8 @@ def count_eliminations(monkeypatch, module=spectral):
 
 # The four convergence families at orders 128, about 500, and 802-1602.
 CONVERGENCE_FAMILIES = {
-    "p2nn": (lambda s: p2_two_paths(s, s)[0], (63, 250, 800)),
-    "p2mn": (lambda s: p2_two_paths(s, 2)[0], (124, 500, 800)),
+    "p2nn": (lambda s: p2_two_paths(s, s), (63, 250, 800)),
+    "p2mn": (lambda s: p2_two_paths(s, 2), (124, 500, 800)),
     "k13": (lambda s: attach_pendant_path(star(3), 0, s), (124, 500, 800)),
     "p5u": (lambda s: attach_pendant_path(path(5), 2, s), (123, 500, 800)),
 }
@@ -506,7 +506,7 @@ def test_one_plan_per_tree_threshold(monkeypatch):
         roots.append(root)
         return build(g, root)
     monkeypatch.setattr(spectral, "_tree_plan", recorded)
-    trees = [path(2), path(9), star(4), seeded_tree(3, 200), p2_two_paths(40, 40)[0],
+    trees = [path(2), path(9), star(4), seeded_tree(3, 200), p2_two_paths(40, 40),
              attach_pendant_path(path(5), 2, 60), random_tree(np.random.default_rng(3), 300)]
     for g in trees:
         for alpha in (0.0, 0.5, 1.0):
@@ -531,7 +531,7 @@ def test_the_search_never_decides_the_bits(monkeypatch):
                             (cycle(4), 0), (attach_pendant_path(cycle(3), 1, 4), 5))
                for op in (pendant_path_limit, two_pendant_paths_limit)
                for alpha in (0.0, 0.5, 0.94)]
-    graphs = [p2_two_paths(40, 40)[0], attach_pendant_path(star(3), 0, 100),
+    graphs = [p2_two_paths(40, 40), attach_pendant_path(star(3), 0, 100),
               seeded_tree(2, 200), star(7), two_stars(5, 20), path(2)]
     for g in graphs:
         for alpha in TREE_ALPHAS:
@@ -664,7 +664,7 @@ def test_leaves_first_pivots_match_the_private_build():
     """
     rng = np.random.default_rng(13)
     graphs = [g for size in (64, 200, 800) for g in (
-        p2_two_paths(size, size)[0], attach_pendant_path(star(3), 0, size),
+        p2_two_paths(size, size), attach_pendant_path(star(3), 0, size),
         attach_pendant_path(path(5), 2, size))]
     graphs += [seeded_tree(seed, int(rng.integers(128, 1001))) for seed in range(12)]
     graphs += [spider(range(40, 40 + 3 * arms, 3)[::-1]) for arms in (3, 4, 6, 9)]
@@ -779,7 +779,7 @@ def test_the_search_pivot_agrees_with_the_exact_walk_away_from_the_threshold():
 
 
 def test_two_long_pendant_paths_plan_in_few_steps():
-    g = p2_two_paths(800, 800)[0]
+    g = p2_two_paths(800, 800)
     assert int(np.argmax(g.degrees())) == 0 and len(spectral._tree_plan(g, 0)) <= 8
 
 
@@ -805,7 +805,7 @@ def test_pendant_pivots_repeat_within_150_vertices_at_rho():
 def test_trees_skip_the_dense_solve(monkeypatch):
     no_dense(monkeypatch)
     for g in (Graph(1), path(2), star(3), seeded_tree(6, 20), path(128), seeded_tree(0, 500),
-              p2_two_paths(800, 800)[0]):
+              p2_two_paths(800, 800)):
         assert radius_of(g, 0.3) == reference_radius(g, 0.3)
 
 
@@ -904,7 +904,7 @@ BATCH_ALPHAS = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 def test_radius_of_equals_its_route_exactly():
     graphs = [wheel5(), path(4), cycle(9), star(5), seeded_tree(1, 12),
-              p2_two_paths(2, 3)[0], path(7), seeded_tree(2, 200),
+              p2_two_paths(2, 3), path(7), seeded_tree(2, 200),
               unicyclic_200(), cycle_plus_path_200()]
     for g in graphs:
         tree = spectral._tree_plan(g, 0) is not None
@@ -923,7 +923,7 @@ def test_radius_of_sends_large_trees_to_elimination(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [wheel5(), cycle(5), seeded_tree(5, 9),
-                               p2_two_paths(1, 2)[0]])
+                               p2_two_paths(1, 2)])
 def test_subdivision_stack_slices_are_the_subdivided_matrices(g):
     edges = sorted(g.edges)
     for alpha in BATCH_ALPHAS:
@@ -948,7 +948,7 @@ def test_alpha_stack_slices_are_the_assembled_matrices():
 
 
 def test_solve_by_order_keeps_input_order_and_each_slice_alone():
-    graphs = [wheel5(), path(4), cycle(5), star(3), p2_two_paths(1, 2)[0], path(5)]
+    graphs = [wheel5(), path(4), cycle(5), star(3), p2_two_paths(1, 2), path(5)]
     blocks = [subdivision_stack(g, alpha, assemble_a_alpha(g, alpha))
               for g in graphs for alpha in (0.0, 0.5)]
     blocks += [assemble_a_alpha(g, 0.8)[None] for g in graphs]
@@ -988,7 +988,7 @@ def test_stack_radii_rejects_non_symmetric_and_non_square_input():
 
 
 def test_full_spectrum_of_a_stack_equals_each_slice_alone():
-    graphs = [wheel5(), cycle(5), seeded_tree(6, 5), p2_two_paths(1, 2)[0]]
+    graphs = [wheel5(), cycle(5), seeded_tree(6, 5), p2_two_paths(1, 2)]
     stack = np.stack([assemble_a_alpha(g, alpha) for g in graphs for alpha in BATCH_ALPHAS])
     rows = full_spectrum(stack)
     assert rows.shape == stack.shape[:2]

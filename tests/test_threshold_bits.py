@@ -24,8 +24,8 @@ MANIFEST = Path(__file__).parent / "golden" / "tree_thresholds.hex"
 TREE_ALPHAS = (0.0, 0.25, 0.5, 0.8, 0.95, 1.0)
 PENDANT_ALPHAS = (0.0, 0.5, 0.94)
 FAMILIES = {
-    "p2nn": lambda s: p2_two_paths(s, s)[0],
-    "p2mn": lambda s: p2_two_paths(s, 2)[0],
+    "p2nn": lambda s: p2_two_paths(s, s),
+    "p2mn": lambda s: p2_two_paths(s, 2),
     "k13": lambda s: attach_pendant_path(star(3), 0, s),
     "p5u": lambda s: attach_pendant_path(path(5), 2, s),
 }

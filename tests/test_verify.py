@@ -385,6 +385,14 @@ def test_draws_and_edge_layout_match_the_scalar_draw_reference():
         assert rng.integers(2**62) == ref.integers(2**62)
 
 
+def test_a_two_vertex_tree_leaves_the_stream_as_it_was():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = random_tree(rng, 2)
+        assert list(g.edges) == [(0, 1)]
+        assert rng.integers(2**62) == np.random.default_rng(seed).integers(2**62)
+
+
 def degree_array_double_snake(g):
     n = g.n_vertices
     if n < 6 or g.n_edges != n - 1 or not g.is_connected():
