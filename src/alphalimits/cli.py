@@ -34,7 +34,7 @@ from .graphs import (
     wheel5,
 )
 from .limits import RootConfig
-from .spectral import degree_bounds, radius_of
+from .spectral import _validate_alpha, degree_bounds, radius_of
 from .verify import run_suite
 
 MAX_ORDER = 2000
@@ -181,9 +181,6 @@ def cmd_radius(args) -> tuple:
 
 
 def cmd_table(args) -> tuple:
-    for a in args.alpha or ():
-        if not (0.0 <= a < 1.0):
-            raise ValueError(f"table alpha must lie in [0,1), got {a}")
     if args.n_max > MAX_TABLE_N:
         raise ValueError(f"n-max {args.n_max} > cap {MAX_TABLE_N}")
     cfg = RootConfig(tol=args.tol)
@@ -212,9 +209,6 @@ PSI_DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(20))  # 0.00 .. 0.95
 
 def cmd_psi(args) -> tuple:
     alphas = args.alpha if args.alpha else list(PSI_DEFAULT_GRID)
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            raise ValueError(f"psi alpha must lie in [0,1], got {a}")
     cfg = RootConfig(tol=args.tol)
     rows = []
     for a in alphas:
@@ -262,8 +256,7 @@ FAMILIES = {
 def cmd_convergence(args) -> tuple:
     family = args.family
     alpha = args.alpha_single
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0,1), got {alpha}")
+    _validate_alpha(alpha, upper_open=True)
     sizes = args.sizes
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly ascending")

@@ -28,7 +28,8 @@ otherwise. A graph with a cycle or more than one component is solved
 densely: full_spectrum is the one checked symmetric eigensolve, of a
 matrix or of a (k, n, n) stack, stack_radii reads each slice's radius
 off it, and solve_by_order, the one place matrices are grouped by order,
-makes one such call per order for stacks of mixed orders.
+makes one such call per order for stacks of mixed orders and hands back
+one result list per stack.
 alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -117,26 +119,20 @@ def solve_by_order(solve, blocks) -> list:
 
     blocks is a sequence of (k, n, n) stacks of any orders n. The stacks of
     one order are concatenated and passed to solve (stack_radii or
-    full_spectrum) in one call. Returns one result per matrix, block by
-    block and slice by slice in input order. Each slice is solved on its
-    own, so each result is the one its matrix gives alone, bit for bit.
+    full_spectrum) in one call, orders in the order they first appear.
+    Returns one list per block, in input order, of its slices' results.
+    Each slice is solved on its own, so each result is the one its matrix
+    gives alone, bit for bit.
     """
     blocks = list(blocks)
-    starts = [0]
     by_order = {}
     for i, block in enumerate(blocks):
-        starts.append(starts[-1] + len(block))
         by_order.setdefault(block.shape[-1], []).append(i)
-    out = [None] * starts[-1]
+    out = [None] * len(blocks)
     for idx in by_order.values():
-        stack = (blocks[idx[0]] if len(idx) == 1
-                 else np.concatenate([blocks[i] for i in idx]))
-        results = solve(stack)
-        pos = 0
+        results = iter(solve(np.concatenate([blocks[i] for i in idx])))
         for i in idx:
-            k = starts[i + 1] - starts[i]
-            out[starts[i]:starts[i + 1]] = results[pos:pos + k]
-            pos += k
+            out[i] = list(islice(results, len(blocks[i])))
     return out
 
 

@@ -8,7 +8,8 @@ sequence in one integers call), then one connected proper subgraph per
 graph (from one bridge pass, none on a tree, building only the chosen
 subgraph), assembles every matrix the four checks need, and solves them by
 order with one eigensolve call per order, LEMMA_CHUNK graphs at a time
-(lemma_radii). The check functions compare the solved radii; a strict
+(lemma_radii, one record of radii per graph, unzipped into the lists the
+check functions take). The checks compare the solved radii; a strict
 comparison that lands inside STRICT_MARGIN is decided exactly instead, by
 the sign of the pivots of q*I - A_alpha in rational arithmetic for the
 one matrix pair involved (_above). The structure the checks and the
@@ -308,18 +309,7 @@ def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
     return _result("subdivision-direction", checked, bad)
 
 
-@dataclass(frozen=True)
-class LemmaRadii:
-    """Every radius the lemma checks compare, aligned with the graph list."""
-
-    rhos: list        # rho(G, alpha)
-    sub_rhos: list    # rho(H, alpha) for the subgraph H, None where there is none
-    lo_rhos: list     # rho(G, ALPHA_LO)
-    hi_rhos: list     # rho(G, ALPHA_HI)
-    subdivided: list  # per graph, rho of each edge subdivision in sorted edge order
-
-
-def lemma_radii(graphs: list, alphas: list, subs: list) -> LemmaRadii:
+def lemma_radii(graphs: list, alphas: list, subs: list) -> list:
     """Plan every matrix the lemma checks need, then solve once per order.
 
     For each graph: A_alpha(G) at alpha, ALPHA_LO and ALPHA_HI from one
@@ -327,24 +317,23 @@ def lemma_radii(graphs: list, alphas: list, subs: list) -> LemmaRadii:
     (subdivision_stack), and A_alpha(H) for its subgraph. LEMMA_CHUNK
     graphs at a time, these go to solve_by_order, one stack_radii call per
     matrix order, so peak memory does not grow with the number of graphs.
+    Returns one record per graph: (rho(G, alpha), rho(H, alpha) or None,
+    rho(G, ALPHA_LO), rho(G, ALPHA_HI), the radii of G with each edge
+    subdivided in sorted edge order).
     """
-    out = LemmaRadii([], [], [], [], [])
+    out = []
     for start in range(0, len(graphs), LEMMA_CHUNK):
-        chunk = range(start, min(start + LEMMA_CHUNK, len(graphs)))
+        chunk = slice(start, start + LEMMA_CHUNK)
         blocks = []
-        for i in chunk:
-            g, alpha, h = graphs[i], alphas[i], subs[i]
+        for g, alpha, h in zip(graphs[chunk], alphas[chunk], subs[chunk]):
             at_alphas = alpha_stack(g, (alpha, ALPHA_LO, ALPHA_HI))
             blocks += [at_alphas, subdivision_stack(g, alpha, at_alphas[0])]
             if h is not None:
                 blocks.append(assemble_a_alpha(h, alpha)[None])
         radii = iter(solve_by_order(stack_radii, blocks))
-        for i in chunk:
-            out.rhos.append(next(radii))
-            out.lo_rhos.append(next(radii))
-            out.hi_rhos.append(next(radii))
-            out.subdivided.append([next(radii) for _ in range(graphs[i].n_edges)])
-            out.sub_rhos.append(None if subs[i] is None else next(radii))
+        for h in subs[chunk]:
+            (rho, lo, hi), subdivided = next(radii), next(radii)
+            out.append((rho, None if h is None else next(radii)[0], lo, hi, subdivided))
     return out
 
 
@@ -360,12 +349,12 @@ def run_lemma_suite(seed: int, trials: int = 200) -> list:
     graphs = [random_connected_graph(rng) for _ in range(trials)]
     alphas = [LEMMA_ALPHAS[i % len(LEMMA_ALPHAS)] for i in range(trials)]
     subs = [_proper_connected_subgraph(g, rng) for g in graphs]
-    radii = lemma_radii(graphs, alphas, subs)
+    rhos, sub_rhos, lo_rhos, hi_rhos, subdivided = zip(*lemma_radii(graphs, alphas, subs))
     return [
-        check_radius_bounds(graphs, alphas, radii.rhos),
-        check_subgraph_monotonicity(graphs, alphas, radii.rhos, subs, radii.sub_rhos),
-        check_alpha_monotonicity(graphs, radii.lo_rhos, radii.hi_rhos),
-        check_subdivision_direction(graphs, alphas, radii.rhos, radii.subdivided),
+        check_radius_bounds(graphs, alphas, rhos),
+        check_subgraph_monotonicity(graphs, alphas, rhos, subs, sub_rhos),
+        check_alpha_monotonicity(graphs, lo_rhos, hi_rhos),
+        check_subdivision_direction(graphs, alphas, rhos, subdivided),
     ]
 
 
@@ -758,7 +747,7 @@ def check_bipartite_spectra(rng: np.random.Generator) -> PropertyResult:
     sls = solve_by_order(full_spectrum, [assemble_laplacian(g)[None] for g in trees])
     sqs = solve_by_order(full_spectrum,
                          [assemble_laplacian(g, signless=True)[None] for g in trees])
-    for g, sl, sq in zip(trees, sls, sqs):
+    for g, (sl,), (sq,) in zip(trees, sls, sqs):
         if np.max(np.abs(sl - sq)) > 1e-10:
             bad.append(format_graph(g))
     return _result("bipartite-l-q", n_trees, bad)
@@ -770,13 +759,13 @@ def check_graph_structure(graphs: list) -> PropertyResult:
     checked = 0
     pairs = ((1, 3), (2, 5), (4, 4))
     p2s = [(p2_two_paths(m, n), p2_two_paths(n, m)) for m, n in pairs]
-    spectra = iter(solve_by_order(full_spectrum, [assemble_a_alpha(g, 0.3)[None]
-                                                  for pair in p2s for g in pair]))
-    for (m, n), (g1, g2) in zip(pairs, p2s):
+    spectra = solve_by_order(full_spectrum, [
+        np.stack([assemble_a_alpha(g, 0.3) for g in pair]) for pair in p2s])
+    for (m, n), (g1, g2), (s1, s2) in zip(pairs, p2s, spectra):
         checked += 1
         if sorted(g1.degrees()) != sorted(g2.degrees()):
             bad.append(f"p2 degree sequences differ at ({m},{n})")
-        if np.max(np.abs(next(spectra) - next(spectra))) > 1e-10:
+        if np.max(np.abs(s1 - s2)) > 1e-10:
             bad.append(f"p2 spectra differ at ({m},{n})")
     for g in graphs:
         e = sorted(g.edges)[0]

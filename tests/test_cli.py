@@ -115,6 +115,20 @@ def test_table_refuses_alpha_for_a_fixed_alpha_kind(kind, alpha, capsys):
             f"alphalimits: error: {kind} table runs at alpha {alpha} only\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("table versionI --n-max 2 --alpha 1", "alpha must lie in [0,1), got 1.0"),
+    ("table classic --n-max 2 --alpha 5", "classic table runs at alpha 0 only"),
+    ("psi --alpha 1.5", "alpha must lie in [0,1], got 1.5"),
+    ("psi --alpha nan", "alpha must lie in [0,1], got nan"),
+    ("convergence p2nn --alpha 1 --sizes 10", "alpha must lie in [0,1), got 1.0"),
+])
+def test_out_of_range_alpha_is_refused_by_the_library_rule(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"alphalimits: error: {message}\n"
+
+
 def test_psi_row_at_zero(capsys):
     code, out = run_cli(capsys, "psi", "--alpha", "0")
     assert code == 0

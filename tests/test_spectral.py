@@ -954,10 +954,14 @@ def test_solve_by_order_keeps_input_order_and_each_slice_alone():
     blocks += [assemble_a_alpha(g, 0.8)[None] for g in graphs]
     blocks.insert(3, subdivision_stack(Graph(4), 0.5, np.zeros((4, 4))))  # empty, order 5
     matrices = [m for block in blocks for m in block]
-    assert solve_by_order(stack_radii, blocks) == [stack_radii(m[None])[0] for m in matrices]
+    radii = solve_by_order(stack_radii, blocks)
+    assert [len(r) for r in radii] == [len(block) for block in blocks]
+    assert [x for r in radii for x in r] == [stack_radii(m[None])[0] for m in matrices]
     spectra = solve_by_order(full_spectrum, blocks)
-    assert len(spectra) == len(matrices)
-    for row, m in zip(spectra, matrices):
+    assert [len(s) for s in spectra] == [len(block) for block in blocks]
+    rows = [row for s in spectra for row in s]
+    assert len(rows) == len(matrices)
+    for row, m in zip(rows, matrices):
         assert np.array_equal(row, full_spectrum(m))
     calls = []
 

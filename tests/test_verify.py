@@ -40,7 +40,6 @@ from alphalimits.verify import (
     EQUALITY_TOL,
     LEMMA_ALPHAS,
     STRICT_MARGIN,
-    LemmaRadii,
     PropertyResult,
     random_connected_graph,
     random_tree,
@@ -86,14 +85,12 @@ def dense_radius(g, alpha):
 
 
 def reference_radii(graphs, alphas, subs):
-    return LemmaRadii(
-        rhos=[dense_radius(g, a) for g, a in zip(graphs, alphas)],
-        sub_rhos=[None if h is None else dense_radius(h, a) for h, a in zip(subs, alphas)],
-        lo_rhos=[dense_radius(g, verify.ALPHA_LO) for g in graphs],
-        hi_rhos=[dense_radius(g, verify.ALPHA_HI) for g in graphs],
-        subdivided=[[dense_radius(subdivide_edge(g, e), a) for e in sorted(g.edges)]
-                    for g, a in zip(graphs, alphas)],
-    )
+    """Per graph: rho(G, alpha), rho(H, alpha) or None, rho(G, 0.2),
+    rho(G, 0.7) and the radii of each edge subdivision in sorted edge order."""
+    return [(dense_radius(g, a), None if h is None else dense_radius(h, a),
+             dense_radius(g, verify.ALPHA_LO), dense_radius(g, verify.ALPHA_HI),
+             [dense_radius(subdivide_edge(g, e), a) for e in sorted(g.edges)])
+            for g, a, h in zip(graphs, alphas, subs)]
 
 
 def exact_below(g, alpha, q):
@@ -134,19 +131,17 @@ def strictly_above(r_hi, r_lo, upper, lower):
     return exact_below(*lower, q) and not exact_below(*upper, q)
 
 
-def reference_results(graphs, alphas, subs, r):
+def reference_results(graphs, alphas, subs, radii):
     bounds, strict, mono, subdiv = [], [], [], []
     n_subdiv = 0
-    for i, (g, alpha, h) in enumerate(zip(graphs, alphas, subs)):
-        rho = r.rhos[i]
+    for g, alpha, h, (rho, rho_h, lo, hi, subdivided) in zip(graphs, alphas, subs, radii):
         dmax = float(g.degrees().max())
         lower = star_radius(dmax, alpha)
         if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
             bounds.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
                           f"g={format_graph(g)}")
-        if h is not None and not strictly_above(rho, r.sub_rhos[i], (g, alpha), (h, alpha)):
+        if h is not None and not strictly_above(rho, rho_h, (g, alpha), (h, alpha)):
             strict.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
-        lo, hi = r.lo_rhos[i], r.hi_rhos[i]
         if is_regular(g):
             if abs(hi - lo) > EQUALITY_TOL:
                 mono.append(f"regular but moved: {format_graph(g)}")
@@ -155,7 +150,7 @@ def reference_results(graphs, alphas, subs, r):
         internal = internal_path_edges(g)
         cycle = bool(np.all(g.degrees() == 2))
         snake_zero = is_double_snake(g) and alpha == 0.0
-        for e, rho_sub in zip(sorted(g.edges), r.subdivided[i]):
+        for e, rho_sub in zip(sorted(g.edges), subdivided):
             n_subdiv += 1
             sub = (subdivide_edge(g, e), alpha)
             if e in internal:
@@ -177,11 +172,11 @@ def reference_results(graphs, alphas, subs, r):
     ]
 
 
-def hex_radii(r):
-    def hx(xs):
-        return [None if x is None else float.hex(x) for x in xs]
-    return (hx(r.rhos), hx(r.sub_rhos), hx(r.lo_rhos), hx(r.hi_rhos),
-            [hx(xs) for xs in r.subdivided])
+def hex_radii(radii):
+    def hx(x):
+        return None if x is None else float.hex(x)
+    return [(hx(rho), hx(rho_h), hx(lo), hx(hi), [hx(x) for x in subdivided])
+            for rho, rho_h, lo, hi, subdivided in radii]
 
 
 @pytest.mark.parametrize("seed, trials", [
