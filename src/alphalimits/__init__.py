@@ -56,7 +56,6 @@ from .limits import (
     two_pendant_paths_limit,
 )
 from .spectral import (
-    VertexResolvent,
     alpha_stack,
     assemble_a_alpha,
     assemble_laplacian,
@@ -69,7 +68,6 @@ from .spectral import (
     stack_radii,
     star_radius,
     subdivision_stack,
-    vertex_resolvent,
 )
 from .verify import (
     PropertyResult,

@@ -187,12 +187,11 @@ def cmd_table(args) -> tuple:
     table = limits.limit_table(args.kind, args.n_max, args.alpha, cfg)
     rows = [("term", r.n, r.alpha, r.gamma, r.eta) for r in table.rows]
     rows += [("limit", None, a, None, v) for a, v in table.limits]
-    series = []
-    for a in sorted({r.alpha for r in table.rows}):
-        pts = [(r.n, r.eta) for r in table.rows if r.alpha == a]
-        series.append((f"{args.kind} alpha={_fmt(float(a))}", pts))
-    for a, v in table.limits:
-        series.append((f"limit alpha={_fmt(float(a))}", [(args.n_max, v)]))
+    # term series, then limit series, each in the order the alphas came
+    series = [(f"{args.kind} alpha={_fmt(float(a))}",
+               [(r.n, r.eta) for r in table.rows if r.alpha == a]) for a, _ in table.limits]
+    series += [(f"limit alpha={_fmt(float(a))}", [(args.n_max, v)])
+               for a, v in table.limits]
     report = Report(
         columns=("label", "n", "alpha", "root", "value"),
         rows=rows,

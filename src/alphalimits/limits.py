@@ -13,11 +13,10 @@ on a fixed bracket (see their docstrings), so each root is one bisection
 there. The routes kept only to cross-check these (omega2's closed form,
 the theta substitution and the one-step difference of phi_version1) live
 in verify. The pendant-path limit operators work on any connected graph;
-each limit is the least double at which u's root pivot, loaded with the
-infinite paths, is positive, found as a tree radius is (spectral's
-_least_definite). On a tree that pivot comes from a leaves-first
-elimination rooted at u, O(n) per lambda, which the search probes too;
-any other graph takes it from one eigendecomposition.
+each limit is a spectral threshold, the least double at which u's root
+pivot, loaded with the infinite paths, is positive, found in spectral
+beside the tree radius, by the same search and certificate. BracketError
+is spectral's, the one class both modules raise.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import (_least_definite, _tree_thresholds, _validate_alpha, degree_bounds,
-                       delta_of_lambda, h_of_lambda, vertex_resolvent)
-
-
-class BracketError(RuntimeError):
-    """No sign change where a root was asserted to exist."""
+from .spectral import BracketError, _pendant_limit, _validate_alpha, h_of_lambda
 
 
 class BranchSelectionError(RuntimeError):
@@ -375,71 +369,6 @@ def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _degree_bound(top: float, degree: int, added_degree: int) -> float:
-    """Strictly above the largest degree of g, top, and of u, degree, plus the
-    paths at u, which bounds every rho(G + pendant paths) and so the limit."""
-    return max(top, degree + added_degree, 2) + 0.25
-
-
-def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
-    """The least double at which u's root pivot f_u, loaded with `paths`
-    infinite pendant paths, is positive; 2.0 if it is not negative at 2.
-
-    For lambda >= 2 the pivots up a long pendant path settle on
-    tau = (lambda - 2a + delta(lambda)) / 2, the attracting fixed point of
-    f -> (lambda - 2a) - (1-a)^2 / f, so each infinite path adds a to u's
-    diagonal and (1-a)^2 / tau = (1-a) theta, theta = (1-a) / tau, to the
-    sum over its children. The loaded pivot f_u - paths * (a + (1-a) theta)
-    is the characteristic equation (1 - a h) phi(G) - paths (a - (2a-1) h)
-    phi(G)_u divided by (1 - a h) phi(G)_u, since (a - (2a-1) h) / (1 - a h)
-    = a + (1-a) theta. f_u rises where the pivots below u are positive and
-    the load falls, so the threshold is the one root above max(2, rho(G)).
-
-    On a tree spectral._tree_thresholds makes the one elimination plan,
-    rooted at u, with no eigendecomposition, and returns the loaded f_u as
-    both check and search. A search on the plan re-rooted at the hub, as a
-    radius's is, takes fewer probes on most trees but more on some: the
-    lowest-indexed max-degree vertex can lack a secant window as a leaf u
-    does, and then its bisection can cost more probes than u's. Any other
-    graph takes 1 / r(lambda) from spectral.vertex_resolvent above rho(G),
-    and None at or below it, as both check and search. The load is None
-    below 2, and so is the pivot; spectral._least_definite, the tree
-    radius's search and certificate, returns the threshold of the check.
-    """
-    _validate_alpha(alpha, upper_open=True)
-    s = 1.0 - alpha
-
-    def load(lam: float) -> float | None:
-        if lam < 2.0:
-            return None
-        tau = 0.5 * (lam - 2.0 * alpha + delta_of_lambda(lam, alpha))
-        return paths * (alpha + s * (s / tau))  # paths exactly at 2
-
-    # a tree's plan reaches every vertex, so it shows g connected
-    thresholds = _tree_thresholds(g, u, alpha, load) if 0 <= u < g.n_vertices else None
-    if thresholds is None:
-        if not g.is_connected():
-            raise ValueError("pendant-path limits need a connected graph")
-        r = vertex_resolvent(g, u, alpha)  # raises for u outside g
-
-        def check(lam: float) -> float | None:
-            extra = load(lam)
-            return None if extra is None or lam <= r.top else 1.0 / r(lam) - extra
-
-        thresholds = check, check, degree_bounds(g, alpha)[1]
-    check, search, top = thresholds
-    f = check(2.0)
-    if f is not None and f >= 0.0:
-        return 2.0
-    top = _degree_bound(top, len(g.adj[u]), paths)
-    f = check(top)
-    if f is None or f <= 0.0:
-        raise BracketError(
-            f"loaded pivot not positive at the degree bound {top} "
-            f"(u={u}, alpha={alpha})")
-    return _least_definite(check, search, 2.0, top)
-
-
 def pendant_path_limit(g: Graph, u: int, alpha: float) -> float:
     """Limit of rho as one pendant path at u grows without bound.
 
@@ -447,11 +376,12 @@ def pendant_path_limit(g: Graph, u: int, alpha: float) -> float:
     (1 - a h) phi(G) - (a - (2a - 1) h) phi(G)_u = 0,
     or 2 when there is none (the path-like case): the least double at which
     u's root pivot, loaded with one infinite path, is positive (see
-    _pendant_limit). A tree takes no eigendecomposition, any other graph
-    one. Raises ValueError for alpha outside [0, 1), a disconnected G (the
-    resolvent would see only the component of u) or u not a vertex of G,
-    checked in that order, and BracketError when the loaded pivot is not
-    positive at the degree bound, instead of returning a wrong value.
+    spectral._pendant_limit). A tree takes no eigendecomposition, any
+    other graph one. Raises ValueError for alpha outside [0, 1), a
+    disconnected G (the resolvent would see only the component of u) or u
+    not a vertex of G, checked in that order, and BracketError when the
+    loaded pivot is not positive at the degree bound, instead of returning
+    a wrong value.
     """
     return _pendant_limit(g, u, alpha, 1)
 
@@ -529,8 +459,9 @@ def limit_table(kind: str, n_max: int, alphas=None,
     and new start at n = 1 at alpha 0, with limit sqrt(2 + sqrt 5), and
     laplacian (2 eta at alpha 1/2) ends in 2 + EPSILON_SURD; these three
     take no alphas (ValueError). versionI and versionII start at n = 0, run
-    at each of alphas, any iterable read once (default 0; none at all is a
-    ValueError), and end in psi(alpha).
+    at each of alphas in the given order, any iterable read once (default
+    0; none at all, or one alpha given twice, is a ValueError), and end in
+    psi(alpha).
     """
     spec = _TABLES.get(kind)
     if spec is None:
@@ -544,6 +475,8 @@ def limit_table(kind: str, n_max: int, alphas=None,
     alphas = tuple(alphas)  # rows and limits both walk it
     if not alphas:
         raise ValueError(f"{kind} table needs at least one alpha")
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"{kind} table got a repeated alpha")
     rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
                  for alpha in alphas for n in range(spec.n_min, n_max + 1))
     limits = (spec.fixed,) if spec.fixed is not None else tuple(

@@ -5,10 +5,15 @@ adjacency matrix (alpha=0) and the degree matrix (alpha=1); twice its
 value at alpha=1/2 is the signless Laplacian. Matrices are plain numpy
 arrays. Radii take one of two routes, chosen in radius_of alone by
 structure. Every tree goes to leaf-to-root elimination in O(n) memory,
-one walk that returns the last pivot. The elimination has one seam:
+one walk that returns the last pivot. Two spectral thresholds are found
+that way: a radius (radius_of) and, beside it, the limit of rho as
+pendant paths at a vertex u grow without bound (_pendant_limit, which
+limits' pendant-path operators call), the threshold of u's root pivot
+loaded with the paths (_path_load). The elimination has one seam:
 _tree_plan builds a tree's plan from Graph.adj, once per threshold, and
 _tree_thresholds scales it by alpha and returns (check, search, top) to
-radius_of and limits, which read nothing else of it. _least_definite is
+radius_of and _pendant_limit, which read nothing else of it; a pendant
+limit passes it the number of paths, and a radius none. _least_definite is
 the one threshold search: secant steps on the search pivot pick a point,
 and the sign of the check certifies the least double at which it is
 positive, the value plain bisection ends on. Both are _walk, the one
@@ -23,9 +28,10 @@ pivot repeats bit for bit, after which the rest of the run repeats it
 too, so near the radius a pendant path of any length costs tens of steps
 and every pivot is the one of a plain pass over all n vertices. The
 radius's search advances a run in O(1) above lam = 2, from the fixed
-points of the run map (_run_constants, _advance), and steps it
-otherwise. A graph with a cycle or more than one component is solved
-densely: full_spectrum is the one checked symmetric eigensolve, of a
+points of the run map (_fixed_points, written once and read by
+_run_constants and _path_load; _advance), and steps it otherwise. A
+graph with a cycle or more than one component is solved densely for its
+radius: full_spectrum is the one checked symmetric eigensolve, of a
 matrix or of a (k, n, n) stack, stack_radii reads each slice's radius
 off it, and solve_by_order, the one place matrices are grouped by order,
 makes one such call per order for stacks of mixed orders and hands back
@@ -34,8 +40,8 @@ alpha_stack assembles a graph's matrix at several alphas at once
 (assemble_a_alpha is its one-alpha slice), and subdivision_stack builds
 every edge subdivision of a graph as one stack straight from its matrix.
 The resolvent diagonal [(lam*I - A_alpha)^-1]_uu is 1 / f_u, the check
-pivot of _tree_thresholds rooted at u, and vertex_resolvent gives it on
-any graph from one eigendecomposition.
+pivot of _tree_thresholds rooted at u; on a graph with a cycle
+_pendant_limit takes it from one eigendecomposition instead.
 char_poly_eval, an LU determinant, has no caller in the package; the
 benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 """
@@ -43,7 +49,6 @@ benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -52,6 +57,10 @@ from .graphs import Graph
 
 # Predicted relative error at which the tree-radius secant search stops.
 SECANT_ERROR = 2.0 ** -50
+
+
+class BracketError(RuntimeError):
+    """No sign change where a root was asserted to exist."""
 
 
 def _validate_alpha(alpha: float, upper_open: bool = False) -> None:
@@ -218,6 +227,71 @@ def radius_of(g: Graph, alpha: float) -> float:
     return _least_definite(check, search, star_radius(top, alpha), top)
 
 
+def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
+    """The least double at which u's root pivot f_u, loaded with `paths`
+    infinite pendant paths, is positive; 2.0 if it is not negative at 2.
+
+    For lambda >= 2 the pivots up a long pendant path settle on tau+ of
+    _fixed_points, the attracting fixed point of
+    f -> (lambda - 2a) - (1-a)^2 / f, so each infinite path adds a to u's
+    diagonal and (1-a)^2 / tau+ = (1-a) theta, theta = (1-a) / tau+, to the
+    sum over its children (_path_load). The loaded pivot
+    f_u - paths * (a + (1-a) theta) is the characteristic equation
+    (1 - a h) phi(G) - paths (a - (2a-1) h) phi(G)_u divided by
+    (1 - a h) phi(G)_u, since (a - (2a-1) h) / (1 - a h) = a + (1-a) theta.
+    f_u rises where the pivots below u are positive and the load falls, so
+    the threshold is the one root above max(2, rho(G)), found as a tree
+    radius is, by _least_definite on [2, _degree_bound].
+
+    On a tree _tree_thresholds makes the one elimination plan, rooted at u,
+    with no eigendecomposition, and returns the loaded f_u as both check
+    and search. A search on the plan re-rooted at the hub, as a radius's
+    is, takes fewer probes on most trees but more on some: the
+    lowest-indexed max-degree vertex can lack a secant window as a leaf u
+    does, and then its bisection can cost more probes than u's. Any other
+    graph takes f_u = 1 / r(lambda) above rho(G), and None at or below it,
+    as both check and search: with A_alpha(g) = Q diag(w) Q^T from one
+    eigendecomposition, r(lambda) = [(lambda*I - A_alpha)^-1]_uu =
+    sum_i Q_ui^2 / (lambda - w_i), one O(n) dot product per lambda. The
+    load is None below 2, and so is the pivot.
+    """
+    _validate_alpha(alpha, upper_open=True)
+    # a tree's plan reaches every vertex, so it shows g connected
+    thresholds = _tree_thresholds(g, u, alpha, paths) if 0 <= u < g.n_vertices else None
+    if thresholds is None:
+        if not g.is_connected():
+            raise ValueError("pendant-path limits need a connected graph")
+        if not (0 <= u < g.n_vertices):
+            raise ValueError(f"vertex {u} not in graph")
+        w, q = np.linalg.eigh(assemble_a_alpha(g, alpha))
+        weights, rho = q[u] ** 2, float(w[-1])
+
+        def check(lam: float) -> float | None:
+            extra = _path_load(lam, alpha, paths)
+            if extra is None or lam <= rho:
+                return None
+            return 1.0 / float(np.dot(weights, 1.0 / (lam - w))) - extra
+
+        thresholds = check, check, degree_bounds(g, alpha)[1]
+    check, search, top = thresholds
+    f = check(2.0)
+    if f is not None and f >= 0.0:
+        return 2.0
+    top = _degree_bound(top, len(g.adj[u]), paths)
+    f = check(top)
+    if f is None or f <= 0.0:
+        raise BracketError(
+            f"loaded pivot not positive at the degree bound {top} "
+            f"(u={u}, alpha={alpha})")
+    return _least_definite(check, search, 2.0, top)
+
+
+def _degree_bound(top: float, degree: int, added_degree: int) -> float:
+    """Strictly above the largest degree of g, top, and of u, degree, plus the
+    paths at u, which bounds every rho(G + pendant paths) and so the limit."""
+    return max(top, degree + added_degree, 2) + 0.25
+
+
 def _tree_plan(g: Graph, root: int) -> list | None:
     """The folded leaves-first elimination plan of a tree rooted at root,
     or None unless g is a tree: n - 1 edges and every vertex reached.
@@ -270,7 +344,7 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     return steps
 
 
-def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
+def _tree_thresholds(g: Graph, root: int, alpha: float, paths: int = 0):
     """(check, search, top) of the tree g from its one plan rooted at root,
     or None unless g is a tree.
 
@@ -283,8 +357,8 @@ def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
     is the lowest-indexed max-degree vertex; every step of a path is an end
     or root, and a path's hub is an end or root.
 
-    A load is lam -> the extra diagonal at root, None where it is not
-    defined; check is then f_root - load(lam), or None where either is, and
+    With paths > 0, root carries that many infinite pendant paths: check
+    is f_root - _path_load(lam, alpha, paths), or None where either is, and
     search is check: the hub can lack the secant window that a leaf root
     lacks, and then costs more probes than root (see _pendant_limit).
 
@@ -300,9 +374,9 @@ def _tree_thresholds(g: Graph, root: int, alpha: float, load=None):
         top = max(top, 2)
     c, d2 = (1.0 - alpha) ** 2, 2.0 * alpha
     steps = _scaled(plan, alpha)
-    if load is not None:
+    if paths:
         def loaded(lam):
-            extra = load(lam)
+            extra = _path_load(lam, alpha, paths)
             f = None if extra is None else _walk(steps, c, d2, lam)
             return None if f is None else f - extra
         return loaded, loaded, float(top)
@@ -391,17 +465,34 @@ def _walk(steps: list, c: float, d2: float, lam: float,
     return lam - d - acc[u]
 
 
+def _fixed_points(lam: float, alpha: float) -> tuple:
+    """(delta, tau+) of the run map f -> (lam - 2*alpha) - (1-alpha)^2 / f
+    at lam >= 2: its fixed points are tau+- = (lam - 2*alpha +- delta) / 2,
+    delta = delta_of_lambda(lam, alpha), with tau+ * tau- = (1-alpha)^2."""
+    delta = delta_of_lambda(lam, alpha)
+    return delta, 0.5 * (lam - 2.0 * alpha + delta)
+
+
+def _path_load(lam: float, alpha: float, paths: int) -> float | None:
+    """What `paths` infinite pendant paths at a vertex take off its pivot
+    at lam: alpha*paths on the diagonal and (1-alpha)^2 / tau+ per path in
+    the sum over children (see _pendant_limit). None below 2, where a long
+    path's pivots settle on no fixed point; paths exactly at 2."""
+    if lam < 2.0:
+        return None
+    s = 1.0 - alpha
+    return paths * (alpha + s * (s / _fixed_points(lam, alpha)[1]))
+
+
 def _run_constants(lam: float, c: float, d2: float) -> tuple:
     """(tau-, delta, log q) of the run map f -> (lam - d2) - c / f at lam > 2.
 
-    Its fixed points are tau+- = (lam - d2 +- delta) / 2, delta =
-    delta_of_lambda(lam, alpha) > 0 at alpha = d2 / 2, with tau+ * tau- = c,
-    so tau- is taken as c / tau+, free of cancellation. q = tau- / tau+ = 1 - delta / tau+
+    delta and tau+ are _fixed_points at alpha = d2 / 2, delta > 0, and
+    tau- is taken as c / tau+, free of cancellation. q = tau- / tau+ = 1 - delta / tau+
     lies in [0, 1), and log q is log1p(-delta / tau+), or -inf at q = 0
     (alpha = 1, where c = 0).
     """
-    delta = delta_of_lambda(lam, 0.5 * d2)
-    tau = 0.5 * (lam - d2 + delta)
+    delta, tau = _fixed_points(lam, 0.5 * d2)
     ratio = delta / tau
     return c / tau, delta, (math.log1p(-ratio) if ratio < 1.0 else -math.inf)
 
@@ -513,36 +604,6 @@ def star_radius(k: float, alpha: float) -> float:
         return 0.0
     rad = alpha * alpha * (k + 1) ** 2 + 4 * k * (1 - 2 * alpha)
     return 0.5 * (alpha * (k + 1) + math.sqrt(max(rad, 0.0)))
-
-
-@dataclass(frozen=True)
-class VertexResolvent:
-    """r(lam) = [(lam*I - A_alpha(g))^-1]_uu for one vertex u.
-
-    With A_alpha(g) = Q diag(w) Q^T, r(lam) = sum_i Q_ui^2 / (lam - w_i),
-    which equals det(lam*I - M_u) / det(lam*I - A_alpha(g)) at every lam
-    off the spectrum, with M_u the principal minor of A_alpha(g) without
-    row and column u. Each evaluation is one O(n) dot product.
-    """
-
-    eigenvalues: np.ndarray  # ascending
-    weights: np.ndarray      # Q_ui^2, aligned with eigenvalues
-
-    @property
-    def top(self) -> float:
-        """Largest eigenvalue: the pole of r nearest to +infinity."""
-        return float(self.eigenvalues[-1])
-
-    def __call__(self, lam: float) -> float:
-        return float(np.dot(self.weights, 1.0 / (lam - self.eigenvalues)))
-
-
-def vertex_resolvent(g: Graph, u: int, alpha: float) -> VertexResolvent:
-    """The resolvent diagonal entry at u, from one dense eigendecomposition."""
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph")
-    w, q = np.linalg.eigh(assemble_a_alpha(g, alpha))
-    return VertexResolvent(w, q[u] ** 2)
 
 
 def char_poly_eval(g: Graph, alpha: float, lam: float) -> float:

@@ -115,6 +115,25 @@ def test_table_refuses_alpha_for_a_fixed_alpha_kind(kind, alpha, capsys):
             f"alphalimits: error: {kind} table runs at alpha {alpha} only\n")
 
 
+def test_table_refuses_a_repeated_alpha(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "versionI", "--n-max", "2", "--alpha", "0.5", "--alpha", "0.5",
+              "--format", "plot"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "alphalimits: error: versionI table got a repeated alpha\n"
+    assert captured.out == ""
+
+
+def test_table_series_follow_the_given_alpha_order(capsys):
+    code, out = run_cli(capsys, "table", "versionI", "--n-max", "1", "--alpha", "0.5",
+                        "--alpha", "0.2", "--format", "plot")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("# series: ")] == [
+        "# series: versionI alpha=0.5", "# series: versionI alpha=0.2",
+        "# series: limit alpha=0.5", "# series: limit alpha=0.2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     ("table versionI --n-max 2 --alpha 1", "alpha must lie in [0,1), got 1.0"),
     ("table classic --n-max 2 --alpha 5", "classic table runs at alpha 0 only"),

@@ -1,8 +1,8 @@
 """Byte-identity manifest of the benchmark's job outputs.
 
 tests/golden/job_outputs.sha256 holds one line per job of
-bench/workloads.build(name, 0) for the convergence and verify workloads, in
-job order: the workload, the job index, and the sha256 of the job's output.
+bench/workloads.build(name, 0) for the convergence, verify and ladder
+workloads, in job order: the workload, the job index, and the sha256 of the job's output.
 A CLI job runs in process through cli.main and hashes its exit code and
 stdout; a library job hashes cli._fmt of the value it returns. A change
 that keeps every number moves no line here. Regenerate only when a change
@@ -23,7 +23,7 @@ from alphalimits import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "job_outputs.sha256"
-WORKLOADS = ("convergence", "verify")
+WORKLOADS = ("convergence", "verify", "ladder")
 
 
 def load_workloads():

@@ -20,7 +20,6 @@ from alphalimits.spectral import (
     char_poly_eval,
     h_of_lambda,
     radius_of,
-    vertex_resolvent,
 )
 from alphalimits.verify import (
     difference_poly_f,
@@ -581,7 +580,8 @@ def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
     with pytest.raises(ValueError, match="alpha"):
         op(g, 0, -0.1)
     # A degree bound below the root is a BracketError, not a wrong value.
-    monkeypatch.setattr(L, "_degree_bound", lambda top, degree, added: 2.0 + 2.0 ** -20)
+    monkeypatch.setattr(spectral, "_degree_bound",
+                        lambda top, degree, added: 2.0 + 2.0 ** -20)
     with pytest.raises(BracketError, match="degree bound"):
         op(g, 0, 0.3)
 
@@ -590,18 +590,21 @@ def reference_pendant_limit(g, u, alpha, paths, tol=L.DEFAULT_CONFIG.tol):
     """The dense route: r(lambda) from one eigendecomposition, bisected on
     (max(2, rho(G)), top] until the bracket is narrower than tol, where top
     bounds every rho(G + paths). Kept as the reference that the tree
-    elimination route must stay within 2*tol of."""
-    r = vertex_resolvent(g, u, alpha)
+    elimination route must stay within 2*tol of; it shares no code with
+    the package's own resolvent route."""
+    w, q = np.linalg.eigh(assemble_a_alpha(g, alpha))
+    top = float(w[-1])
 
     def eq(lam):
-        if lam <= r.top:
+        if lam <= top:
             return -math.inf
         h = h_of_lambda(lam, alpha)
-        return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r(lam)
+        r = float(np.sum(q[u] ** 2 / (lam - w)))
+        return (1 - alpha * h) - paths * (alpha - (2 * alpha - 1) * h) * r
 
     if eq(2.0) >= 0.0:
         return 2.0
-    lo, hi = max(2.0, r.top), float(g.degrees().max()) + paths + 1.0
+    lo, hi = max(2.0, top), float(g.degrees().max()) + paths + 1.0
     assert eq(hi) > 0.0
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
@@ -639,7 +642,7 @@ def test_tree_and_dense_routes_agree_to_1e_14(alpha, paths, monkeypatch):
     op = PENDANT_OPS[paths - 1]
     cases = seeded_trees()
     tree = [op(g, u, alpha) for g, u in cases]
-    monkeypatch.setattr(L, "_tree_thresholds", lambda g, root, alpha, load: None)
+    monkeypatch.setattr(spectral, "_tree_thresholds", lambda g, root, alpha, paths: None)
     for (g, u), limit in zip(cases, tree):
         assert abs(op(g, u, alpha) - limit) <= 1e-14, (g.n_vertices, u)
 
@@ -655,7 +658,6 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
     walks = {151: 60, 0: 40}
     expected = {(u, paths): reference_pendant_limit(g, u, 0.5, paths)
                 for u in walks for paths in (1, 2)}
-    monkeypatch.setattr(L, "vertex_resolvent", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     counter = {"_tree_plan": 0, "_walk": 0}
@@ -685,17 +687,18 @@ def test_the_path_load_is_the_h_form_coefficient_exactly():
 
 
 def test_graphs_with_a_cycle_keep_the_resolvent_route(monkeypatch):
-    calls = []
+    orders = []
 
-    def spy(g, u, alpha):
-        calls.append(u)
-        return vertex_resolvent(g, u, alpha)
+    def spy(m, eigh=np.linalg.eigh):
+        orders.append(len(m))
+        return eigh(m)
 
-    monkeypatch.setattr(L, "vertex_resolvent", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     for op in PENDANT_OPS:
         op(cycle(4), 0, 0.5)
         op(attach_pendant_path(cycle(3), 1, 4), 5, 0.3)
-    assert calls == [0, 5, 0, 5]
+    # one eigendecomposition per limit, of the whole graph's matrix
+    assert orders == [4, 7, 4, 7]
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +888,12 @@ def test_limit_table_rejects_an_empty_alpha_sequence():
     t = limit_table("versionI", 2, (a for a in (0.1, 0.2)))
     assert [r.alpha for r in t.rows] == [0.1] * 3 + [0.2] * 3
     assert [a for a, _ in t.limits] == [0.1, 0.2]
+
+
+def test_limit_table_rejects_a_repeated_alpha():
+    for kind in ("versionI", "versionII"):
+        with pytest.raises(ValueError, match=f"{kind} table got a repeated alpha"):
+            limit_table(kind, 2, (0.5, 0.2, 0.5))
 
 
 def test_eta_all_values_below_limit():

@@ -542,6 +542,32 @@ def test_cross_check_routes_live_in_verify_alone():
     assert "cli" not in package_imports("verify")
 
 
+THRESHOLD_INTERNALS = {"_tree_thresholds", "_least_definite", "_secant_point", "_walk",
+                       "_tree_plan"}
+
+
+def names_in(path: Path) -> set:
+    """Every name, attribute and imported name that a source file mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_the_threshold_protocol_lives_in_spectral_alone():
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        if path.stem != "spectral":
+            assert not names_in(path) & THRESHOLD_INTERNALS, path.name
+    assert limits.BracketError is spectral.BracketError
+    assert "vertex_resolvent" not in alphalimits.__all__
+    assert "VertexResolvent" not in alphalimits.__all__
+
+
 @pytest.mark.parametrize("call", (
     lambda: spectral.delta_of_lambda(math.nan, 0.3),
     lambda: verify.path_charpoly_closed(4, 0.3, math.nan),
