@@ -12,7 +12,6 @@ from .graphs import (
     Graph,
     InternalPath,
     attach_pendant_path,
-    bridges,
     cycle,
     double_snake,
     format_graph,

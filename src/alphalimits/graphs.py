@@ -261,43 +261,6 @@ def internal_path_edges(g: Graph) -> set:
     return _internal_arcs(g)[1]
 
 
-def bridges(g: Graph) -> set:
-    """Every edge (u, v), u < v, whose deletion disconnects its component.
-
-    One depth-first pass with Tarjan's low-link values: the tree edge from
-    p down to u is a bridge iff no edge out of u's subtree, other than that
-    one, reaches p or a vertex discovered before it, i.e. low[u] > disc[p].
-    """
-    adj = g.adj
-    disc = [-1] * g.n_vertices
-    low = [0] * g.n_vertices
-    found = set()
-    clock = 0
-    for root in range(g.n_vertices):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, p, rest = stack[-1]
-            for w in rest:
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append((w, u, iter(adj[w])))
-                    break
-                if w != p:
-                    low[u] = min(low[u], disc[w])
-            else:
-                stack.pop()
-                if p >= 0:
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        found.add((min(p, u), max(p, u)))
-    return found
-
-
 def is_regular(g: Graph) -> bool:
     d = len(g.adj[0])
     return all(len(nbrs) == d for nbrs in g.adj)

@@ -5,9 +5,10 @@ random connected graphs of order 4 to 12 and checks the spectral-radius
 bounds, the two monotonicity statements and the subdivision direction on
 every edge. It plans, then solves: it draws the graphs (each Pruefer
 sequence in one integers call), then one connected proper subgraph per
-graph (from one bridge pass, none on a tree, building only the chosen
-subgraph), assembles every matrix the four checks need, and solves them by
-order with one eigensolve call per order, LEMMA_CHUNK graphs at a time
+graph (it drops the first shuffled edge that a walk on g.adj finds on a
+cycle, walks nothing on a tree and builds only the chosen subgraph),
+assembles every matrix the four checks need, and solves them by order
+with one eigensolve call per order, LEMMA_CHUNK graphs at a time
 (lemma_radii, one record of radii per graph, unzipped into the lists the
 check functions take). The checks compare the solved radii; a strict
 comparison that lands inside STRICT_MARGIN is decided exactly instead, by
@@ -44,7 +45,6 @@ import numpy as np
 from . import limits
 from .graphs import (
     Graph,
-    bridges,
     format_graph,
     internal_path_edges,
     internal_paths,
@@ -151,24 +151,40 @@ def _delete_edge(g: Graph, e: tuple) -> Graph:
     return Graph(g.n_vertices, g.edges - {(min(e), max(e))})
 
 
+def _on_a_cycle(g: Graph, e: tuple) -> bool:
+    """Whether edge e = (u, v) of g lies on a cycle: a depth-first walk on
+    g.adj from u that never takes e itself reaches v."""
+    u, v = e
+    adj = g.adj
+    stack = [w for w in adj[u] if w != v]
+    seen = {u, *stack}
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def _proper_connected_subgraph(g: Graph, rng: np.random.Generator) -> Graph | None:
     """A random connected proper subgraph of a connected g: drop a cycle
     edge or a non-cut vertex.
 
-    The sorted edges are shuffled and the first one that is not a bridge
-    (one low-link pass, see bridges) is dropped. If every edge is a bridge,
+    The sorted edges are shuffled and the first one that lies on a cycle
+    (one walk per tried edge, see _on_a_cycle) is dropped. If none does,
     g is a tree: a shuffled vertex list is drawn and its first leaf is
     dropped, unless that would leave a single vertex. A connected g with
-    n - 1 edges is a tree, so it skips the bridge pass. These are the draws
+    n - 1 edges is a tree, so it skips the edge walks. These are the draws
     and the subgraph of trying each deletion in turn for connectivity;
     only the chosen subgraph is built.
     """
     edges = sorted(g.edges)
     rng.shuffle(edges)
     if g.n_edges != g.n_vertices - 1:
-        cut = bridges(g)
         for e in edges:
-            if e not in cut:
+            if _on_a_cycle(g, e):
                 return _delete_edge(g, e)
     verts = list(range(g.n_vertices))
     rng.shuffle(verts)

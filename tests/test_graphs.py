@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
-    bridges,
     cycle,
     double_snake,
     format_graph,
@@ -25,6 +24,7 @@ from alphalimits.graphs import (
     wheel5,
 )
 from alphalimits.spectral import _tree_plan
+from alphalimits.verify import _on_a_cycle
 
 
 def test_graph_rejects_loops_and_out_of_range():
@@ -227,15 +227,20 @@ def test_neighbors_sorted_and_connectivity():
     assert not Graph(4, frozenset({(0, 1), (2, 3)})).is_connected()
 
 
-def test_bridges_by_low_link():
-    assert bridges(path(5)) == set(path(5).edges)
-    assert bridges(cycle(6)) == set()
-    assert bridges(lollipop(6)) == {(0, 5)}
+def _bridges(g):
+    """The edges that _on_a_cycle finds on no cycle."""
+    return {e for e in g.edges if not _on_a_cycle(g, e)}
+
+
+def test_on_a_cycle_by_walk():
+    assert _bridges(path(5)) == set(path(5).edges)
+    assert _bridges(cycle(6)) == set()
+    assert _bridges(lollipop(6)) == {(0, 5)}
     # a triangle 0-1-2 and a 4-cycle 3-4-5-6 joined by the path 0-7-8-4
     two_cycles = parse_graph("9; 0-1,0-2,1-2,3-4,3-6,4-5,5-6,0-7,4-8,7-8")
-    assert bridges(two_cycles) == {(0, 7), (7, 8), (4, 8)}
-    assert bridges(Graph(3, frozenset({(0, 1)}))) == {(0, 1)}
-    assert bridges(Graph(1)) == set()
+    assert _bridges(two_cycles) == {(0, 7), (7, 8), (4, 8)}
+    assert _bridges(Graph(3, frozenset({(0, 1)}))) == {(0, 1)}
+    assert _bridges(Graph(1)) == set()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -247,7 +252,7 @@ def test_bridges_are_the_edges_whose_deletion_disconnects(n, data):
     components = _component_count(g)
     expected = {e for e in g.edges
                 if _component_count(Graph(n, g.edges - {e})) > components}
-    assert bridges(g) == expected
+    assert _bridges(g) == expected
 
 
 def _component_labels(g):

@@ -30,6 +30,7 @@ from alphalimits.graphs import (
     is_double_snake,
     is_regular,
     lollipop,
+    parse_graph,
     path,
     star,
     subdivide_edge,
@@ -215,6 +216,11 @@ def test_subgraph_pick_matches_trial_deletion():
     draw = np.random.default_rng(20260)
     graphs = [random_connected_graph(draw) for _ in range(300)]
     graphs += [random_tree(draw, int(draw.integers(2, 13))) for _ in range(100)]
+    # cycle-rich graphs, beyond the at most 3 extra edges of a random one
+    k5 = Graph(5, frozenset((u, v) for u in range(5) for v in range(u + 1, 5)))
+    two_cycles = parse_graph("9; 0-1,0-2,1-2,3-4,3-6,4-5,5-6,0-7,4-8,7-8")
+    graphs += [wheel5(), k5, two_cycles, *map(cycle, range(3, 9)),
+               *map(lollipop, range(4, 10))]
     trees = 0
     for k, g in enumerate(graphs):
         trees += g.n_edges == g.n_vertices - 1
