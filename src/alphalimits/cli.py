@@ -34,7 +34,7 @@ from .graphs import (
     wheel5,
 )
 from .limits import RootConfig
-from .spectral import _validate_alpha, degree_bounds, radius_of
+from .spectral import _spider_radius, _validate_alpha, degree_bounds, radius_of
 from .verify import run_suite
 
 MAX_ORDER = 2000
@@ -238,17 +238,33 @@ def cmd_psi(args) -> tuple:
     return report, 0
 
 
-# name -> (graph builder, target, takes --n-fixed). Each lambda looks its
-# builder up per call, like SPEC_FAMILIES.
+def _p2_spider(m: int, n: int) -> tuple:
+    """The spider shape of p2_two_paths(m, n): hub 0 and its arms, from 1
+    (one vertex), 2 (m) and 2 + m (n, none when n = 0)."""
+    arms = {1: (1, 1), 2: (1 + m, m), 2 + m: (1 + m + n, n)}
+    return 0, {w: arm for w, arm in arms.items() if arm[1]}, 0
+
+
+# name -> (graph builder, target, takes --n-fixed, spider shape). Each lambda
+# looks its builder up per call, like SPEC_FAMILIES. Every family is a
+# spider, and its shape, from the builder's documented numbering, is
+# (hub, arms, root): arms maps each neighbour of hub to the (end, vertices)
+# of the arm that starts there, and root is vertex 0, where radius_of roots
+# its check (see spectral._spider_radius).
 FAMILIES = {
     "p2nn": (lambda size, n_fixed: p2_two_paths(size, size),
-             lambda alpha, n_fixed, cfg: limits.psi(alpha, cfg), False),
+             lambda alpha, n_fixed, cfg: limits.psi(alpha, cfg), False,
+             lambda size, n_fixed: _p2_spider(size, size)),
     "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed),
-             lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True),
+             lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True,
+             lambda size, n_fixed: _p2_spider(size, n_fixed)),
     "k13": (lambda size, n_fixed: attach_pendant_path(star(3), 0, size),
-            lambda alpha, n_fixed, cfg: limits.omega1(alpha), False),
+            lambda alpha, n_fixed, cfg: limits.omega1(alpha), False,
+            lambda size, n_fixed: (0, {1: (1, 1), 2: (2, 1), 3: (3, 1),
+                                       4: (3 + size, size)}, 0)),
     "p5u": (lambda size, n_fixed: attach_pendant_path(path(5), 2, size),
-            lambda alpha, n_fixed, cfg: limits.omega2(alpha, cfg), False),
+            lambda alpha, n_fixed, cfg: limits.omega2(alpha, cfg), False,
+            lambda size, n_fixed: (2, {1: (0, 2), 3: (4, 2), 5: (4 + size, size)}, 0)),
 }
 
 
@@ -265,7 +281,7 @@ def cmd_convergence(args) -> tuple:
     # before the target is solved or any graph is built.
     if max(sizes) > MAX_ORDER:
         raise ValueError(f"size {max(sizes)} > cap {MAX_ORDER}")
-    build, target_of, takes_n_fixed = FAMILIES[family]
+    build, target_of, takes_n_fixed, shape = FAMILIES[family]
     n_fixed = args.n_fixed
     if takes_n_fixed and n_fixed is None:
         raise ValueError(f"{family} needs --n-fixed")
@@ -285,7 +301,9 @@ def cmd_convergence(args) -> tuple:
         if g.n_vertices > MAX_ORDER:
             raise ValueError(
                 f"size {size} gives order {g.n_vertices} > cap {MAX_ORDER}")
-        rho = radius_of(g, alpha)
+        # g is built for the cap and for the order of its hub's neighbours,
+        # which fixes the bits of rho
+        rho = _spider_radius(g, *shape(size, n_fixed), alpha)
         gap = target - rho
         note = ""
         if gap < GAP_NEGATIVE_FLOOR:

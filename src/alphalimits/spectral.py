@@ -11,9 +11,16 @@ pendant paths at a vertex u grow without bound (_pendant_limit, which
 limits' pendant-path operators call), the threshold of u's root pivot
 loaded with the paths (_path_load). The elimination has one seam:
 _tree_plan builds a tree's plan from Graph.adj, once per threshold, and
-_tree_thresholds scales it by alpha and returns (check, search, top) to
-radius_of and _pendant_limit, which read nothing else of it; a pendant
-limit passes it the number of paths, and a radius none. _least_definite is
+_plan_thresholds scales it by alpha and returns (check, search, top) to
+radius_of (through _threshold_radius) and _pendant_limit, which read
+nothing else of it; a pendant limit passes it the number of paths, and a
+radius none. A spider's plan, a hub with pendant paths, needs no walk:
+_spider_plan builds it from the arm lengths in O(arms), the very list
+_tree_plan returns, and _spider_radius, the convergence families' radius,
+reads of the graph only the order of the hub's neighbours, one pass over
+g.edges (_neighbours). That order is what fixes the bits, as the hub sums
+its children in it; the caller builds the graph only for it and for the
+order cap. _least_definite is
 the one threshold search: secant steps on the search pivot pick a point,
 and the sign of the check certifies the least double at which it is
 positive, the value plain bisection ends on. Both are _walk, the one
@@ -207,10 +214,13 @@ def radius_of(g: Graph, alpha: float) -> float:
     of the vertex-0 plan is positive, as plain bisection on [0, max degree].
 
     Cost. One _tree_plan walk, then one _walk per probe, with no
-    derivative. A search probe costs one step per plan step: above lam = 2
-    the run map f -> (lam - 2*alpha) - (1-alpha)^2 / f has the fixed points
-    tau+- of _run_constants, and a folded run whose first pivot is above
-    tau- is advanced to its top in closed form. A check steps each run:
+    derivative. A spider of known shape skips the walk: _spider_radius
+    builds the same plan in O(arms), after one pass over g.edges for the
+    order of the hub's neighbours, and returns this radius bit for bit.
+    A search probe costs one step per plan step: above lam = 2 the run map
+    f -> (lam - 2*alpha) - (1-alpha)^2 / f has the fixed points tau+- of
+    _run_constants, and a folded run whose first pivot is above tau- is
+    advanced to its top in closed form. A check steps each run:
     near rho its pivots approach tau+ and, in doubles, reach it after tens
     of vertices, and the check skips the rest of the run, so it costs about
     the number of branch vertices and leaves plus those tens per run, not
@@ -223,6 +233,27 @@ def radius_of(g: Graph, alpha: float) -> float:
     thresholds = _tree_thresholds(g, 0, alpha)
     if thresholds is None:
         return stack_radii(assemble_a_alpha(g, alpha)[None])[0]
+    return _threshold_radius(thresholds, alpha)
+
+
+def _spider_radius(g: Graph, hub: int, arms: dict, root: int, alpha: float) -> float:
+    """The radius of the spider g from its shape: radius_of(g, alpha) bit
+    for bit when root is vertex 0, where radius_of roots its check.
+
+    hub and root are as _spider_plan takes them, and arms maps each
+    neighbour w of hub to the (end, vertices) of the arm that starts at w.
+    The one read of g is the order of hub's neighbours, one pass over
+    g.edges (_neighbours): with no Graph.adj and no walk over the vertices,
+    the plan is _tree_plan(g, root).
+    """
+    _validate_alpha(alpha)
+    plan = _spider_plan(hub, [arms[w] for w in _neighbours(g, hub)], root)
+    return _threshold_radius(_plan_thresholds(plan, alpha), alpha)
+
+
+def _threshold_radius(thresholds: tuple, alpha: float) -> float:
+    """The radius that a tree's (check, search, top) certifies: the least
+    double at which check is positive, searched from star_radius(top)."""
     check, search, top = thresholds
     return _least_definite(check, search, star_radius(top, alpha), top)
 
@@ -344,12 +375,45 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     return steps
 
 
-def _tree_thresholds(g: Graph, root: int, alpha: float, paths: int = 0):
-    """(check, search, top) of the tree g from its one plan rooted at root,
-    or None unless g is a tree.
+def _neighbours(g: Graph, v: int) -> list:
+    """v's neighbours in g.adj[v] order, from one pass over g.edges and
+    with no Graph.adj: that order is the edge set's iteration order."""
+    return [b if a == v else a for a, b in g.edges if a == v or b == v]
 
-    top is g's max degree, as a float. check(lam) is f_root, the root pivot
-    of _tree_plan(g, root) at lam with every run stepped (see _walk): the
+
+def _spider_plan(hub: int, arms: list, root: int) -> list:
+    """_tree_plan(g, root) of a spider g, in O(arms), with no walk.
+
+    g is hub with paths (arms) hung from it. arms lists each one as
+    (end, vertices), end its leaf, in the order of hub's neighbours in
+    g.adj. root is hub, or the end of an arm when hub has degree 3 or more.
+    Each arm is one step at its end, with its other vertices folded above
+    it. The plan is the arms in reverse order, then hub. Rooted at hub,
+    hub's parent is the spare slot n, the vertex count. Rooted at an end,
+    that arm is no step: hub takes root as its parent, with the arm's
+    other vertices folded into hub's step, and root's own step comes last.
+    """
+    n = 1 + sum(count for _, count in arms)
+    steps = [(end, hub, 1, count - 1) for end, count in reversed(arms) if end != root]
+    if root == hub:
+        return steps + [(hub, n, len(arms), 0)]
+    (count,) = [count for end, count in arms if end == root]
+    return steps + [(hub, root, len(arms), count - 1), (root, n, 1, 0)]
+
+
+def _tree_thresholds(g: Graph, root: int, alpha: float, paths: int = 0):
+    """_plan_thresholds of the tree g's one plan rooted at root, or None
+    unless g is a tree."""
+    plan = _tree_plan(g, root)
+    return None if plan is None else _plan_thresholds(plan, alpha, paths)
+
+
+def _plan_thresholds(plan: list, alpha: float, paths: int = 0) -> tuple:
+    """(check, search, top) of a tree from its plan, as _tree_plan or
+    _spider_plan gives it, rooted at root, its last step.
+
+    top is the tree's max degree, as a float. check(lam) is f_root, the
+    root pivot of the plan at lam with every run stepped (see _walk): the
     certificate. search(lam) is the root pivot of the same plan re-rooted
     at the hub, the lowest-indexed step vertex of the largest degree (see
     _rerooted), with runs advanced in closed form above lam = 2. Every
@@ -365,9 +429,7 @@ def _tree_thresholds(g: Graph, root: int, alpha: float, paths: int = 0):
     The one place a plan is scaled by alpha: each degree becomes
     alpha*degree, with c = (1-alpha)^2 and d2 = 2*alpha.
     """
-    plan = _tree_plan(g, root)
-    if plan is None:
-        return None
+    root = plan[-1][0]
     top = max(d for _, _, d, _ in plan)
     hub = min(v for v, _, d, _ in plan if d == top)
     if any(k for _, _, _, k in plan):  # a folded vertex has degree 2

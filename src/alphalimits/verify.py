@@ -12,11 +12,12 @@ with one eigensolve call per order, LEMMA_CHUNK graphs at a time
 (lemma_radii, one record of radii per graph, unzipped into the lists the
 check functions take). The checks compare the solved radii; a strict
 comparison that lands inside STRICT_MARGIN is decided exactly instead, by
-the sign of the pivots of q*I - A_alpha in rational arithmetic for the
-one matrix pair involved (_above). The structure the checks and the
-subgraph pick need (degrees, regularity, cycles, double snakes, internal
-path edges) is read from the graph's adjacency lists, with no numpy; only
-the two assemblies, of G and of H, build a degree array. The
+the signs of the leading principal minors of q*I - A_alpha, scaled to
+integers, for the one matrix pair involved (_above, _exceeds). The
+structure the checks and the subgraph pick need (degrees, regularity,
+cycles, double snakes, internal path edges) is read from the graph's
+adjacency lists, with no numpy; only the two assemblies, of G and of H,
+build a degree array. The
 identity suite evaluates the polynomial and closed-form identities on
 deterministic grids, plus the bipartite spectra check on random trees,
 whose spectra are solved by order the same way. Its checks solve each root
@@ -208,25 +209,35 @@ def _is_cycle(g: Graph) -> bool:
 def _exceeds(q: Fraction, g: Graph, alpha: float) -> bool:
     """Whether q > rho(A_alpha(g)), in exact arithmetic at the exact double alpha.
 
-    q*I - A_alpha is positive definite iff every pivot of its LDL^T, taken
-    in vertex order with no pivoting, is positive.
+    q*I - A_alpha is positive definite iff every leading principal minor is
+    positive (Sylvester). With s the least common denominator of q and
+    alpha (both dyadic, so the larger), s*(q*I - A_alpha) is an integer
+    matrix whose minors have the same signs, and fraction-free (Bareiss)
+    elimination in vertex order leaves its k-th minor as the k-th pivot,
+    each division exact. The verdict is that of an LDL^T in Fraction
+    arithmetic, whose pivots are ratios of consecutive minors, in Python
+    integers alone.
     """
     a = Fraction(alpha)
+    s = math.lcm(q.denominator, a.denominator)
+    qs, as_ = int(q * s), int(a * s)
     n = g.n_vertices
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for u, nbrs in enumerate(g.adj):
-        m[u][u] = q - a * len(nbrs)
+        m[u][u] = qs - as_ * len(nbrs)
         for w in nbrs:
-            m[u][w] = a - 1
+            m[u][w] = as_ - s
+    prev = 1
     for k in range(n):
-        pivot = m[k][k]
+        pivot, row = m[k][k], m[k]
         if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            r = m[i][k] / pivot
-            if r:
-                for j in range(k + 1, n):
-                    m[i][j] -= r * m[k][j]
+            mi = m[i]
+            r = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - r * row[j]) // prev
+        prev = pivot
     return True
 
 

@@ -575,8 +575,16 @@ def test_radius_at_the_order_cap_runs_on_the_elimination_route(monkeypatch, caps
 
 @pytest.mark.parametrize("family", ["k13", "p2mn", "p2nn", "p5u"])
 def test_convergence_families_at_every_size_skip_the_dense_solve(family, monkeypatch, capsys):
-    # every convergence graph is a tree, down to order 4 at size 1
+    # every convergence graph is a tree, down to order 4 at size 1, and a
+    # spider whose plan comes from its shape: no tree walk, no Graph.adj
+    from alphalimits import spectral
+    from alphalimits.graphs import Graph
+
+    def fail(*args):
+        raise AssertionError("tree walk or adjacency lists on a spider")
     no_dense(monkeypatch)
+    monkeypatch.setattr(spectral, "_tree_plan", fail)
+    monkeypatch.setattr(Graph, "adj", property(fail))
     extra = ("--n-fixed", "2") if family == "p2mn" else ()
     code, out = run_cli(capsys, "convergence", family, "--alpha", "0.25",
                         "--sizes", "1,2,5,20,60", *extra)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphalimits import spectral, verify
+from alphalimits.cli import FAMILIES
 from alphalimits.graphs import (
     Graph,
     attach_pendant_path,
@@ -613,6 +614,32 @@ def test_tree_plan_is_the_preorder_with_runs_folded(n, data):
     plan = spectral._tree_plan(g, root)
     assert [(v, p, k) for v, p, _, k in reversed(plan)] == expected
     assert all(d == len(g.adj[v]) for v, _, d, _ in plan)
+
+
+def test_spider_radius_equals_radius_of_on_the_convergence_families():
+    """Each family's spider shape in FAMILIES, with its hub's neighbours read
+    off g.edges, gives the very plan _tree_plan walks, so the convergence
+    radius is radius_of's bit for bit; so is the plan of every other spider
+    rooted at its hub or at an arm's end."""
+    sizes = list(range(1, 41)) + [63, 124, 250, 500, 800]
+    for family, (build, _, takes_n_fixed, shape) in FAMILIES.items():
+        for n_fixed in ((0, 1, 2, 5, 10) if takes_n_fixed else (None,)):
+            for size in sizes:
+                g = build(size, n_fixed)
+                hub, arms, root = shape(size, n_fixed)
+                assert spectral._neighbours(g, hub) == g.adj[hub]
+                plan = spectral._spider_plan(hub, [arms[w] for w in g.adj[hub]], root)
+                assert plan == spectral._tree_plan(g, root), (family, n_fixed, size)
+                for alpha in TREE_ALPHAS:
+                    assert (spectral._spider_radius(g, hub, arms, root, alpha)
+                            == radius_of(g, alpha)), (family, n_fixed, size, alpha)
+    for lengths in ((1, 1, 1), (3, 1, 2), (5, 1, 1, 7), (2, 9, 4, 1, 6)):
+        g = spider(lengths)
+        ends = [sum(lengths[:i + 1]) for i in range(len(lengths))]
+        arms = {end - m + 1: (end, m) for end, m in zip(ends, lengths)}
+        for root in [0] + ends:
+            plan = spectral._spider_plan(0, [arms[w] for w in g.adj[0]], root)
+            assert plan == spectral._tree_plan(g, root), (lengths, root)
 
 
 def test_leaves_first_orders(monkeypatch):

@@ -193,6 +193,25 @@ def test_planned_suite_equals_the_per_graph_reference(seed, trials):
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_exceeds_agrees_with_the_reference_exact_test():
+    """The suite's integer test decides q > rho as exact_below does, at the
+    dense radius, one ulp either side and the dyadic midpoint above it, on
+    seeded lemma graphs at every lemma alpha."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for t in range(150):
+        g = random_connected_graph(rng)
+        alpha = LEMMA_ALPHAS[t % len(LEMMA_ALPHAS)]
+        r = dense_radius(g, alpha)
+        up = math.nextafter(r, math.inf)
+        for q in (Fraction(math.nextafter(r, 0.0)), Fraction(r), Fraction(up),
+                  (Fraction(r) + Fraction(up)) / 2):
+            got = verify._exceeds(q, g, alpha)
+            assert got == exact_below(g, alpha, q), (format_graph(g), alpha, q)
+            verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 def test_a_reversed_order_inside_the_margin_still_fails():
     """Planted: doubles 1e-13 apart in the lemma's direction, inside
     STRICT_MARGIN, for a pair whose exact order is the other way."""
@@ -549,7 +568,7 @@ def test_cross_check_routes_live_in_verify_alone():
 
 
 THRESHOLD_INTERNALS = {"_tree_thresholds", "_least_definite", "_secant_point", "_walk",
-                       "_tree_plan"}
+                       "_tree_plan", "_spider_plan", "_plan_thresholds", "_threshold_radius"}
 
 
 def names_in(path: Path) -> set:
