@@ -208,10 +208,9 @@ PSI_DEFAULT_GRID = tuple(round(0.05 * k, 2) for k in range(20))  # 0.00 .. 0.95
 
 def cmd_psi(args) -> tuple:
     alphas = args.alpha if args.alpha else list(PSI_DEFAULT_GRID)
-    cfg = RootConfig(tol=args.tol)
     rows = []
     for a in alphas:
-        root = limits.psi(a, cfg)
+        root = limits.psi(a)
         note = ""
         if a < 1.0:
             try:
@@ -219,7 +218,7 @@ def cmd_psi(args) -> tuple:
             except limits.BranchSelectionError as exc:
                 closed, note = None, f"branch failure: {exc}"
             o1 = limits.omega1(a)
-            o2 = limits.omega2(a, cfg)
+            o2 = limits.omega2(a)
         else:
             closed, note = None, "closed form defined for alpha < 1"
             o1 = o2 = None
@@ -229,8 +228,7 @@ def cmd_psi(args) -> tuple:
         columns=("alpha", "psi_root", "psi_closed", "abs_difference",
                  "omega1", "omega2", "note"),
         rows=rows,
-        metadata=_metadata("psi", alphas=",".join(_fmt(float(a)) for a in alphas),
-                           tol=args.tol),
+        metadata=_metadata("psi", alphas=",".join(_fmt(float(a)) for a in alphas)),
         series=[(name, [(r[0], r[i]) for r in rows if r[i] is not None])
                 for i, name in ((1, "psi_root"), (2, "psi_closed"),
                                 (4, "omega1"), (5, "omega2"))],
@@ -253,7 +251,7 @@ def _p2_spider(m: int, n: int) -> tuple:
 # its check (see spectral._spider_radius).
 FAMILIES = {
     "p2nn": (lambda size, n_fixed: p2_two_paths(size, size),
-             lambda alpha, n_fixed, cfg: limits.psi(alpha, cfg), False,
+             lambda alpha, n_fixed, cfg: limits.psi(alpha), False,
              lambda size, n_fixed: _p2_spider(size, size)),
     "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed),
              lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True,
@@ -263,7 +261,7 @@ FAMILIES = {
             lambda size, n_fixed: (0, {1: (1, 1), 2: (2, 1), 3: (3, 1),
                                        4: (3 + size, size)}, 0)),
     "p5u": (lambda size, n_fixed: attach_pendant_path(path(5), 2, size),
-            lambda alpha, n_fixed, cfg: limits.omega2(alpha, cfg), False,
+            lambda alpha, n_fixed, cfg: limits.omega2(alpha), False,
             lambda size, n_fixed: (2, {1: (0, 2), 3: (4, 2), 5: (4 + size, size)}, 0)),
 }
 
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="limiting value, closed form and omegas")
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="repeatable; default 0.00..0.95 step 0.05")
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("convergence", help="finite-family approach to a limit")
     p.add_argument("family", choices=FAMILIES)

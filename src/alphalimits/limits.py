@@ -1,22 +1,22 @@
 """Limit points of the alpha-adjacency spectral radius.
 
-Every limit value here is the root of an explicit polynomial or of a
-characteristic equation in lambda. Expressions carrying half-integer
-powers of x are stored as ordinary polynomials in t with x = t*t, so root
-isolation is plain bisection in t. Two builders, phi_version1 and
-phi_version2, give every sequence polynomial: Hoffman's classical
-polynomial is phi_version2 at alpha 0, and the signless Laplacian
-polynomials are phi_version1 and phi_version2 at alpha 1/2, a quarter of
-their usual integer forms, so those sequences are beta_n, gamma_n and
-gamma_tilde_n at one alpha. The psi and omega2 equations change sign once
-on a fixed bracket (see their docstrings), so each root is one bisection
-there. The routes kept only to cross-check these (omega2's closed form,
-the theta substitution and the one-step difference of phi_version1) live
-in verify. The pendant-path limit operators work on any connected graph;
-each limit is a spectral threshold, the least double at which u's root
-pivot, loaded with the infinite paths, is positive, found in spectral
-beside the tree radius, by the same search and certificate. BracketError
-is spectral's, the one class both modules raise.
+Every sequence value here is the root of an explicit polynomial.
+Expressions carrying half-integer powers of x are stored as ordinary
+polynomials in t with x = t*t, so root isolation is plain bisection in t.
+Two builders, phi_version1 and phi_version2, give every sequence
+polynomial: Hoffman's classical polynomial is phi_version2 at alpha 0, and
+the signless Laplacian polynomials are phi_version1 and phi_version2 at
+alpha 1/2, a quarter of their usual integer forms, so those sequences are
+beta_n, gamma_n and gamma_tilde_n at one alpha. Psi, omega2 and the
+pendant-path limits are spectral thresholds instead, found in spectral
+beside the tree radius, by the same search and certificate: the least
+double at which a vertex's root pivot, loaded with infinite pendant paths,
+is positive. The pendant-path limit operators work on any connected graph;
+psi and omega2 are such limits on P_2 and P_5, taken from their spider
+plans with no graph. The routes kept only to cross-check these (the theta
+substitution, omega2's closed form and the one-step difference of
+phi_version1) live in verify. BracketError is spectral's, the one class
+both modules raise.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import BracketError, _pendant_limit, _validate_alpha, h_of_lambda
+from .spectral import BracketError, _pendant_limit, _spider_limit, _validate_alpha
 
 
 class BranchSelectionError(RuntimeError):
@@ -37,9 +37,9 @@ class BranchSelectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootConfig:
-    """Bisection stops below tol in the bisected variable: t = sqrt(x) for
-    the sequence polynomials, lambda for psi and omega2. The pendant limits
-    are exact thresholds and take no tol."""
+    """Bisection stops below tol in the bisected variable, t = sqrt(x) of
+    the sequence polynomials. psi, omega2 and the pendant limits are exact
+    thresholds and take no tol."""
 
     tol: float = 1e-13
 
@@ -272,31 +272,22 @@ def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _psi_equation(lam: float, alpha: float) -> float:
-    h = h_of_lambda(lam, alpha)
-    a = alpha
-    return ((1 - a * h) * lam * lam
-            + 2 * ((a * a + 2 * a - 1) * h - 2 * a) * lam
-            - (6 * a * a - 3 * a) * h + 2 * a * a + 2 * a - 1)
+def psi(alpha: float) -> float:
+    """Supremum of the eta_n sequence: the limit of rho of p2_two_paths(n, n).
 
-
-def psi(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Supremum of the eta_n sequence: root of the pendant-pair equation on (2, 3].
-
-    At lambda = (1-a)(theta + 1/theta) + 2a, theta in (0, 1), the equation is
-    (a - 1) F(theta) / (theta^2 (1 - a + a theta)) with F(theta) =
-    verify.difference_poly_f(theta^2, a). Only the constant of F is
-    negative, so F rises on theta > 0 and the equation, from a - 1 at
-    lambda = 2, changes sign once on (2, inf): one bisection on [2, 3.2].
-    At lambda = 2 the bisection takes that proved value a - 1, which the
-    float form can round to the wrong sign (at a = 1 - 2^-53 it gives
-    +2.2e-16). psi(1) = 3.
+    The spectral threshold of vertex 0 of P_2 loaded with two infinite
+    pendant paths, two_pendant_paths_limit(path(2), 0, alpha) bit for bit,
+    from that spider's plan (spectral._spider_limit), with no graph and no
+    tol: the least double at which the loaded pivot
+    W(lambda) = delta(lambda) - alpha - (1-alpha)^2 / (lambda - alpha) is
+    positive. Its root is lambda = (1-a)(theta + 1/theta) + 2a at the root
+    theta in (0, 1) of F(theta) = verify.difference_poly_f(theta^2, a).
+    psi(1) = 3.
     """
     _validate_alpha(alpha)
     if alpha == 1.0:
         return 3.0
-    return _bisect(lambda l: alpha - 1.0 if l == 2.0 else _psi_equation(l, alpha),
-                   2.0, 3.2, cfg)
+    return _spider_limit(0, [(1, 1)], alpha, 2)
 
 
 def _psi_surds(alpha: float) -> dict:
@@ -343,25 +334,17 @@ def omega1(alpha: float) -> float:
     return 0.5 * (5.0 * alpha + 3.0 * math.sqrt(2.0 - 4.0 * alpha + 3.0 * alpha**2))
 
 
-def _omega2_equation(lam: float, alpha: float) -> float:
-    a = alpha
-    q = lam * lam - 3 * a * lam + a * a + 2 * a - 1
-    cubic = lam**3 - 5 * a * lam**2 + (5 * a * a + 6 * a - 3) * lam - 8 * a * a + 4 * a
-    h = h_of_lambda(lam, a)
-    return (1 - a * h) * q * cubic - (a - (2 * a - 1) * h) * q * q
+def omega2(alpha: float) -> float:
+    """Limit of the five-path-with-center-tail family.
 
-
-def omega2(alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
-    """Limit of the five-path-with-center-tail family: the root on (2, 3.5].
-
-    Under psi's substitution the equation is (1-a)^3 G G2 / theta^5 with
-    G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a) and
-    G2 = -(G + 2(1-a)) < 0 on theta > 0. G rises there, so the equation
-    changes sign once on (2, inf): one bisection on [2, 3.5]. At a = 0,
-    G = F and omega2(0) = psi(0).
+    The spectral threshold of the middle vertex of P_5 loaded with one
+    infinite pendant path, pendant_path_limit(path(5), 2, alpha) bit for
+    bit, from that spider's plan (spectral._spider_limit) with no graph and
+    no tol. Under psi's substitution theta is the root in (0, 1) of
+    G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a). At
+    a = 0, G = F and omega2(0) = psi(0).
     """
-    _validate_alpha(alpha, upper_open=True)
-    return _bisect(lambda l: _omega2_equation(l, alpha), 2.0, 3.5, cfg)
+    return _spider_limit(2, [(4, 2), (0, 2)], alpha, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,5 +463,5 @@ def limit_table(kind: str, n_max: int, alphas=None,
     rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
                  for alpha in alphas for n in range(spec.n_min, n_max + 1))
     limits = (spec.fixed,) if spec.fixed is not None else tuple(
-        (alpha, psi(alpha, cfg)) for alpha in alphas)
+        (alpha, psi(alpha)) for alpha in alphas)
     return LimitTable(rows, limits)

@@ -12,15 +12,17 @@ limits' pendant-path operators call), the threshold of u's root pivot
 loaded with the paths (_path_load). The elimination has one seam:
 _tree_plan builds a tree's plan from Graph.adj, once per threshold, and
 _plan_thresholds scales it by alpha and returns (check, search, top) to
-radius_of (through _threshold_radius) and _pendant_limit, which read
-nothing else of it; a pendant limit passes it the number of paths, and a
-radius none. A spider's plan, a hub with pendant paths, needs no walk:
-_spider_plan builds it from the arm lengths in O(arms), the very list
-_tree_plan returns, and _spider_radius, the convergence families' radius,
-reads of the graph only the order of the hub's neighbours, one pass over
-g.edges (_neighbours). That order is what fixes the bits, as the hub sums
-its children in it; the caller builds the graph only for it and for the
-order cap. _least_definite is
+radius_of (through _threshold_radius) and _pendant_limit (through
+_loaded_threshold), which read nothing else of it; a pendant limit passes
+it the number of paths, and a radius none. A spider's plan, a hub with
+pendant paths, needs no walk: _spider_plan builds it from the arm lengths
+in O(arms), the very list _tree_plan returns, and _spider_radius, the
+convergence families' radius, reads of the graph only the order of the
+hub's neighbours, one pass over g.edges (_neighbours). That order is what
+fixes the bits, as the hub sums its children in it; the caller builds the
+graph only for it and for the order cap. _spider_limit, the pendant limit
+at a spider's hub (limits' psi and omega2), needs no graph at all, as a
+hub with at most two arms sums them in either order. _least_definite is
 the one threshold search: secant steps on the search pivot pick a point,
 and the sign of the check certifies the least double at which it is
 positive, the value plain bisection ends on. Both are _walk, the one
@@ -304,16 +306,33 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
             return 1.0 / float(np.dot(weights, 1.0 / (lam - w))) - extra
 
         thresholds = check, check, degree_bounds(g, alpha)[1]
-    check, search, top = thresholds
+    return _loaded_threshold(*thresholds, len(g.adj[u]), paths)
+
+
+def _spider_limit(hub: int, arms: list, alpha: float, paths: int) -> float:
+    """_pendant_limit at hub of the spider with these arms, as _spider_plan
+    takes them, from its plan rooted at hub: no Graph and no _tree_plan.
+
+    It equals _pendant_limit(g, hub, alpha, paths) of the built spider g bit
+    for bit when hub has at most two arms, as a sum of two children does
+    not depend on their order.
+    """
+    _validate_alpha(alpha, upper_open=True)
+    plan = _spider_plan(hub, arms, hub)
+    return _loaded_threshold(*_plan_thresholds(plan, alpha, paths), len(arms), paths)
+
+
+def _loaded_threshold(check, search, top: float, degree: int, paths: int) -> float:
+    """The least double at which the loaded pivot check is positive, or 2.0
+    if it is not negative at 2, searched on [2, _degree_bound]; degree is
+    that of the loaded vertex."""
     f = check(2.0)
     if f is not None and f >= 0.0:
         return 2.0
-    top = _degree_bound(top, len(g.adj[u]), paths)
+    top = _degree_bound(top, degree, paths)
     f = check(top)
     if f is None or f <= 0.0:
-        raise BracketError(
-            f"loaded pivot not positive at the degree bound {top} "
-            f"(u={u}, alpha={alpha})")
+        raise BracketError(f"loaded pivot not positive at the degree bound {top}")
     return _least_definite(check, search, 2.0, top)
 
 

@@ -528,17 +528,16 @@ def _magnitudes(p: limits.HalfPoly) -> limits.HalfPoly:
 
 
 def check_phi_increasing() -> PropertyResult:
-    """Finite differences of the version I polynomial are positive for x > 0."""
+    """The version I polynomial rises for x > 0: its constant is negative
+    and every other coefficient non-negative, at least one positive, so it
+    rises in t > 0 and so in x = t^2."""
     bad = []
-    checked = 0
-    xs = np.linspace(1e-3, 1.5, 60)
-    for n in (1, 2, 5, 10, 20):
-        for alpha in (0.0, 0.25, 0.5, 0.75, 0.9):
-            vals = limits.phi_version1(n, alpha)(xs)
-            checked += len(xs) - 1
-            if not np.all(np.diff(vals) > 0):
-                bad.append(f"n={n} alpha={alpha}")
-    return _result("phi-increasing", checked, bad)
+    pairs = [(n, alpha) for n in (1, 2, 5, 10, 20) for alpha in (0.0, 0.25, 0.5, 0.75, 0.9)]
+    for n, alpha in pairs:
+        constant, *rest = limits.phi_version1(n, alpha).coeffs
+        if not (constant < 0 and min(rest) >= 0 and max(rest) > 0):
+            bad.append(f"n={n} alpha={alpha}")
+    return _result("phi-increasing", len(pairs), bad)
 
 
 def check_duality() -> PropertyResult:
@@ -591,8 +590,9 @@ def _strict_until_saturated(gaps) -> bool:
     return True
 
 
-def check_strict_chain() -> PropertyResult:
-    """eta_0 < eta_1 < ... up to Psi; the alpha=0 chain ties at the start.
+def check_strict_chain(psis: dict) -> PropertyResult:
+    """eta_0 < eta_1 < ... up to Psi = psis[alpha]; the alpha=0 chain ties
+    at the start.
 
     Strictness is enforced while the geometric gap decay stays above the
     double-precision floor; past that the chain must still never
@@ -607,7 +607,7 @@ def check_strict_chain() -> PropertyResult:
         checked += len(gaps) + 1
         if not _strict_until_saturated(gaps):
             bad.append(f"alpha={alpha} min gap={gaps.min()}")
-        if etas[-1] > limits.psi(alpha, cfg) + 1e-12:
+        if etas[-1] > psis[alpha] + 1e-12:
             bad.append(f"alpha={alpha} eta_30 overshoots psi")
     etas0 = [limits.eta_n(n, 0.0, cfg) for n in range(31)]
     checked += 3
@@ -660,14 +660,17 @@ def check_laplacian_agreement() -> PropertyResult:
 
 
 def check_ordering_constants(psis: dict) -> PropertyResult:
-    """Psi = psis[alpha] < omega1 on the grid; omega2 never dips below Psi
-    and lies within 1e-7 of its closed form."""
+    """Psi = psis[alpha] < omega1 on the grid; omega2 never dips below Psi.
+    Psi lies within EQUALITY_TOL of psi_closed_form and omega2 within 1e-7
+    of omega2_closed_form, each constant's second route."""
     bad = []
     checked = 0
     for alpha in ALPHA_GRID:
         p = psis[alpha]
         o2 = limits.omega2(alpha)
-        checked += 3
+        checked += 4
+        if abs(p - limits.psi_closed_form(alpha)) > EQUALITY_TOL:
+            bad.append(f"alpha={alpha} psi off its closed form")
         if not p < limits.omega1(alpha):
             bad.append(f"alpha={alpha} psi >= omega1")
         if o2 < p - 1e-9:
@@ -819,7 +822,7 @@ def run_identity_suite(seed: int) -> list:
         check_phi_increasing(),
         check_duality(),
         check_route_equality(),
-        check_strict_chain(),
+        check_strict_chain(psis),
         check_eta_convergence(psis),
         check_classic_routes(),
         check_laplacian_agreement(),

@@ -31,9 +31,7 @@ def test_setup_and_one_pass_of_each_workload(monkeypatch, capsys):
         jobs, _ = workloads.build(name, 0)
         _, results = worker.run_pass(jobs, package)
         assert len(results) == len(jobs)
-        # Exit 1 is a reported verify FAIL: the verify workload has two
-        # known false FAILs at seed 0 from the fixed strict margin.
         for job, (_, code, _, err) in zip(jobs, results):
             assert err == "", job.label
-            assert code in (0, 1), job.label
+            assert code == 0, job.label
     capsys.readouterr()

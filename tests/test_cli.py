@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from alphalimits.cli import main
-from alphalimits.limits import DEFAULT_CONFIG, psi
+from alphalimits.limits import psi
 
 
 def run_cli(capsys, *argv):
@@ -293,9 +293,10 @@ def window_equation_sign(lam, alpha):
 
 def test_psi_one_ulp_below_alpha_one_is_an_error_not_a_traceback():
     # at alpha = 1 - 2^-53 the lambda form of the psi equation rounds to
-    # +2.2e-16 at lambda = 2, where it is exactly alpha - 1 < 0; the
-    # bisection takes that proved sign, and the root it returns is within
-    # tol of the root of the window equation, an independent route
+    # +2.2e-16 at lambda = 2, where it is exactly alpha - 1 < 0; psi, a
+    # threshold of the loaded pivot, takes no such form, and the root it
+    # returns is within 2 ulps of the root of the window equation, an
+    # independent route
     alpha = 1.0 - 2.0**-53
     assert str(alpha) == "0.9999999999999999"
     src = str(Path(__file__).parent.parent / "src")
@@ -310,7 +311,7 @@ def test_psi_one_ulp_below_alpha_one_is_an_error_not_a_traceback():
     assert header[:2] == ["alpha", "psi_root"] and len(rows) == 1
     r = psi(alpha)
     assert rows[0][1] == f"{r:.15g}"
-    tol = Fraction(DEFAULT_CONFIG.tol)
+    tol = Fraction(2 * math.ulp(r))
     assert window_equation_sign(Fraction(r) - tol, alpha) < 0
     assert window_equation_sign(Fraction(r) + tol, alpha) > 0
 
@@ -394,9 +395,17 @@ def test_unknown_family_is_a_usage_error(capsys):
 def test_non_finite_tol_is_a_usage_error(capsys):
     for tol in ("nan", "inf"):
         with pytest.raises(SystemExit) as exc:
-            main(["psi", "--alpha", "0.3", "--tol", tol])
+            main(["table", "versionI", "--n-max", "3", "--tol", tol])
         assert exc.value.code == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_psi_takes_no_tol(capsys):
+    # psi and omega2 are thresholds with no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--alpha", "0.3", "--tol", "1e-13"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-13" in capsys.readouterr().err
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from alphalimits.cli import PSI_DEFAULT_GRID
 from alphalimits.graphs import Graph, attach_pendant_path, cycle, parse_graph, path, star
 from alphalimits.spectral import (
     assemble_a_alpha,
@@ -96,7 +97,6 @@ def test_bisect_stops_at_double_resolution():
     fine = RootConfig(tol=1e-300)
     t = L._bisect(lambda x: x * x - 2.0, 1.0, 2.0, fine)
     assert abs(t - math.sqrt(2.0)) <= math.ulp(t)
-    assert abs(psi(0.3, fine) - psi(0.3)) < 1e-13
 
 
 def test_classic_polynomial_values():
@@ -331,6 +331,23 @@ def test_omega2_anchors_and_closed_form():
         assert o >= psi(a) - 1e-9
 
 
+def psi_equation(lam, a):
+    """The pendant-pair equation in lambda whose root on (2, 3.2] is psi:
+    the polynomial route that psi's threshold is checked against."""
+    h = h_of_lambda(lam, a)
+    return ((1 - a * h) * lam * lam
+            + 2 * ((a * a + 2 * a - 1) * h - 2 * a) * lam
+            - (6 * a * a - 3 * a) * h + 2 * a * a + 2 * a - 1)
+
+
+def omega2_equation(lam, a):
+    """The equation in lambda whose root on (2, 3.5] is omega2."""
+    q = lam * lam - 3 * a * lam + a * a + 2 * a - 1
+    cubic = lam**3 - 5 * a * lam**2 + (5 * a * a + 6 * a - 3) * lam - 8 * a * a + 4 * a
+    h = h_of_lambda(lam, a)
+    return (1 - a * h) * q * cubic - (a - (2 * a - 1) * h) * q * q
+
+
 def _quartics(theta, a):
     """F and G of the psi and omega2 docstrings, and the absolute-value
     forms that bound their rounding."""
@@ -342,9 +359,14 @@ def _quartics(theta, a):
 
 
 def test_lambda_equations_factor_through_the_theta_quartics():
-    # the identities behind the one-sign-change argument of psi and omega2;
-    # residuals are measured against the size of the terms, which the
-    # lambda form cancels to O(1 - a)
+    # the identities behind the one-sign-change argument of the two lambda
+    # equations; residuals are measured against the size of the terms,
+    # which the lambda form cancels to O(1 - a).
+    # Under lambda = (1-a)(theta + 1/theta) + 2a the psi equation is
+    # (a - 1) F / (theta^2 (1 - a + a theta)) and the omega2 equation
+    # (1-a)^3 G G2 / theta^5 with G2 = -(G + 2(1-a)) < 0. F and G have one
+    # negative coefficient, their constant, so each rises on theta > 0 and
+    # each equation changes sign once on (2, inf).
     for a in np.linspace(0.0, 0.95, 20):
         a = float(a)
         for theta in np.linspace(0.05, 0.95, 19):
@@ -353,19 +375,27 @@ def test_lambda_equations_factor_through_the_theta_quartics():
             f, f_abs, g, g_abs = _quartics(theta, a)
             den = theta**2 * (1 - a + a * theta)
             psi_rhs = (a - 1) * f / den
-            assert abs(L._psi_equation(lam, a) - psi_rhs) <= 1e-12 * (1 - a) * f_abs / den
+            assert abs(psi_equation(lam, a) - psi_rhs) <= 1e-12 * (1 - a) * f_abs / den
             omega2_rhs = (1 - a) ** 3 * g * -g_abs / theta**5
-            assert (abs(L._omega2_equation(lam, a) - omega2_rhs)
+            assert (abs(omega2_equation(lam, a) - omega2_rhs)
                     <= 1e-12 * (1 - a) ** 3 * g_abs * g_abs / theta**5)
 
 
 def test_lambda_equations_change_sign_across_their_brackets():
-    # the brackets psi and omega2 bisect on, up to alpha = 1 - 2^-39
+    # each equation's one root lies on these brackets, up to alpha = 1 - 2^-39
     alphas = [float(a) for a in np.linspace(0.0, 1.0, 2001)[:-1]]
     alphas += [1.0 - 2.0**-k for k in range(1, 40)]
     for a in alphas:
-        assert L._psi_equation(2.0, a) < 0.0 < L._psi_equation(3.2, a)
-        assert L._omega2_equation(2.0, a) < 0.0 < L._omega2_equation(3.5, a)
+        assert psi_equation(2.0, a) < 0.0 < psi_equation(3.2, a)
+        assert omega2_equation(2.0, a) < 0.0 < omega2_equation(3.5, a)
+
+
+@pytest.mark.parametrize("root, equation", ((psi, psi_equation), (omega2, omega2_equation)),
+                         ids=("psi", "omega2"))
+def test_psi_and_omega2_thresholds_are_roots_of_their_lambda_equations(root, equation):
+    for a in PSI_DEFAULT_GRID:
+        r = root(a)
+        assert equation(r - 1e-12, a) < 0.0 < equation(r + 1e-12, a), a
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -380,15 +410,25 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("root, equation", ((psi, "_psi_equation"),
-                                            (omega2, "_omega2_equation")))
-def test_psi_and_omega2_are_one_bisection(monkeypatch, root, equation):
-    # a 512-point scan took about 435 evaluations per root
-    calls = _count_calls(monkeypatch, L, equation)
-    for a in np.linspace(0.0, 0.95, 40):
-        calls.clear()
-        root(float(a))
-        assert 0 < len(calls) <= 64
+@pytest.mark.parametrize("root, reference",
+                         ((psi, lambda a: two_pendant_paths_limit(path(2), 0, a)),
+                          (omega2, lambda a: pendant_path_limit(path(5), 2, a))),
+                         ids=("psi", "omega2"))
+def test_psi_and_omega2_take_no_bisection_graph_or_tree_walk(monkeypatch, root, reference):
+    # each is a threshold of its spider's plan, bit for bit its pendant
+    # limit on the built graph, up to one ulp below alpha = 1
+    alphas = PSI_DEFAULT_GRID + tuple(1.0 - 2.0**-k for k in (10, 20, 30, 40, 52, 53))
+    calls = {name: _count_calls(monkeypatch, owner, name)
+             for owner, name in ((L, "_bisect"), (spectral, "_tree_plan"),
+                                 (Graph, "__post_init__"))}
+    for a in PSI_DEFAULT_GRID:
+        root(a)
+    assert {name: len(found) for name, found in calls.items()} == dict.fromkeys(calls, 0)
+    for a in alphas:
+        assert root(a).hex() == reference(a).hex()
+    # the counters see the reference: one graph, built and walked once
+    assert len(calls["_bisect"]) == 0
+    assert len(calls["__post_init__"]) == len(calls["_tree_plan"]) == len(alphas)
 
 
 def test_laplacian_guo_wang_is_one_bisection(monkeypatch):

@@ -301,14 +301,29 @@ def test_identity_suite_solves_each_root_once(monkeypatch):
     assert len(calls) <= 630
 
 
-def test_identity_suite_solves_psi_once_per_alpha_and_tol(monkeypatch):
-    # strict-chain's nine at tol 1e-15, and ten at the default tol that
-    # eta-converges and ordering-constants share
+def test_identity_suite_solves_psi_once_per_alpha(monkeypatch):
+    # one per grid alpha, which strict-chain, eta-converges and
+    # ordering-constants share
     calls = []
     psi = limits.psi
     monkeypatch.setattr(limits, "psi", lambda *args: calls.append(args) or psi(*args))
     verify.run_identity_suite(0)
-    assert len(calls) <= 19
+    assert len(calls) <= 10
+
+
+def test_phi_increasing_fails_on_a_negative_middle_coefficient(monkeypatch):
+    assert verify.check_phi_increasing() == verify.PropertyResult("phi-increasing", True, 25)
+    build = limits.phi_version1
+
+    def dented(n, alpha):
+        c = list(build(n, alpha).coeffs)
+        c[len(c) // 2] = -1e-9
+        return limits.HalfPoly(tuple(c))
+
+    monkeypatch.setattr(limits, "phi_version1", dented)
+    result = verify.check_phi_increasing()
+    assert (result.passed, result.checked) == (False, 25)
+    assert result.detail == "n=1 alpha=0.0; n=1 alpha=0.25; n=1 alpha=0.5"
 
 
 def test_ordering_constants_fail_on_an_omega2_closed_form_off_by_1e_6(monkeypatch):
@@ -568,7 +583,8 @@ def test_cross_check_routes_live_in_verify_alone():
 
 
 THRESHOLD_INTERNALS = {"_tree_thresholds", "_least_definite", "_secant_point", "_walk",
-                       "_tree_plan", "_spider_plan", "_plan_thresholds", "_threshold_radius"}
+                       "_tree_plan", "_spider_plan", "_plan_thresholds", "_threshold_radius",
+                       "_loaded_threshold"}
 
 
 def names_in(path: Path) -> set:
