@@ -28,13 +28,11 @@ from .graphs import (
     wheel5,
 )
 from .limits import (
-    DEFAULT_CONFIG,
     EPSILON_SURD,
     BracketError,
     BranchSelectionError,
     HalfPoly,
     LimitTable,
-    RootConfig,
     TableRow,
     beta_n,
     eta_classic,

@@ -33,7 +33,6 @@ from .graphs import (
     star,
     wheel5,
 )
-from .limits import RootConfig
 from .spectral import _spider_radius, _validate_alpha, degree_bounds, radius_of
 from .verify import run_suite
 
@@ -183,8 +182,7 @@ def cmd_radius(args) -> tuple:
 def cmd_table(args) -> tuple:
     if args.n_max > MAX_TABLE_N:
         raise ValueError(f"n-max {args.n_max} > cap {MAX_TABLE_N}")
-    cfg = RootConfig(tol=args.tol)
-    table = limits.limit_table(args.kind, args.n_max, args.alpha, cfg)
+    table = limits.limit_table(args.kind, args.n_max, args.alpha)
     rows = [("term", r.n, r.alpha, r.gamma, r.eta) for r in table.rows]
     rows += [("limit", None, a, None, v) for a, v in table.limits]
     # term series, then limit series, each in the order the alphas came
@@ -196,8 +194,7 @@ def cmd_table(args) -> tuple:
         columns=("label", "n", "alpha", "root", "value"),
         rows=rows,
         metadata=_metadata("table", kind=args.kind, n_max=args.n_max,
-                           alphas=",".join(_fmt(a) for a, _ in table.limits),
-                           tol=args.tol),
+                           alphas=",".join(_fmt(a) for a, _ in table.limits)),
         series=series,
     )
     return report, 0
@@ -251,17 +248,17 @@ def _p2_spider(m: int, n: int) -> tuple:
 # its check (see spectral._spider_radius).
 FAMILIES = {
     "p2nn": (lambda size, n_fixed: p2_two_paths(size, size),
-             lambda alpha, n_fixed, cfg: limits.psi(alpha), False,
+             lambda alpha, n_fixed: limits.psi(alpha), False,
              lambda size, n_fixed: _p2_spider(size, size)),
     "p2mn": (lambda size, n_fixed: p2_two_paths(size, n_fixed),
-             lambda alpha, n_fixed, cfg: limits.eta_n(n_fixed, alpha, cfg), True,
+             lambda alpha, n_fixed: limits.eta_n(n_fixed, alpha), True,
              lambda size, n_fixed: _p2_spider(size, n_fixed)),
     "k13": (lambda size, n_fixed: attach_pendant_path(star(3), 0, size),
-            lambda alpha, n_fixed, cfg: limits.omega1(alpha), False,
+            lambda alpha, n_fixed: limits.omega1(alpha), False,
             lambda size, n_fixed: (0, {1: (1, 1), 2: (2, 1), 3: (3, 1),
                                        4: (3 + size, size)}, 0)),
     "p5u": (lambda size, n_fixed: attach_pendant_path(path(5), 2, size),
-            lambda alpha, n_fixed, cfg: limits.omega2(alpha), False,
+            lambda alpha, n_fixed: limits.omega2(alpha), False,
             lambda size, n_fixed: (2, {1: (0, 2), 3: (4, 2), 5: (4 + size, size)}, 0)),
 }
 
@@ -289,8 +286,7 @@ def cmd_convergence(args) -> tuple:
         raise ValueError(f"--n-fixed must be non-negative, got {n_fixed}")
     if n_fixed is not None and n_fixed > MAX_ORDER:
         raise ValueError(f"n-fixed {n_fixed} > cap {MAX_ORDER}")
-    cfg = RootConfig(tol=args.tol)
-    target = target_of(alpha, n_fixed, cfg)
+    target = target_of(alpha, n_fixed)
     rows = []
     prev_gap = None
     failures = 0
@@ -313,7 +309,7 @@ def cmd_convergence(args) -> tuple:
         rows.append((size, rho, target, gap, note))
         prev_gap = gap
     meta = _metadata("convergence", family=family, alpha=alpha,
-                     sizes=",".join(str(s) for s in sizes), tol=args.tol)
+                     sizes=",".join(str(s) for s in sizes))
     if n_fixed is not None:
         meta["n_fixed"] = str(n_fixed)
     report = Report(
@@ -379,19 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"alphalimits {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True):
+    def common(p):
         p.add_argument("--format", choices=("csv", "json", "plot"),
                        default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if tol:
-            p.add_argument("--tol", type=float, default=limits.DEFAULT_CONFIG.tol,
-                           help="root isolation tolerance")
 
     p = sub.add_parser("radius", help="spectral radius of one graph")
     p.add_argument("graph", help="family expression (path:5, cycle:7, wheel5, "
                                  "p2:4,6, lollipop:9, dsnake:8) or 'n; u-v,...'")
     p.add_argument("--alpha", type=float, default=0.0)
-    common(p, tol=False)
+    common(p)
 
     p = sub.add_parser("table", help="limit-point sequence tables")
     p.add_argument("kind", choices=limits.TABLE_KINDS)
@@ -403,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi", help="limiting value, closed form and omegas")
     p.add_argument("--alpha", type=float, action="append", default=None,
                    help="repeatable; default 0.00..0.95 step 0.05")
-    common(p, tol=False)
+    common(p)
 
     p = sub.add_parser("convergence", help="finite-family approach to a limit")
     p.add_argument("family", choices=FAMILIES)
@@ -418,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("lemmas", "identities", "all"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    common(p, tol=False)
+    common(p)
     return parser
 
 

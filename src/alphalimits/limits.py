@@ -2,7 +2,8 @@
 
 Every sequence value here is the root of an explicit polynomial.
 Expressions carrying half-integer powers of x are stored as ordinary
-polynomials in t with x = t*t, so root isolation is plain bisection in t.
+polynomials in t with x = t*t, so root isolation is plain bisection in t
+to adjacent doubles, with no tolerance to set.
 Two builders, phi_version1 and phi_version2, give every sequence
 polynomial: Hoffman's classical polynomial is phi_version2 at alpha 0, and
 the signless Laplacian polynomials are phi_version1 and phi_version2 at
@@ -35,20 +36,6 @@ class BranchSelectionError(RuntimeError):
     """A closed-form surd combination failed to come out real."""
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Bisection stops below tol in the bisected variable, t = sqrt(x) of
-    the sequence polynomials. psi, omega2 and the pendant limits are exact
-    thresholds and take no tol."""
-
-    tol: float = 1e-13
-
-    def __post_init__(self):
-        if not (0 < self.tol < math.inf):
-            raise ValueError("tol must be positive and finite")
-
-
-DEFAULT_CONFIG = RootConfig()
 MAX_HALVINGS = 200  # _bisect raises after this many halvings
 PSI_RESIDUE_TOL = 1e-8  # largest imaginary residue psi_closed_form accepts
 
@@ -80,12 +67,14 @@ class HalfPoly:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
-    """Bisection on [lo, hi]; endpoints may sit exactly on the root.
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisection on [lo, hi] to adjacent doubles; endpoints may sit exactly
+    on the root.
 
-    Stops once the bracket is narrower than cfg.tol, or once it can no
-    longer be halved in double precision; raises BracketError when
-    MAX_HALVINGS halvings reach neither.
+    Stops when f is zero at the midpoint or when the bracket is two
+    adjacent doubles, so the double returned is within one ulp of where
+    f's computed sign changes; raises BracketError when MAX_HALVINGS
+    halvings reach neither.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -99,14 +88,14 @@ def _bisect(f, lo: float, hi: float, cfg: RootConfig) -> float:
         if mid == lo or mid == hi:
             return mid
         fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) < cfg.tol:
+        if fmid == 0.0:
             return mid
         if (flo < 0) != (fmid < 0):
             hi = mid
         else:
             lo, flo = mid, fmid
     raise BracketError(
-        f"bracket [{lo}, {hi}] still wider than tol={cfg.tol} after "
+        f"bracket [{lo}, {hi}] not down to adjacent doubles after "
         f"{MAX_HALVINGS} iterations")
 
 
@@ -162,22 +151,22 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
 # ---------------------------------------------------------------------------
 
 
-def beta_n(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def beta_n(n: int) -> float:
     """Unique root >= 1 of x^(n+1) - (1 + x + ... + x^(n-1)); beta_1 = 1.
 
     That is Hoffman's classical sequence polynomial, phi_version2(n, 0).
     """
     p = phi_version2(n, 0.0)
-    t = _bisect(p.eval_t, 1.0, math.sqrt(2.0), cfg)
+    t = _bisect(p.eval_t, 1.0, math.sqrt(2.0))
     return t * t
 
 
-def eta_classic(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def eta_classic(n: int) -> float:
     """beta_n^(1/2) + beta_n^(-1/2); starts at 2 and climbs to sqrt(2+sqrt5)."""
-    return _eta_from_root(beta_n(n, cfg), 0.0)
+    return _eta_from_root(beta_n(n), 0.0)
 
 
-def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def gamma_n(n: int, alpha: float) -> float:
     """The root of phi_version1 in (0,1]; gamma_0 = 1 by definition."""
     _validate_alpha(alpha, upper_open=True)
     if n < 0:
@@ -185,11 +174,11 @@ def gamma_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     if n == 0:
         return 1.0
     p = phi_version1(n, alpha)
-    t = _bisect(p.eval_t, 0.0, 1.0, cfg)
+    t = _bisect(p.eval_t, 0.0, 1.0)
     return t * t
 
 
-def gamma_tilde_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def gamma_tilde_n(n: int, alpha: float) -> float:
     """The root of phi_version2 in [1, inf); equals 1/gamma_n.
 
     hi doubles from 2 until p(hi) > 0. At the root t = sqrt(x),
@@ -210,7 +199,7 @@ def gamma_tilde_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> flo
         if hi > bound:
             raise BracketError(f"phi_version2({n}, {alpha}) <= 0 at t={hi} > {bound}")
         hi *= 2.0
-    t = _bisect(p.eval_t, 1.0, hi, cfg)
+    t = _bisect(p.eval_t, 1.0, hi)
     return t * t
 
 
@@ -219,13 +208,13 @@ def _eta_from_root(x: float, alpha: float) -> float:
     return 2.0 * alpha + (1.0 - alpha) * (t + 1.0 / t)
 
 
-def _version1_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
+def _version1_term(n: int, alpha: float) -> tuple:
     """(gamma_n, eta_n); eta_0 = 2 by definition."""
-    root = gamma_n(n, alpha, cfg)
+    root = gamma_n(n, alpha)
     return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
 
 
-def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def eta_n(n: int, alpha: float) -> float:
     """2a + (1-a) (sqrt(g) + 1/sqrt(g)) at g = gamma_n(alpha).
 
     g is the root of phi_version1(n, alpha) in (0,1). Every coefficient of
@@ -234,35 +223,35 @@ def eta_n(n: int, alpha: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     The companion route through gamma_tilde_n is compared with this one in
     verify (route-equality), not here.
     """
-    return _version1_term(n, alpha, cfg)[1]
+    return _version1_term(n, alpha)[1]
 
 
-def new_version_sequence(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
+def new_version_sequence(n: int) -> tuple:
     """(delta_n, zeta_n): the alpha = 0 specialization of (gamma_n, eta_n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _version1_term(n, 0.0, cfg)
+    return _version1_term(n, 0.0)
 
 
-def laplacian_guo_wang(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
+def laplacian_guo_wang(n: int) -> tuple:
     """(mu_n, kappa_n): largest root of the Q-limit polynomial, kappa = 2 + sqrt(mu) + 1/sqrt(mu).
 
     The Q-limit polynomial x^(n+1) - (1 + x + ... + x^(n-1)) (sqrt(x) + 1)^2
     is 4 phi_version2(n, 1/2), so mu_n = gamma_tilde_n(n, 1/2).
     """
-    mu = gamma_tilde_n(n, 0.5, cfg)
+    mu = gamma_tilde_n(n, 0.5)
     t = math.sqrt(mu)
     return mu, 2.0 + t + 1.0 / t
 
 
-def laplacian_new(n: int, cfg: RootConfig = DEFAULT_CONFIG) -> tuple:
+def laplacian_new(n: int) -> tuple:
     """(theta_n, xi_n) from the half-alpha polynomial; theta_0 = 1, xi_0 = 4.
 
     theta_n is the root in (0,1) of phi_version1(n, 1/2), a quarter of
     x^(n+1) + 2 sum_{i=0}^{n-1} x^(n-i+1/2) + 2 sum_{i=0}^{n-2} x^(i+2) + x - 1,
     so theta_n = gamma_n(n, 1/2) and xi_n = 2 eta_n(1/2).
     """
-    theta = gamma_n(n, 0.5, cfg)
+    theta = gamma_n(n, 0.5)
     t = math.sqrt(theta)
     return theta, 2.0 + t + 1.0 / t
 
@@ -403,13 +392,13 @@ class LimitTable:
     limits: tuple = ()  # (alpha, value) pairs
 
 
-def _classic_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
-    b = beta_n(n, cfg)
+def _classic_term(n: int, alpha: float) -> tuple:
+    b = beta_n(n)
     return b, _eta_from_root(b, 0.0)
 
 
-def _version2_term(n: int, alpha: float, cfg: RootConfig) -> tuple:
-    root = gamma_tilde_n(n, alpha, cfg)
+def _version2_term(n: int, alpha: float) -> tuple:
+    root = gamma_tilde_n(n, alpha)
     return root, 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
 
 
@@ -418,7 +407,7 @@ class _TableKind:
     """Everything limit_table knows about one kind of table."""
 
     n_min: int
-    term: object  # (n, alpha, cfg) -> (root, eta-like value) of row n
+    term: object  # (n, alpha) -> (root, eta-like value) of row n
     fixed: tuple | None = None  # (alpha, limit) of a kind run at one alpha
 
 
@@ -428,14 +417,13 @@ _TABLES = {
     "versionI": _TableKind(0, _version1_term),
     "versionII": _TableKind(0, _version2_term),
     "new": _TableKind(1, _version1_term, _HOFFMAN_LIMIT),
-    "laplacian": _TableKind(0, lambda n, alpha, cfg: laplacian_new(n, cfg),
+    "laplacian": _TableKind(0, lambda n, alpha: laplacian_new(n),
                             (0.5, 2.0 + EPSILON_SURD)),
 }
 TABLE_KINDS = tuple(_TABLES)
 
 
-def limit_table(kind: str, n_max: int, alphas=None,
-                cfg: RootConfig = DEFAULT_CONFIG) -> LimitTable:
+def limit_table(kind: str, n_max: int, alphas=None) -> LimitTable:
     """Rows (n, alpha, root, eta-like value) plus the limiting value rows.
 
     Each kind's first n, row term and limit are its _TABLES entry. classic
@@ -460,7 +448,7 @@ def limit_table(kind: str, n_max: int, alphas=None,
         raise ValueError(f"{kind} table needs at least one alpha")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"{kind} table got a repeated alpha")
-    rows = tuple(TableRow(n, alpha, *spec.term(n, alpha, cfg))
+    rows = tuple(TableRow(n, alpha, *spec.term(n, alpha))
                  for alpha in alphas for n in range(spec.n_min, n_max + 1))
     limits = (spec.fixed,) if spec.fixed is not None else tuple(
         (alpha, psi(alpha)) for alpha in alphas)

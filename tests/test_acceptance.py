@@ -15,17 +15,19 @@ import time
 from fractions import Fraction
 
 from conftest import record_criterion
+from test_golden import EXAMPLES
 
+from alphalimits.cli import build_parser
 from alphalimits.graphs import attach_pendant_path, p2_two_paths, star, wheel5
 from alphalimits.limits import (
     EPSILON_SURD,
     PSI_RESIDUE_TOL,
-    RootConfig,
     beta_n,
     eta_classic,
     eta_n,
     gamma_n,
     gamma_tilde_n,
+    limit_table,
     new_version_sequence,
     laplacian_guo_wang,
     laplacian_new,
@@ -39,9 +41,8 @@ from alphalimits.limits import (
 from alphalimits.spectral import radius_of
 from alphalimits.verify import run_lemma_suite
 
-TIGHT = RootConfig(tol=1e-15)
-
 ALPHA_GRID_05 = tuple(round(0.05 * k, 2) for k in range(20))  # 0.00 .. 0.95
+NEAR_ONE = tuple(1.0 - 2.0**-k for k in (10, 20, 30, 40, 52, 53))
 
 
 def test_criterion_01_wheel_spot_values():
@@ -94,11 +95,11 @@ def test_criterion_03_closed_form_agrees_with_root_finder():
 def test_criterion_04_three_routes_for_the_classic_sequence():
     worst = 0.0
     for n in range(1, 31):
-        e1 = eta_classic(n, TIGHT)
-        e2 = eta_n(n, 0.0, TIGHT)
-        delta, zeta = new_version_sequence(n, TIGHT)
+        e1 = eta_classic(n)
+        e2 = eta_n(n, 0.0)
+        delta, zeta = new_version_sequence(n)
         worst = max(worst, abs(e1 - e2), abs(e1 - zeta),
-                    abs(delta * beta_n(n, TIGHT) - 1.0))
+                    abs(delta * beta_n(n) - 1.0))
     ok = worst < 1e-12
     line = record_criterion(
         4, ok,
@@ -114,8 +115,8 @@ def test_criterion_05_reciprocal_roots_and_duality():
     worst_res = 0.0
     for a in alphas:
         for n in range(1, 21):
-            g = gamma_n(n, a, TIGHT)
-            gt = gamma_tilde_n(n, a, TIGHT)
+            g = gamma_n(n, a)
+            gt = gamma_tilde_n(n, a)
             e_direct = 2 * a + (1 - a) * (math.sqrt(g) + 1 / math.sqrt(g))
             e_tilde = 2 * a + (1 - a) * (math.sqrt(gt) + 1 / math.sqrt(gt))
             worst_eta = max(worst_eta, abs(e_direct - e_tilde))
@@ -135,11 +136,11 @@ def test_criterion_05_reciprocal_roots_and_duality():
 def test_criterion_06_laplacian_agreement():
     worst = 0.0
     for n in range(0, 31):
-        mu, kappa = laplacian_guo_wang(n, TIGHT)
-        th, xi = laplacian_new(n, TIGHT)
-        worst = max(worst, abs(xi - kappa), abs(xi - 2.0 * eta_n(n, 0.5, TIGHT)),
+        mu, kappa = laplacian_guo_wang(n)
+        th, xi = laplacian_new(n)
+        worst = max(worst, abs(xi - kappa), abs(xi - 2.0 * eta_n(n, 0.5)),
                     abs(th * mu - 1.0))
-    xi0 = laplacian_new(0, TIGHT)[1]
+    xi0 = laplacian_new(0)[1]
     ok = worst < 1e-11 and abs(xi0 - 4.0) < 1e-15
     line = record_criterion(
         6, ok,
@@ -161,7 +162,7 @@ def test_criterion_07_convergence_experiments():
             problems.append(f"limit gap {abs(big - psi(a)):.2e} at alpha={a}")
         for n in range(1, 6):
             r = radius_of(p2_two_paths(800, n), a)
-            if abs(r - eta_n(n, a, TIGHT)) >= 1e-3:
+            if abs(r - eta_n(n, a)) >= 1e-3:
                 problems.append(f"eta_{n} gap at alpha={a}")
         r = radius_of(attach_pendant_path(star(3), 0, 800), a)
         if abs(r - omega1(a)) >= 1e-3:
@@ -211,27 +212,31 @@ def test_criterion_09_remark_reproductions():
     assert ok, line
 
 
-# Exact certificate for criterion 10. For alpha = k/10 the polynomials below
-# carry integer coefficients (scaled by 100) in t, with x = t*t, low to high.
+# Exact certificates. Every alpha here is a rational p/d (k/10 in criterion
+# 10, and every double is a dyadic one), so the polynomials below, scaled by
+# d^2 or d, carry integer coefficients in t, with x = t*t, low to high.
 
 
-def _phi_version1_exact(n: int, k: int) -> list:
-    """100 * phi_version1(n, k/10), built from the phi_version1 docstring."""
+def _phi_version1_exact(n: int, a: Fraction) -> list:
+    """d^2 phi_version1(n, p/d), built from the phi_version1 docstring."""
+    p, d = a.numerator, a.denominator
     c = [0] * (2 * n + 3)
-    c[2 * n + 2] = (10 - k) ** 2
+    c[2 * n + 2] = (d - p) ** 2
     for i in range(n):
-        c[2 * (n - i) + 1] = 2 * k * (10 - k)
+        c[2 * (n - i) + 1] = 2 * p * (d - p)
     for i in range(n - 1):
-        c[2 * i + 4] = 100 - 20 * k + 2 * k * k
-    c[2] = k * k
-    c[0] = -(10 - k) ** 2
+        c[2 * i + 4] = d * d - 2 * p * d + 2 * p * p
+    c[2] = p * p
+    c[0] = -(d - p) ** 2
     return c
 
 
-def _difference_exact(k: int) -> list:
-    """100 * F at alpha = k/10, F the quartic of the difference_poly_f docstring."""
-    return [-(10 - k) ** 2, 0, 100 - 20 * k + 2 * k * k, 20 * k - 2 * k * k,
-            (10 - k) ** 2]
+def _psi_quartic_exact(a: Fraction) -> list:
+    """d^2 F(t), F = (1-a)^2 t^4 + 2a(1-a) t^3 + (1-2a+2a^2) t^2 - (1-a)^2,
+    the quartic of the difference_poly_f docstring."""
+    p, d = a.numerator, a.denominator
+    return [-(d - p) ** 2, 0, d * d - 2 * p * d + 2 * p * p, 2 * p * (d - p),
+            (d - p) ** 2]
 
 
 def _scaled_value(c: list, m: int, b: int) -> int:
@@ -276,6 +281,12 @@ def _deviation_from_root(value: float, c: list, a: Fraction, bits: int = 64):
     return float(dev), float(lo)
 
 
+def _eta_bound(alpha: float, t: float, eta: float) -> float:
+    """Criterion 10's bound on |eta - exact| at the root t: the bisection's
+    2 ulps of t, through d eta/dt = (1-a)(1 - 1/t^2), plus 4 ulps of eta."""
+    return (1 - alpha) * abs(1 - 1 / t ** 2) * 2 * math.ulp(t) + 4 * math.ulp(eta)
+
+
 def test_criterion_10_strict_ordering_of_the_eta_chain():
     """eta_0 <= eta_1 < ... < eta_30 < Psi, proved in exact arithmetic.
 
@@ -286,8 +297,8 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
     P_n(s) < 0 < P_{n+1}(s). P_{n+1} - t^2 P_n = F has its root in (0, 1) at
     the limit t of the chain, where eta = Psi, so eta_30 < Psi is an s with
     P_30(s) < 0 < F(s). The returned doubles are then held to the exact
-    values: eta_n within the tolerance of its root isolation plus 4 ulps,
-    and Psi, a threshold with no tolerance, within 2 ulps.
+    values: eta_n within what 2 ulps of t move it, plus 4 ulps, and Psi, a
+    threshold, within 2 ulps.
     """
     problems = []
     bits_needed = []
@@ -295,8 +306,9 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
     worst_psi = (0.0, 1.0)
     for k in range(1, 10):
         a, af = Fraction(k, 10), k / 10
-        f = _difference_exact(k)
-        chain = [_phi_version1_exact(n, k) for n in range(1, 31)] + [f]
+        scale = a.denominator ** 2  # of the exact coefficients
+        f = _psi_quartic_exact(a)
+        chain = [_phi_version1_exact(n, a) for n in range(1, 31)] + [f]
         for n, c in enumerate(chain, start=1):
             if not _is_increasing_with_root_in_unit_interval(c):
                 problems.append(f"alpha={af}: P_{n} not increasing with one root in (0,1)")
@@ -305,7 +317,7 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
             if [p - q for p, q in zip(chain[n], shifted)] != f + [0] * (2 * n):
                 problems.append(f"alpha={af}: P_{n + 1} - t^2 P_{n} differs from F")
         # eta_0 = 2 < eta_1, since P_1(1) > 0 puts t_1 below t_0 = 1
-        if sum(chain[0]) <= 0 or eta_n(0, af, TIGHT) != 2.0:
+        if sum(chain[0]) <= 0 or eta_n(0, af) != 2.0:
             problems.append(f"alpha={af}: eta_1 not above eta_0 = 2")
         top = 0
         for n in range(1, 31):
@@ -320,11 +332,11 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
         for n, c in enumerate(chain[:30], start=1):
             coeffs = phi_version1(n, af).coeffs
             if len(coeffs) != len(c) or any(
-                    abs(x - y / 100) > 4 * math.ulp(y / 100) for x, y in zip(coeffs, c)):
+                    abs(x - y / scale) > 4 * math.ulp(y / scale) for x, y in zip(coeffs, c)):
                 problems.append(f"alpha={af}: phi_version1({n}) coefficients off")
-            e = eta_n(n, af, TIGHT)
+            e = eta_n(n, af)
             dev, t = _deviation_from_root(e, c, a)
-            bound = (1 - af) * abs(1 - 1 / t ** 2) * TIGHT.tol + 4 * math.ulp(e)
+            bound = _eta_bound(af, t, e)
             if dev > bound:
                 problems.append(f"alpha={af}: eta_{n} off by {dev:.1e} > {bound:.1e}")
             worst = max(worst, (dev / bound, dev, bound))
@@ -334,9 +346,9 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
         if dev > bound:
             problems.append(f"alpha={af}: psi off by {dev:.1e} > {bound:.1e}")
         worst_psi = max(worst_psi, (dev, bound))
-    e0 = eta_n(0, 0.0, TIGHT)
-    e1 = eta_n(1, 0.0, TIGHT)
-    e2 = eta_n(2, 0.0, TIGHT)
+    e0 = eta_n(0, 0.0)
+    e1 = eta_n(1, 0.0)
+    e2 = eta_n(2, 0.0)
     if abs(e0 - 2.0) > 1e-12 or abs(e1 - 2.0) > 1e-12:
         problems.append("alpha=0: eta_0 or eta_1 differs from 2")
     if not e1 < e2:
@@ -354,16 +366,8 @@ def test_criterion_10_strict_ordering_of_the_eta_chain():
 
 # Exact certificate for the psi and omega2 values that the goldens print.
 # Under lambda = 2a + (1-a)(t + 1/t) each lambda-equation vanishes at the root
-# in (0, 1) of a quartic in t (see the psi and omega2 docstrings). Every double
-# alpha is a dyadic rational p/d, so the quartics, scaled by d^2 and d, have
-# integer coefficients at the alpha the program actually used.
-
-
-def _psi_quartic_exact(a: Fraction) -> list:
-    """d^2 F(t), F = (1-a)^2 t^4 + 2a(1-a) t^3 + (1-2a+2a^2) t^2 - (1-a)^2."""
-    p, d = a.numerator, a.denominator
-    return [-(d - p) ** 2, 0, d * d - 2 * p * d + 2 * p * p, 2 * p * (d - p),
-            (d - p) ** 2]
+# in (0, 1) of a quartic in t (see the psi and omega2 docstrings), taken at
+# the alpha the program actually used.
 
 
 def _omega2_quartic_exact(a: Fraction) -> list:
@@ -380,7 +384,7 @@ def test_psi_and_omega2_lie_within_1e_13_of_their_exact_roots():
     # Near alpha = 1 the root t is about 1 - alpha and eta moves by about
     # 1 / t per unit of t, so the bracket on t takes 128 bits.
     problems = []
-    for af in PSI_DEFAULT_GRID + tuple(1.0 - 2.0**-k for k in (10, 20, 30, 40, 52, 53)):
+    for af in PSI_DEFAULT_GRID + NEAR_ONE:
         a = Fraction(af)
         for name, value, c in (("psi", psi(af), _psi_quartic_exact(a)),
                                ("omega2", omega2(af), _omega2_quartic_exact(a))):
@@ -390,4 +394,44 @@ def test_psi_and_omega2_lie_within_1e_13_of_their_exact_roots():
             dev, _ = _deviation_from_root(value, c, a, bits=128)
             if dev > 2 * math.ulp(value):
                 problems.append(f"{name}({af}) off by {dev:.1e} > 2 ulps")
+    assert not problems, "; ".join(problems)
+
+
+def test_eta_near_alpha_one_lies_within_criterion_10s_bound():
+    # versionI's eta_n and versionII's eta at alpha = 1 - 2^-k, where the
+    # root t is about 1 - alpha and eta moves by about 1/t per unit of t,
+    # so a root off by a fixed width in t is far off in eta. The bracket on
+    # t takes 128 bits, as for psi above.
+    problems = []
+    for af in NEAR_ONE:
+        a = Fraction(af)
+        version2 = {r.n: r.eta for r in limit_table("versionII", 30, [af]).rows}
+        for n in (1, 2, 5, 10, 20, 30):
+            c = _phi_version1_exact(n, a)
+            for name, e in (("eta_n", eta_n(n, af)), ("versionII", version2[n])):
+                dev, t = _deviation_from_root(e, c, a, bits=128)
+                if dev > _eta_bound(af, t, e):
+                    problems.append(f"{name} n={n} alpha={af} off by {dev:.1e}")
+    assert not problems, "; ".join(problems)
+
+
+def test_table_golden_values_lie_within_criterion_10s_bound():
+    # every value cell of a table golden is eta_n at its row's alpha, or
+    # xi = 2 eta_n(1/2) for laplacian
+    problems = []
+    for argv in EXAMPLES.values():
+        if argv[0] != "table":
+            continue
+        args = build_parser().parse_args(argv)
+        kind, factor = args.kind, 2 if args.kind == "laplacian" else 1
+        for row in limit_table(kind, args.n_max, args.alpha).rows:
+            e = row.eta / factor
+            if row.n == 0:
+                if e != 2.0:
+                    problems.append(f"{kind} alpha={row.alpha}: eta_0 = {e}")
+                continue
+            a = Fraction(row.alpha)
+            dev, t = _deviation_from_root(e, _phi_version1_exact(row.n, a), a)
+            if dev > _eta_bound(row.alpha, t, e):
+                problems.append(f"{kind} n={row.n} alpha={row.alpha} off by {dev:.1e}")
     assert not problems, "; ".join(problems)

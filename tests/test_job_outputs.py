@@ -16,6 +16,7 @@ import hashlib
 import importlib.util
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 import alphalimits
@@ -67,7 +68,9 @@ def test_job_outputs_keep_their_bytes():
     got = manifest()
     assert len(got) == len(want)
     moved = [g for g, w in zip(got, want) if g != w]
-    assert not moved, f"{len(moved)} job outputs moved, first: {moved[0]}"
+    counts = Counter(line.split()[0] for line in moved)
+    per_workload = ", ".join(f"{name} {counts[name]}" for name in WORKLOADS if counts[name])
+    assert not moved, f"{len(moved)} job outputs moved ({per_workload}), first: {moved[0]}"
 
 
 if __name__ == "__main__":

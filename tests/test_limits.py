@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from alphalimits.cli import PSI_DEFAULT_GRID
-from alphalimits.graphs import Graph, attach_pendant_path, cycle, parse_graph, path, star
+from alphalimits.graphs import (
+    Graph,
+    attach_pendant_path,
+    cycle,
+    p2_two_paths,
+    parse_graph,
+    path,
+    star,
+)
 from alphalimits.spectral import (
     assemble_a_alpha,
     char_poly_eval,
@@ -23,6 +31,7 @@ from alphalimits.spectral import (
     radius_of,
 )
 from alphalimits.verify import (
+    ALPHA_GRID,
     difference_poly_f,
     omega2_closed_form,
     random_connected_graph,
@@ -35,7 +44,6 @@ from alphalimits.limits import (
     BracketError,
     BranchSelectionError,
     HalfPoly,
-    RootConfig,
     beta_n,
     eta_classic,
     eta_n,
@@ -56,6 +64,7 @@ from alphalimits.limits import (
 )
 
 SQRT_2_PLUS_SQRT5 = math.sqrt(2.0 + math.sqrt(5.0))
+NEAR_ONE = tuple(1.0 - 2.0**-k for k in (10, 20, 30, 40, 52, 53))
 
 
 def roots_oracle(coeffs_ascending):
@@ -76,15 +85,9 @@ def test_half_poly_evaluation():
     assert abs(p.eval_t(3.0) - (3.0 + 18.0)) < 1e-14
 
 
-def test_root_config_validation():
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            RootConfig(tol=tol)
-
-
 def test_bisect_raises_without_sign_change():
     with pytest.raises(BracketError):
-        L._bisect(lambda t: t * t + 1.0, 0.0, 1.0, L.DEFAULT_CONFIG)
+        L._bisect(lambda t: t * t + 1.0, 0.0, 1.0)
 
 
 def test_bisect_raises_when_iterations_run_out(monkeypatch):
@@ -94,8 +97,7 @@ def test_bisect_raises_when_iterations_run_out(monkeypatch):
 
 
 def test_bisect_stops_at_double_resolution():
-    fine = RootConfig(tol=1e-300)
-    t = L._bisect(lambda x: x * x - 2.0, 1.0, 2.0, fine)
+    t = L._bisect(lambda x: x * x - 2.0, 1.0, 2.0)
     assert abs(t - math.sqrt(2.0)) <= math.ulp(t)
 
 
@@ -217,7 +219,7 @@ def test_gamma_tilde_n_near_alpha_one_is_certified(k):
     # bracket cap; the phi_version2 coefficients are evaluated exactly
     alpha = 1.0 - 2.0**-k
     t = Fraction(math.sqrt(gamma_tilde_n(30, alpha)))
-    width = Fraction(max(L.DEFAULT_CONFIG.tol, 2 * math.ulp(float(t))))
+    width = Fraction(2 * math.ulp(float(t)))
     coeffs = [Fraction(c) for c in phi_version2(30, alpha).coeffs]
 
     def exact(x):
@@ -227,13 +229,6 @@ def test_gamma_tilde_n_near_alpha_one_is_certified(k):
         return acc
 
     assert exact(t - width) < 0 < exact(t + width)
-
-
-def test_eta_honours_a_coarse_tol():
-    # the gamma route alone: no fixed-width comparison with a second route
-    cfg = RootConfig(tol=1e-6)
-    t = math.sqrt(gamma_n(30, 0.9, cfg))
-    assert eta_n(30, 0.9, cfg) == 2 * 0.9 + (1 - 0.9) * (t + 1.0 / t)
 
 
 def test_eta_never_takes_the_companion_route(monkeypatch):
@@ -259,12 +254,19 @@ def test_eta_frozen_regression_values():
 
 
 def test_eta_matches_growing_path_eigenvalues():
-    from alphalimits.graphs import p2_two_paths
-    from alphalimits.spectral import radius_of
-
     for n, alpha in ((1, 0.3), (3, 0.6)):
         g = p2_two_paths(300, n)
         assert abs(radius_of(g, alpha) - eta_n(n, alpha)) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID + NEAR_ONE)
+def test_eta_is_within_2_ulps_of_its_pendant_threshold(alpha):
+    # eta_n is the limit of rho(p2_two_paths(m, n)) as m grows: the
+    # threshold of vertex 0 of p2_two_paths(0, n) loaded with one infinite
+    # path, a route that shares no code with the polynomial's bisection
+    for n in (1, 2, 5, 10, 20, 30):
+        limit = pendant_path_limit(p2_two_paths(0, n), 0, alpha)
+        assert abs(eta_n(n, alpha) - limit) <= 2 * math.ulp(limit), n
 
 
 def test_new_version_is_the_alpha_zero_column():
@@ -417,7 +419,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_psi_and_omega2_take_no_bisection_graph_or_tree_walk(monkeypatch, root, reference):
     # each is a threshold of its spider's plan, bit for bit its pendant
     # limit on the built graph, up to one ulp below alpha = 1
-    alphas = PSI_DEFAULT_GRID + tuple(1.0 - 2.0**-k for k in (10, 20, 30, 40, 52, 53))
+    alphas = PSI_DEFAULT_GRID + NEAR_ONE
     calls = {name: _count_calls(monkeypatch, owner, name)
              for owner, name in ((L, "_bisect"), (spectral, "_tree_plan"),
                                  (Graph, "__post_init__"))}
@@ -437,47 +439,43 @@ def test_laplacian_guo_wang_is_one_bisection(monkeypatch):
     assert 0 < len(calls) <= 64
 
 
-def own_bisection_laplacian_guo_wang(n, cfg):
+def own_bisection_laplacian_guo_wang(n):
     """The Q-limit sequence by its own bisection on t in [1, 2]: the reference."""
     if n == 0:
         return 1.0, 4.0
-    t = L._bisect(phi_version2(n, 0.5).eval_t, 1.0, 2.0, cfg)
+    t = L._bisect(phi_version2(n, 0.5).eval_t, 1.0, 2.0)
     return t * t, 2.0 + t + 1.0 / t
 
 
-def own_bisection_laplacian_new(n, cfg):
+def own_bisection_laplacian_new(n):
     """The half-alpha sequence by its own bisection on t in [0, 1]: the reference."""
     if n == 0:
         return 1.0, 4.0
-    t = L._bisect(phi_version1(n, 0.5).eval_t, 0.0, 1.0, cfg)
+    t = L._bisect(phi_version1(n, 0.5).eval_t, 0.0, 1.0)
     return t * t, 2.0 + t + 1.0 / t
 
 
-def own_sqrt_eta_classic(n, cfg):
+def own_sqrt_eta_classic(n):
     """beta_n^(1/2) + beta_n^(-1/2) written out: the reference."""
-    t = math.sqrt(beta_n(n, cfg))
+    t = math.sqrt(beta_n(n))
     return t + 1.0 / t
 
 
-@pytest.mark.parametrize("tol", (L.DEFAULT_CONFIG.tol, 1e-16))
-def test_corollary_sequences_match_their_own_bisections_bit_for_bit(tol):
+def test_corollary_sequences_match_their_own_bisections_bit_for_bit():
     # laplacian_new, laplacian_guo_wang and eta_classic are gamma_n,
     # gamma_tilde_n and beta_n at one alpha, each taking t back as
     # sqrt(t*t); that equals t for every double t (no over- or underflow
-    # here), so the match holds at any tol. tol 1e-16 runs each bisection
-    # to the last bit, where t has no trailing zero bits.
-    cfg = RootConfig(tol=tol)
+    # here), and each bisection runs to the last bit of t.
 
     def hexes(values):
         return [float.hex(v) for v in values]
 
     for n in range(501):
-        assert (hexes(laplacian_new(n, cfg))
-                == hexes(own_bisection_laplacian_new(n, cfg))), n
-        assert (hexes(laplacian_guo_wang(n, cfg))
-                == hexes(own_bisection_laplacian_guo_wang(n, cfg))), n
+        assert hexes(laplacian_new(n)) == hexes(own_bisection_laplacian_new(n)), n
+        assert (hexes(laplacian_guo_wang(n))
+                == hexes(own_bisection_laplacian_guo_wang(n))), n
         if n >= 1:
-            assert eta_classic(n, cfg).hex() == own_sqrt_eta_classic(n, cfg).hex(), n
+            assert eta_classic(n).hex() == own_sqrt_eta_classic(n).hex(), n
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +624,10 @@ def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
         op(g, 0, 0.3)
 
 
-def reference_pendant_limit(g, u, alpha, paths, tol=L.DEFAULT_CONFIG.tol):
+PENDANT_TOL = 1e-13  # the dense reference's bracket width
+
+
+def reference_pendant_limit(g, u, alpha, paths, tol=PENDANT_TOL):
     """The dense route: r(lambda) from one eigendecomposition, bisected on
     (max(2, rho(G)), top] until the bracket is narrower than tol, where top
     bounds every rho(G + paths). Kept as the reference that the tree
@@ -669,7 +670,7 @@ def seeded_trees():
 @pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 0.75, 0.94))
 def test_tree_pendant_limits_match_the_dense_route(alpha, paths):
     op = PENDANT_OPS[paths - 1]
-    tol = L.DEFAULT_CONFIG.tol
+    tol = PENDANT_TOL
     for g, u in seeded_trees():
         limit = op(g, u, alpha)
         reference = reference_pendant_limit(g, u, alpha, paths)
@@ -708,7 +709,7 @@ def test_tree_pendant_limits_take_no_eigendecomposition(monkeypatch):
         monkeypatch.setattr(spectral, name, counted)
     for (u, paths), reference in expected.items():
         counter.update(dict.fromkeys(counter, 0))
-        assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * L.DEFAULT_CONFIG.tol
+        assert abs(PENDANT_OPS[paths - 1](g, u, 0.5) - reference) <= 2 * PENDANT_TOL
         # one plan; every walk, search probe or check, on it
         assert counter["_tree_plan"] == 1, (u, paths, counter)
         assert counter["_walk"] <= walks[u], (u, paths, counter)
