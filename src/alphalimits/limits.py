@@ -209,9 +209,10 @@ def _eta_from_root(x: float, alpha: float) -> float:
 
 
 def _version1_term(n: int, alpha: float) -> tuple:
-    """(gamma_n, eta_n); eta_0 = 2 by definition."""
+    """(gamma_n, eta_n); gamma_0 = 1 gives eta_0 = 2 exactly, as
+    2a + 2 fl(1 - a) rounds to 2 for every a in [0, 1)."""
     root = gamma_n(n, alpha)
-    return root, 2.0 if n == 0 else _eta_from_root(root, alpha)
+    return root, _eta_from_root(root, alpha)
 
 
 def eta_n(n: int, alpha: float) -> float:
@@ -399,7 +400,7 @@ def _classic_term(n: int, alpha: float) -> tuple:
 
 def _version2_term(n: int, alpha: float) -> tuple:
     root = gamma_tilde_n(n, alpha)
-    return root, 2.0 if n == 0 else _eta_from_root(1.0 / root, alpha)
+    return root, _eta_from_root(1.0 / root, alpha)
 
 
 @dataclass(frozen=True)

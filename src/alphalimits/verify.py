@@ -20,8 +20,15 @@ adjacency lists, with no numpy; only the two assemblies, of G and of H,
 build a degree array. The
 identity suite evaluates the polynomial and closed-form identities on
 deterministic grids, plus the bipartite spectra check on random trees,
-whose spectra are solved by order the same way. Its checks solve each root
-once, and bound float error by the polynomial with absolute coefficients.
+whose spectra are solved by order the same way. It solves version I's
+ladder once, as limit_table("versionI", 30, ALPHA_GRID), whose rows and
+Psi limit rows the ladder checks share. Its three two-route checks are one
+rule (_routes_agree): values within 4 ulps and roots reciprocal within
+8 eps, which for route-equality checks gamma_n * gamma~_n = 1. Of its 470
+bisections 37 repeat a root: the laplacian table's 30 theta_n, whose row
+rule rounds xi differently from 2 eta, and the 7 mu_n = gamma~_n(1/2)
+route-equality also solves. The polynomial identities bound float error
+by the polynomial with absolute coefficients.
 Every check reports a PropertyResult; a failing one carries a counterexample.
 
 The routes that exist only to cross-check limits and spectral live here,
@@ -560,25 +567,41 @@ def check_duality() -> PropertyResult:
     return _result("duality", checked, bad)
 
 
-def check_route_equality() -> PropertyResult:
-    """eta through gamma agrees with eta through the reciprocal root to 4 ulps.
+def _routes_agree(name: str, cases) -> PropertyResult:
+    """Two routes to one ladder agree: values within 4 ulps, roots reciprocal.
 
-    Each route bisects its t to adjacent doubles, within one ulp of its
-    root, so the two roots are 2 ulps apart at most: a relative 2 eps, with
-    eps = ulp(1). eta = 2a + (1-a)(t + 1/t) exceeds (1-a)|t - 1/t|, so it
-    moves relatively less than t, under 2 eps eta: 3.2 ulps of an eta below
-    3.2, where one ulp is 2 eps. The fourth ulp is eta's own rounding.
+    cases yields (label, (root, value), (root2, value2)), the first pair
+    from one route and the second from the other; the value bound is on
+    ulps of the first value. Each route bisects its t to adjacent doubles,
+    within one ulp, a relative eps (eps = ulp(1)), of its root, so t and
+    the reciprocal of the other route's t are a relative 2 eps apart at
+    most. The roots are squares of the t's, so root * root2 is within 4 eps
+    of 1 at the bisection, plus three roundings of eps/2: under 8 eps. Each
+    value is c + k(t + 1/t) with c, k >= 0, and t + 1/t moves relatively
+    less than t, since |t - 1/t| < t + 1/t: the two values are under
+    2 eps v apart. Every value here lies in [2^e, 1.6 * 2^e) (eta of
+    version I and zeta_n below 3.2, xi_n in [4, 4.5)), where one ulp is
+    2^e eps, so that is under 3.2 ulps of v; the fourth ulp is the
+    rounding of the two values themselves.
     """
     bad = []
     checked = 0
-    for n in (1, 2, 3, 5, 10, 20, 30):
-        for alpha in ALPHA_GRID:
-            e1 = limits._eta_from_root(limits.gamma_n(n, alpha), alpha)
-            e2 = limits._eta_from_root(1.0 / limits.gamma_tilde_n(n, alpha), alpha)
-            checked += 1
-            if abs(e1 - e2) > 4 * math.ulp(e1):
-                bad.append(f"n={n} alpha={alpha} diff={e1 - e2}")
-    return _result("route-equality", checked, bad)
+    for label, (r1, v1), (r2, v2) in cases:
+        checked += 2
+        if abs(v1 - v2) > 4 * math.ulp(v1):
+            bad.append(f"{label} values {v1} {v2}")
+        if abs(r1 * r2 - 1.0) > 8 * math.ulp(1.0):
+            bad.append(f"{label} roots {r1} * {r2} = {r1 * r2}")
+    return _result(name, checked, bad)
+
+
+def check_route_equality(ladder: dict) -> PropertyResult:
+    """Version I's ladder[n, alpha] = (gamma_n, eta_n) against version II's
+    (gamma~_n, eta_n) from the reciprocal root, by _routes_agree: gamma_n
+    gamma~_n = 1 is the duality version II rests on."""
+    return _routes_agree("route-equality", (
+        (f"n={n} alpha={alpha}", ladder[n, alpha], limits._version2_term(n, alpha))
+        for n in (1, 2, 3, 5, 10, 20, 30) for alpha in ALPHA_GRID))
 
 
 def _strict_until_saturated(gaps) -> bool:
@@ -597,9 +620,9 @@ def _strict_until_saturated(gaps) -> bool:
     return True
 
 
-def check_strict_chain(psis: dict) -> PropertyResult:
+def check_strict_chain(ladder: dict, psis: dict) -> PropertyResult:
     """eta_0 < eta_1 < ... up to Psi = psis[alpha]; the alpha=0 chain ties
-    at the start.
+    at the start. ladder[n, alpha] = (gamma_n, eta_n).
 
     Strictness is enforced while the geometric gap decay stays above the
     double-precision floor; past that the chain must still never
@@ -607,20 +630,22 @@ def check_strict_chain(psis: dict) -> PropertyResult:
     """
     bad = []
     checked = 0
-    for alpha in ALPHA_GRID[1:]:
-        etas = [limits.eta_n(n, alpha) for n in range(31)]
-        gaps = np.diff(etas)
-        checked += len(gaps) + 1
-        if not _strict_until_saturated(gaps):
-            bad.append(f"alpha={alpha} min gap={gaps.min()}")
+    for alpha in ALPHA_GRID:
+        etas = [ladder[n, alpha][1] for n in range(31)]
+        checked += 1
         if etas[-1] > psis[alpha] + 1e-12:
             bad.append(f"alpha={alpha} eta_30 overshoots psi")
-    etas0 = [limits.eta_n(n, 0.0) for n in range(31)]
-    checked += 3
-    if abs(etas0[0] - 2.0) > 1e-12 or abs(etas0[1] - 2.0) > 1e-12:
-        bad.append("alpha=0 chain does not start at 2, 2")
-    if not _strict_until_saturated(np.diff(etas0[1:])):
-        bad.append("alpha=0 chain not strict beyond the tie")
+        if alpha == 0.0:
+            checked += 3
+            if abs(etas[0] - 2.0) > 1e-12 or abs(etas[1] - 2.0) > 1e-12:
+                bad.append("alpha=0 chain does not start at 2, 2")
+            if not _strict_until_saturated(np.diff(etas[1:])):
+                bad.append("alpha=0 chain not strict beyond the tie")
+        else:
+            gaps = np.diff(etas)
+            checked += len(gaps)
+            if not _strict_until_saturated(gaps):
+                bad.append(f"alpha={alpha} min gap={gaps.min()}")
     return _result("strict-chain", checked, bad)
 
 
@@ -634,48 +659,20 @@ def check_eta_convergence(psis: dict) -> PropertyResult:
     return _result("eta-converges", len(ALPHA_GRID), bad)
 
 
-def check_classic_routes() -> PropertyResult:
-    """Classical and new-version routes give one sequence; roots are reciprocal.
-
-    The two roots in t, sqrt(delta) and sqrt(beta), are each within one ulp
-    of a root, 2 ulps or a relative 2 eps together (eps = ulp(1)). Their
-    product is 1 at the roots, so delta*beta is within 4 eps of 1, plus
-    three roundings of eps/2: under 8 eps. The eta routes differ by under
-    2 eps eta, as in route-equality: 4 ulps.
-    """
-    bad = []
-    checked = 0
-    for n in range(1, 31):
-        b = limits.beta_n(n)
-        ec = limits._eta_from_root(b, 0.0)
-        d, z = limits.new_version_sequence(n)
-        checked += 2
-        if abs(ec - z) > 4 * math.ulp(z):
-            bad.append(f"n={n} eta routes {ec} {z}")
-        if abs(d * b - 1.0) > 8 * math.ulp(1.0):
-            bad.append(f"n={n} delta*beta={d * b}")
-    return _result("classic-routes", checked, bad)
+def check_classic_routes(ladder: dict) -> PropertyResult:
+    """Version I's ladder at alpha = 0, (delta_n, zeta_n), against Hoffman's
+    classical (beta_n, eta_n) rows, n = 1..30, by _routes_agree."""
+    return _routes_agree("classic-routes", (
+        (f"n={row.n}", ladder[row.n, 0.0], (row.gamma, row.eta))
+        for row in limits.limit_table("classic", 30).rows))
 
 
 def check_laplacian_agreement() -> PropertyResult:
-    """xi_n = kappa_n and the roots are reciprocal, n <= 30.
-
-    From the same 2-ulp root error as classic-routes: mu*theta within
-    8 eps of 1, and xi - kappa, 2 + t + 1/t at reciprocal roots, under
-    2 eps (t + 1/t) < 4.8 eps: 1.2 ulps of a xi in [4, 8), where one ulp
-    is 4 eps. 4 ulps leave room for the rounding of both sums.
-    """
-    bad = []
-    checked = 0
-    for n in range(31):
-        mu, kappa = limits.laplacian_guo_wang(n)
-        th, xi = limits.laplacian_new(n)
-        checked += 2
-        if abs(xi - kappa) > 4 * math.ulp(xi):
-            bad.append(f"n={n} xi={xi} kappa={kappa}")
-        if abs(mu * th - 1.0) > 8 * math.ulp(1.0):
-            bad.append(f"n={n} mu*theta={mu * th}")
-    return _result("laplacian-agreement", checked, bad)
+    """The laplacian table's (theta_n, xi_n) rows against Guo-Wang's
+    (mu_n, kappa_n), n = 0..30, by _routes_agree."""
+    return _routes_agree("laplacian-agreement", (
+        (f"n={row.n}", (row.gamma, row.eta), limits.laplacian_guo_wang(row.n))
+        for row in limits.limit_table("laplacian", 30).rows))
 
 
 def check_ordering_constants(psis: dict) -> PropertyResult:
@@ -719,8 +716,9 @@ def check_difference_identity() -> PropertyResult:
     return _result("difference-identity", checked, bad)
 
 
-def check_theta_h_identity() -> PropertyResult:
-    """h at the substituted lambda collapses to theta/(1 - alpha(1 - theta))."""
+def check_theta_h_identity(ladder: dict) -> PropertyResult:
+    """h at the substituted lambda collapses to theta/(1 - alpha(1 - theta));
+    at theta = sqrt(gamma_n), lambda is eta_n, both from ladder[n, alpha]."""
     bad = []
     checked = 0
     for alpha in ALPHA_GRID:
@@ -733,10 +731,9 @@ def check_theta_h_identity() -> PropertyResult:
             if abs(h - theta / (1 - alpha * (1 - theta))) > 1e-12:
                 bad.append(f"alpha={alpha} theta={theta}")
         for n in (1, 3, 7):
-            g = limits.gamma_n(n, alpha)
+            g, eta = ladder[n, alpha]
             checked += 1
-            if abs(theta_substitution(math.sqrt(g), alpha)
-                   - limits._eta_from_root(g, alpha)) > 1e-11:
+            if abs(theta_substitution(math.sqrt(g), alpha) - eta) > 1e-11:
                 bad.append(f"eta mismatch n={n} alpha={alpha}")
     return _result("theta-h-identity", checked, bad)
 
@@ -833,21 +830,28 @@ def check_graph_structure(graphs: list) -> PropertyResult:
 
 
 def run_identity_suite(seed: int) -> list:
-    """Deterministic identity grid checks plus the random-tree spectra check."""
+    """Deterministic identity grid checks plus the random-tree spectra check.
+
+    Version I's ladder is solved once, as limit_table("versionI", 30,
+    ALPHA_GRID): its rows, keyed (n, alpha), give (gamma_n, eta_n) to the
+    checks that read the ladder, and its limit rows give Psi per alpha.
+    """
     rng = np.random.default_rng(seed + 1)
     sample_graphs = [random_connected_graph(rng) for _ in range(20)]
-    psis = {alpha: limits.psi(alpha) for alpha in ALPHA_GRID}
+    table = limits.limit_table("versionI", 30, ALPHA_GRID)
+    ladder = {(row.n, row.alpha): (row.gamma, row.eta) for row in table.rows}
+    psis = dict(table.limits)
     return [
         check_phi_increasing(),
         check_duality(),
-        check_route_equality(),
-        check_strict_chain(psis),
+        check_route_equality(ladder),
+        check_strict_chain(ladder, psis),
         check_eta_convergence(psis),
-        check_classic_routes(),
+        check_classic_routes(ladder),
         check_laplacian_agreement(),
         check_ordering_constants(psis),
         check_difference_identity(),
-        check_theta_h_identity(),
+        check_theta_h_identity(ladder),
         check_closed_form_charpoly(),
         check_q_is_scaled_half(sample_graphs),
         check_bipartite_spectra(rng),

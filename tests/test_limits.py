@@ -187,6 +187,14 @@ def test_eta_zero_validates_alpha():
             eta_n(0, alpha)
 
 
+def test_eta_0_is_exactly_2_from_the_root_1():
+    # 2a and 2 fl(1 - a) are exact, and a + fl(1 - a) rounds to 1 (a tie
+    # goes to the even 1.0)
+    for alpha in [0.0, 5e-324, 2.0**-53] + [1.0 - 2.0**-k for k in range(1, 54)]:
+        assert L._version1_term(0, alpha) == (1.0, 2.0), alpha
+        assert L._version2_term(0, alpha) == (1.0, 2.0), alpha
+
+
 def test_gamma_edges():
     assert gamma_n(0, 0.4) == 1.0
     assert gamma_n(1, 0.0) == 1.0

@@ -294,21 +294,46 @@ def test_identity_suite_solves_its_spectra_by_order(monkeypatch):
 
 
 def test_identity_suite_solves_each_root_once(monkeypatch):
+    """470 bisections: version I's ladder, 10 alphas x n = 1..30 (gamma_0
+    takes none), solved once by limit_table; route-equality's version II
+    roots, 7 n x 10 alphas; the classic table's 30 beta_n; the laplacian
+    table's 30 theta_n and laplacian-agreement's 30 mu_n (n = 0 takes
+    none); and eta-converges' 10 eta_50. 300 + 70 + 30 + 30 + 30 + 10."""
     calls = []
     bisect = limits._bisect
     monkeypatch.setattr(limits, "_bisect", lambda *args: calls.append(1) or bisect(*args))
     verify.run_identity_suite(0)
-    assert len(calls) <= 630
+    assert len(calls) == 470
 
 
 def test_identity_suite_solves_psi_once_per_alpha(monkeypatch):
-    # one per grid alpha, which strict-chain, eta-converges and
-    # ordering-constants share
+    # the ten values come from the versionI limit_table's limit rows, which
+    # strict-chain, eta-converges and ordering-constants share
     calls = []
     psi = limits.psi
     monkeypatch.setattr(limits, "psi", lambda *args: calls.append(args) or psi(*args))
     verify.run_identity_suite(0)
     assert len(calls) <= 10
+
+
+def test_route_equality_fails_on_a_version2_root_off_by_2_to_the_minus_48(monkeypatch):
+    """gamma_n * gamma~_n = 1 is checked, not only eta: a version II root
+    16 eps off, with its eta left as it was, fails the 8 eps bound."""
+    table = limits.limit_table("versionI", 30, verify.ALPHA_GRID)
+    ladder = {(row.n, row.alpha): (row.gamma, row.eta) for row in table.rows}
+    assert verify.check_route_equality(ladder) == verify.PropertyResult(
+        "route-equality", True, 140)
+    term = limits._version2_term
+
+    def off(n, alpha):
+        root, eta = term(n, alpha)
+        return root * (1.0 + 2.0**-48), eta
+
+    monkeypatch.setattr(limits, "_version2_term", off)
+    result = verify.check_route_equality(ladder)
+    assert (result.passed, result.checked) == (False, 140)
+    assert result.detail.startswith("n=1 alpha=0.0 roots ")
+    assert "values" not in result.detail
 
 
 def test_phi_increasing_fails_on_a_negative_middle_coefficient(monkeypatch):
