@@ -236,16 +236,15 @@ def cmd_psi(args) -> tuple:
 def _p2_spider(m: int, n: int) -> tuple:
     """The spider shape of p2_two_paths(m, n): hub 0 and its arms, from 1
     (one vertex), 2 (m) and 2 + m (n, none when n = 0)."""
-    arms = {1: (1, 1), 2: (1 + m, m), 2 + m: (1 + m + n, n)}
-    return 0, {w: arm for w, arm in arms.items() if arm[1]}, 0
+    return 0, [arm for arm in ((1, 1), (1 + m, m), (1 + m + n, n)) if arm[1]], 0
 
 
 # name -> (graph builder, target, takes --n-fixed, spider shape). Each lambda
 # looks its builder up per call, like SPEC_FAMILIES. Every family is a
 # spider, and its shape, from the builder's documented numbering, is
-# (hub, arms, root): arms maps each neighbour of hub to the (end, vertices)
-# of the arm that starts there, and root is vertex 0, where radius_of roots
-# its check (see spectral._spider_radius).
+# (hub, arms, root): arms lists the (end, vertices) of each arm in
+# ascending order of its first vertex, and root is vertex 0, where
+# radius_of roots its check (see spectral._spider_radius).
 FAMILIES = {
     "p2nn": (lambda size, n_fixed: p2_two_paths(size, size),
              lambda alpha, n_fixed: limits.psi(alpha), False,
@@ -255,11 +254,10 @@ FAMILIES = {
              lambda size, n_fixed: _p2_spider(size, n_fixed)),
     "k13": (lambda size, n_fixed: attach_pendant_path(star(3), 0, size),
             lambda alpha, n_fixed: limits.omega1(alpha), False,
-            lambda size, n_fixed: (0, {1: (1, 1), 2: (2, 1), 3: (3, 1),
-                                       4: (3 + size, size)}, 0)),
+            lambda size, n_fixed: (0, [(1, 1), (2, 1), (3, 1), (3 + size, size)], 0)),
     "p5u": (lambda size, n_fixed: attach_pendant_path(path(5), 2, size),
             lambda alpha, n_fixed: limits.omega2(alpha), False,
-            lambda size, n_fixed: (2, {1: (0, 2), 3: (4, 2), 5: (4 + size, size)}, 0)),
+            lambda size, n_fixed: (2, [(0, 2), (4, 2), (4 + size, size)], 0)),
 }
 
 
@@ -295,9 +293,8 @@ def cmd_convergence(args) -> tuple:
         if g.n_vertices > MAX_ORDER:
             raise ValueError(
                 f"size {size} gives order {g.n_vertices} > cap {MAX_ORDER}")
-        # g is built for the cap and for the order of its hub's neighbours,
-        # which fixes the bits of rho
-        rho = _spider_radius(g, *shape(size, n_fixed), alpha)
+        # g is built for the cap alone: rho comes from the family's shape
+        rho = _spider_radius(*shape(size, n_fixed), alpha)
         gap = target - rho
         note = ""
         if gap < GAP_NEGATIVE_FLOOR:

@@ -4,8 +4,8 @@ Vertices are contiguous 0-based integers. Constructors that have a designated
 root vertex (pendant path attachments and the like) document it.
 
 A graph's adjacency is built once, on first use: Graph.adj holds one
-neighbour list per vertex, filled from the frozen edge set in its own
-iteration order, and every degree, neighbour and traversal query reads it.
+neighbour list per vertex, in ascending order whatever the layout of the
+frozen edge set, and every degree, neighbour and traversal query reads it.
 The lists are shared by all callers, who must not mutate them. One walk,
 _internal_arcs, follows the degree-2 arcs out of each branch vertex and
 defines the internal paths: internal_paths lists its arcs, and
@@ -41,6 +41,10 @@ class Graph:
         norm = set()
         for e in self.edges:
             u, v = e
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge {e} has a non-integer endpoint") from None
             if u > v:
                 u, v = v, u
             if u == v:
@@ -56,9 +60,9 @@ class Graph:
 
     @cached_property
     def adj(self) -> list:
-        """Neighbour lists in edge-set order, built on first use; read only."""
+        """Ascending neighbour lists, built on first use; read only."""
         adj = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
+        for u, v in sorted(self.edges):
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -225,7 +229,7 @@ def _internal_arcs(g: Graph) -> tuple:
     for v0, nbrs in enumerate(adj):
         if len(nbrs) <= 2:
             continue
-        for first in sorted(nbrs):
+        for first in nbrs:
             e = (v0, first) if v0 < first else (first, v0)
             if e in edges:
                 continue

@@ -181,11 +181,12 @@ def gamma_n(n: int, alpha: float) -> float:
 def gamma_tilde_n(n: int, alpha: float) -> float:
     """The root of phi_version2 in [1, inf); equals 1/gamma_n.
 
-    hi doubles from 2 until p(hi) > 0. At the root t = sqrt(x),
-    2a + (1-a)(t + 1/t) = eta_n < psi(a) < 3.2, so a hi above
-    (3.2 - 2a)/(1 - a) with p(hi) <= 0 raises BracketError. Only the
-    leading coefficient is positive, so once a Horner partial sum is
-    negative it stays negative, and an overflow keeps the true sign of p.
+    At the root t = sqrt(x), 2a + (1-a)(t + 1/t) = eta_n < psi(a) < 3.2,
+    so t lies in [1, (3.2 - 2a)/(1 - a)), and that bracket is bisected with
+    no search for it; _bisect's sign check raises BracketError if p does
+    not change sign on it. Only the leading coefficient is positive, so
+    once a Horner partial sum is negative it stays negative, and an
+    overflow keeps the true sign of p.
     """
     _validate_alpha(alpha, upper_open=True)
     if n < 0:
@@ -193,13 +194,7 @@ def gamma_tilde_n(n: int, alpha: float) -> float:
     if n == 0:
         return 1.0
     p = phi_version2(n, alpha)
-    bound = (3.2 - 2.0 * alpha) / (1.0 - alpha)
-    hi = 2.0
-    while p.eval_t(hi) <= 0.0:
-        if hi > bound:
-            raise BracketError(f"phi_version2({n}, {alpha}) <= 0 at t={hi} > {bound}")
-        hi *= 2.0
-    t = _bisect(p.eval_t, 1.0, hi)
+    t = _bisect(p.eval_t, 1.0, (3.2 - 2.0 * alpha) / (1.0 - alpha))
     return t * t
 
 
@@ -334,7 +329,7 @@ def omega2(alpha: float) -> float:
     G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a). At
     a = 0, G = F and omega2(0) = psi(0).
     """
-    return _spider_limit(2, [(4, 2), (0, 2)], alpha, 1)
+    return _spider_limit(2, [(0, 2), (4, 2)], alpha, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,14 @@ _tree_plan builds a tree's plan from Graph.adj, once per threshold, and
 _plan_thresholds scales it by alpha and returns (check, search, top) to
 radius_of (through _threshold_radius) and _pendant_limit (through
 _loaded_threshold), which read nothing else of it; a pendant limit passes
-it the number of paths, and a radius none. A spider's plan, a hub with
-pendant paths, needs no walk: _spider_plan builds it from the arm lengths
-in O(arms), the very list _tree_plan returns, and _spider_radius, the
-convergence families' radius, reads of the graph only the order of the
-hub's neighbours, one pass over g.edges (_neighbours). That order is what
-fixes the bits, as the hub sums its children in it; the caller builds the
-graph only for it and for the order cap. _spider_limit, the pendant limit
-at a spider's hub (limits' psi and omega2), needs no graph at all, as a
-hub with at most two arms sums them in either order. _least_definite is
-the one threshold search: secant steps on the search pivot pick a point,
+it the number of paths, and a radius none. Every pivot sums its
+children's terms in ascending vertex order, so no threshold depends on the
+layout of Graph.edges. A spider's plan, a hub with pendant paths, needs
+no walk and no graph: _spider_plan builds it from the arm lengths in
+O(arms), the very list _tree_plan returns, for _spider_radius, the
+convergence families' radius, and _spider_limit, the pendant limit at a
+spider's hub (limits' psi and omega2). _least_definite is the one
+threshold search: secant steps on the search pivot pick a point,
 and the sign of the check certifies the least double at which it is
 positive, the value plain bisection ends on. Both are _walk, the one
 elimination pass. The check is the exact walk of the plan rooted where
@@ -216,9 +214,9 @@ def radius_of(g: Graph, alpha: float) -> float:
     of the vertex-0 plan is positive, as plain bisection on [0, max degree].
 
     Cost. One _tree_plan walk, then one _walk per probe, with no
-    derivative. A spider of known shape skips the walk: _spider_radius
-    builds the same plan in O(arms), after one pass over g.edges for the
-    order of the hub's neighbours, and returns this radius bit for bit.
+    derivative. A spider of known shape skips the walk and the graph:
+    _spider_radius builds the same plan from its arm lengths in O(arms),
+    and returns this radius bit for bit.
     A search probe costs one step per plan step: above lam = 2 the run map
     f -> (lam - 2*alpha) - (1-alpha)^2 / f has the fixed points tau+- of
     _run_constants, and a folded run whose first pivot is above tau- is
@@ -238,19 +236,13 @@ def radius_of(g: Graph, alpha: float) -> float:
     return _threshold_radius(thresholds, alpha)
 
 
-def _spider_radius(g: Graph, hub: int, arms: dict, root: int, alpha: float) -> float:
-    """The radius of the spider g from its shape: radius_of(g, alpha) bit
-    for bit when root is vertex 0, where radius_of roots its check.
-
-    hub and root are as _spider_plan takes them, and arms maps each
-    neighbour w of hub to the (end, vertices) of the arm that starts at w.
-    The one read of g is the order of hub's neighbours, one pass over
-    g.edges (_neighbours): with no Graph.adj and no walk over the vertices,
-    the plan is _tree_plan(g, root).
-    """
+def _spider_radius(hub: int, arms: list, root: int, alpha: float) -> float:
+    """The radius of the spider with these hub, arms and root, as
+    _spider_plan takes them, from its plan with no Graph: radius_of(g, alpha)
+    of the built spider g bit for bit when root is vertex 0, where radius_of
+    roots its check."""
     _validate_alpha(alpha)
-    plan = _spider_plan(hub, [arms[w] for w in _neighbours(g, hub)], root)
-    return _threshold_radius(_plan_thresholds(plan, alpha), alpha)
+    return _threshold_radius(_plan_thresholds(_spider_plan(hub, arms, root), alpha), alpha)
 
 
 def _threshold_radius(thresholds: tuple, alpha: float) -> float:
@@ -312,11 +304,8 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
 def _spider_limit(hub: int, arms: list, alpha: float, paths: int) -> float:
     """_pendant_limit at hub of the spider with these arms, as _spider_plan
     takes them, from its plan rooted at hub: no Graph and no _tree_plan.
-
     It equals _pendant_limit(g, hub, alpha, paths) of the built spider g bit
-    for bit when hub has at most two arms, as a sum of two children does
-    not depend on their order.
-    """
+    for bit."""
     _validate_alpha(alpha, upper_open=True)
     plan = _spider_plan(hub, arms, hub)
     return _loaded_threshold(*_plan_thresholds(plan, alpha, paths), len(arms), paths)
@@ -354,13 +343,14 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     is two steps and a spider one per arm plus its hub. root must be a
     vertex of g.
 
-    The plan is a depth-first preorder, children taken in g.adj order,
-    reversed: a subtree is one contiguous stretch, and a vertex's children
-    come in reverse g.adj order, the order in which a reversed BFS order
-    feeds them. A pivot's sum over three or more children depends on that
-    order, and with it every pivot equals, bit for bit, the one of the
-    unfolded reversed-BFS elimination. A vertex is marked when it is
-    reached, so the walk ends on any graph.
+    The plan is a depth-first preorder, reversed. Children are pushed in
+    g.adj order, ascending, so the largest is taken first: a subtree is one
+    contiguous stretch, and a vertex's children come before it in ascending
+    order, the one order in which every pivot sums their terms. A sum over
+    three or more children depends on its order, so fixing it here makes
+    every pivot, and every threshold, depend on g alone and not on the
+    layout of g.edges. A vertex is marked when it is reached, so the walk
+    ends on any graph.
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
@@ -384,7 +374,7 @@ def _tree_plan(g: Graph, root: int) -> list | None:
                 v, k = w, k + 1
                 ends = adj[v]
         steps.append((v, parent[u], len(adj[v]), k))
-        for w in reversed(adj[v]):
+        for w in adj[v]:
             if parent[w] == -1:
                 parent[w] = v
                 stack.append(w)
@@ -394,26 +384,21 @@ def _tree_plan(g: Graph, root: int) -> list | None:
     return steps
 
 
-def _neighbours(g: Graph, v: int) -> list:
-    """v's neighbours in g.adj[v] order, from one pass over g.edges and
-    with no Graph.adj: that order is the edge set's iteration order."""
-    return [b if a == v else a for a, b in g.edges if a == v or b == v]
-
-
 def _spider_plan(hub: int, arms: list, root: int) -> list:
     """_tree_plan(g, root) of a spider g, in O(arms), with no walk.
 
     g is hub with paths (arms) hung from it. arms lists each one as
-    (end, vertices), end its leaf, in the order of hub's neighbours in
-    g.adj. root is hub, or the end of an arm when hub has degree 3 or more.
-    Each arm is one step at its end, with its other vertices folded above
-    it. The plan is the arms in reverse order, then hub. Rooted at hub,
-    hub's parent is the spare slot n, the vertex count. Rooted at an end,
-    that arm is no step: hub takes root as its parent, with the arm's
-    other vertices folded into hub's step, and root's own step comes last.
+    (end, vertices), end its leaf, in ascending order of its first vertex,
+    hub's neighbour on it. root is hub, or the end of an arm when hub has
+    degree 3 or more. Each arm is one step at its end, with its other
+    vertices folded above it. The plan is the arms in that order, then hub,
+    which sums them in it. Rooted at hub, hub's parent is the spare slot n,
+    the vertex count. Rooted at an end, that arm is no step: hub takes root
+    as its parent, with the arm's other vertices folded into hub's step,
+    and root's own step comes last.
     """
     n = 1 + sum(count for _, count in arms)
-    steps = [(end, hub, 1, count - 1) for end, count in reversed(arms) if end != root]
+    steps = [(end, hub, 1, count - 1) for end, count in arms if end != root]
     if root == hub:
         return steps + [(hub, n, len(arms), 0)]
     (count,) = [count for end, count in arms if end == root]

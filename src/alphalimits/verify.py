@@ -111,8 +111,8 @@ def random_tree(rng: np.random.Generator, n: int) -> Graph:
 
     The sequence is one integers call of n - 2 draws, the same stream as
     n - 2 scalar calls; at n = 2 it draws nothing and leaves the stream as
-    it was. Edges are added to the set in decoding order, which fixes the
-    edge set's iteration order, and tree radii read it.
+    it was. Edges are added to the set in decoding order; no number read
+    off the tree depends on the order in which the set then iterates.
     """
     if n < 2:
         raise ValueError("a tree needs at least 2 vertices")

@@ -277,7 +277,7 @@ def test_convergence_refuses_caps_before_target_and_graphs(argv, monkeypatch, ca
 
 
 def test_table_version_ii_near_alpha_one_writes_nothing_to_stderr():
-    # At n = 500 the bracket search of gamma_tilde_n evaluates phi_version2
+    # At n = 500 gamma_tilde_n evaluates phi_version2 at its bracket's top,
     # where t^1002 is past the double range: inf, but no warning.
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -44,6 +44,14 @@ def test_graph_rejects_a_vertex_count_that_is_not_an_integer():
     assert g == Graph(3, frozenset({(0, 2)})) and g.adj == [[2], [], [0]]
 
 
+def test_graph_rejects_non_integer_endpoints():
+    for edges in ({(0, 1.5), (1.5, 2)}, {(0, 2.0)}, {("0", "1")}, {(0, "2")}):
+        with pytest.raises(ValueError, match=r"edge \(.*\) has a non-integer endpoint"):
+            Graph(3, frozenset(edges))
+    g = Graph(3, frozenset({(np.int64(2), np.int64(0))}))  # numpy ints pass, as ints
+    assert g.edges == {(0, 2)} and all(type(x) is int for x in next(iter(g.edges)))
+
+
 def test_graph_normalizes_edge_orientation():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == frozenset({(0, 2), (1, 2)})

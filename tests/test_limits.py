@@ -447,6 +447,21 @@ def test_laplacian_guo_wang_is_one_bisection(monkeypatch):
     assert 0 < len(calls) <= 64
 
 
+def test_gamma_tilde_n_bisects_its_known_bracket(monkeypatch):
+    # the root's t lies in [1, (3.2 - 2a)/(1 - a)); at alpha = 1 - 2^-53 it is
+    # near 2^53, and bisecting that bracket to adjacent doubles costs its two
+    # ends and about 53 halvings, with no search for the bracket
+    calls = _count_calls(monkeypatch, HalfPoly, "eval_t")
+    gamma_tilde_n(500, 1.0 - 2.0**-53)
+    assert 0 < len(calls) <= 60
+
+
+def test_gamma_tilde_n_raises_when_phi_stays_negative(monkeypatch):
+    monkeypatch.setattr(L, "phi_version2", lambda n, alpha: HalfPoly((-1.0,)))
+    with pytest.raises(BracketError, match="no sign change"):
+        gamma_tilde_n(5, 0.3)
+
+
 def own_bisection_laplacian_guo_wang(n):
     """The Q-limit sequence by its own bisection on t in [1, 2]: the reference."""
     if n == 0:

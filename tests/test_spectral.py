@@ -280,10 +280,12 @@ def no_elimination(monkeypatch):
     monkeypatch.setattr(spectral, "_walk", fail)
 
 
-def reference_leaves_first(g):
-    """The unfolded leaves-first orders from a private neighbour-list build
-    and a private BFS, independent of Graph.adj and of graphs' traversals:
-    the reference.
+def reference_order(g, root):
+    """The unfolded leaves-first (vertex, parent, degree) order rooted at
+    root, from a private neighbour-list build and a private BFS, independent
+    of Graph.adj and of graphs' traversals: the reference; None unless g is
+    a tree. The lists are descending, so the reversed BFS order feeds each
+    vertex its children ascending, as every pivot sums them.
     """
     n = g.n_vertices
     if g.n_edges != n - 1:
@@ -292,26 +294,30 @@ def reference_leaves_first(g):
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    degree = [len(a) for a in adj]
+    for nbrs in adj:
+        nbrs.sort(reverse=True)
+    parent = [-1] * n
+    parent[root] = n
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] == -1:
+                parent[w] = u
+                order.append(w)
+    if len(order) != n:
+        return None
+    return [(v, parent[v], len(adj[v])) for v in reversed(order)]
 
-    def bfs_leaves_first(root):
-        parent = [-1] * n
-        parent[root] = n
-        order = [root]
-        for u in order:
-            for w in adj[u]:
-                if parent[w] == -1:
-                    parent[w] = u
-                    order.append(w)
-        if len(order) != n:
-            return None
-        return [(v, parent[v], degree[v]) for v in reversed(order)]
 
-    check = bfs_leaves_first(0)
+def reference_leaves_first(g):
+    """The reference orders rooted at vertex 0 and at the hub, the
+    lowest-indexed max-degree vertex."""
+    check = reference_order(g, 0)
     if check is None:
         return None
-    hub = degree.index(max(degree))
-    return check, (check if hub == 0 else bfs_leaves_first(hub))
+    top = max(d for _, _, d in check)
+    hub = min(v for v, _, d in check if d == top)
+    return check, (check if hub == 0 else reference_order(g, hub))
 
 
 def reference_definite(steps, c, lam):
@@ -361,19 +367,42 @@ def reference_radius(g, alpha):
             lo = mid
 
 
-def exact_definite(g, alpha, lam):
-    """Whether lam*I - A_alpha(g) of a tree is positive definite, by a
-    leaves-first elimination of the private reversed-BFS order in exact
-    rational arithmetic at the exact double values of alpha and lam."""
+def exact_root_pivot(g, root, alpha, lam):
+    """f_root of lam*I - A_alpha(g), g a tree, by a leaves-first elimination
+    of reference_order in exact rational arithmetic at the exact double
+    values of alpha and lam; None once a pivot below root is not positive."""
     alpha, lam = Fraction(alpha), Fraction(lam)
     c = (1 - alpha) ** 2
     acc = [Fraction(0)] * (g.n_vertices + 1)
-    for v, p, d in reference_leaves_first(g)[0]:
-        f = lam - alpha * d - acc[v]
+    *below, (u, _, d) = reference_order(g, root)
+    for v, p, dv in below:
+        f = lam - alpha * dv - acc[v]
         if f <= 0:
-            return False
+            return None
         acc[p] += c / f
-    return True
+    return lam - alpha * d - acc[u]
+
+
+def exact_definite(g, alpha, lam):
+    """Whether lam*I - A_alpha(g) of a tree is positive definite, exactly:
+    every pivot positive, the root's last."""
+    f = exact_root_pivot(g, 0, alpha, lam)
+    return f is not None and f > 0
+
+
+def exact_loaded_positive(g, u, alpha, lam, paths):
+    """Whether u's root pivot, loaded with `paths` infinite pendant paths,
+    is positive at lam, exactly. The load is paths * (alpha + tau-), with
+    tau- = (lam - 2 alpha - sqrt(D)) / 2 and D = (lam - 4 alpha + 2)(lam - 2),
+    rational at a double lam. So the loaded pivot is A + (paths/2) sqrt(D)
+    with A rational, positive iff A > 0 or (paths/2)^2 D > A^2."""
+    f = exact_root_pivot(g, u, alpha, lam)
+    if lam < 2.0 or f is None:
+        return False
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    a = f - paths * alpha - paths * (lam - 2 * alpha) / 2
+    half = Fraction(paths, 2)
+    return a > 0 or half * half * (lam - 4 * alpha + 2) * (lam - 2) > a * a
 
 
 # The goldens' radii that moved from the dense route to elimination:
@@ -390,6 +419,58 @@ def test_moved_golden_radii_are_rho_rounded_up(name, size, g, alpha):
     assert f"\n{size},{r:.15g}," in (GOLDEN / f"{name}.out").read_text()
     assert exact_definite(g, alpha, r)
     assert not exact_definite(g, alpha, math.nextafter(r, 0.0))
+
+
+# The cells that moved when every pivot came to sum its children in
+# ascending vertex order, each with the ulps it lies above the exact least
+# double at which its pivot test passes: (label, graph, u, alpha, value, ulps).
+# u is None for a radius and the loaded vertex of a one-path limit. The
+# labels are tree_thresholds.hex's, then a convergence golden's and a
+# benchmark job's (convergence k13 --alpha 0.297304 --sizes 26,52).
+CHILD_ORDER_MOVED = [
+    ("seeded:3:128", seeded_tree(3, 128), None, 0.25, "0x1.e58caa1188c20p+1", 1),
+    ("seeded:4:200", seeded_tree(4, 200), None, 0.0, "0x1.a71aba7f61287p+1", 0),
+    ("seeded:5:400", seeded_tree(5, 400), None, 0.25, "0x1.1d42e97b0c875p+2", 0),
+    ("p2nn:10", p2_two_paths(10, 10), None, 0.0, "0x1.074ccfe70e8bdp+1", 1),
+    ("p2mn:800", p2_two_paths(800, 2), None, 0.0, "0x1.0288d5e13e1fdp+1", 0),
+    ("one-path-limit seeded:11:40", seeded_tree(11, 40), 20, 0.0, "0x1.5c0031d8fd1cfp+1", 1),
+    ("convergence_p2mn:200", p2_two_paths(200, 2), None, 0.0, "0x1.0288d5e13e1fdp+1", 0),
+    ("k13:26", attach_pendant_path(star(3), 0, 26), None, 0.297304, "0x1.264b9b312a254p+1", 1),
+]
+
+
+@pytest.mark.parametrize("label, g, u, alpha, value, ulps", CHILD_ORDER_MOVED,
+                         ids=[case[0] for case in CHILD_ORDER_MOVED])
+def test_cells_moved_by_the_child_order_are_certified(label, g, u, alpha, value, ulps):
+    """Each moved value is at most 1 ulp above its exact threshold, never
+    below: its test passes exactly ulps below it and fails one more below."""
+    if u is None:
+        r = radius_of(g, alpha)
+        def definite(lam):
+            return exact_definite(g, alpha, lam)
+    else:
+        r = pendant_path_limit(g, u, alpha)
+        def definite(lam):
+            return exact_loaded_positive(g, u, alpha, lam, 1)
+    assert r.hex() == value
+    for _ in range(ulps):
+        r = math.nextafter(r, 0.0)
+    assert definite(r)
+    assert not definite(math.nextafter(r, 0.0))
+
+
+def test_equal_trees_get_equal_thresholds_whatever_their_edge_layout():
+    """Equal trees whose edge sets iterate in different orders get the same
+    bits, as every pivot sums its children in ascending vertex order."""
+    g = random_tree(np.random.default_rng(518), 200)
+    h = Graph(200, frozenset(sorted(g.edges)))
+    assert g == h and list(g.edges) != list(h.edges)
+    for alpha in TREE_ALPHAS:
+        assert radius_of(g, alpha).hex() == radius_of(h, alpha).hex(), alpha
+    for u in (0, 100, 199):
+        for alpha in (0.0, 0.5, 0.94):
+            for op in (pendant_path_limit, two_pendant_paths_limit):
+                assert op(g, u, alpha) == op(h, u, alpha), (op.__name__, u, alpha)
 
 
 def count_eliminations(monkeypatch, module=spectral):
@@ -585,6 +666,13 @@ def spider(arms):
     return g
 
 
+def spider_arms(lengths):
+    """The arms of spider(lengths) as _spider_plan takes them: attached in
+    order, so their first vertices ascend."""
+    ends = [sum(lengths[:i + 1]) for i in range(len(lengths))]
+    return list(zip(ends, lengths))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=40), st.data())
 def test_tree_plan_is_the_preorder_with_runs_folded(n, data):
@@ -595,9 +683,9 @@ def test_tree_plan_is_the_preorder_with_runs_folded(n, data):
     root = data.draw(st.integers(min_value=0, max_value=n - 1))
     pre = []
 
-    def walk(u, p):  # the textbook recursive preorder, children in adj order
+    def walk(u, p):  # the textbook recursive preorder, largest child first
         pre.append((u, p))
-        for w in g.adj[u]:
+        for w in reversed(g.adj[u]):
             if w != p:
                 walk(w, u)
 
@@ -617,29 +705,38 @@ def test_tree_plan_is_the_preorder_with_runs_folded(n, data):
 
 
 def test_spider_radius_equals_radius_of_on_the_convergence_families():
-    """Each family's spider shape in FAMILIES, with its hub's neighbours read
-    off g.edges, gives the very plan _tree_plan walks, so the convergence
-    radius is radius_of's bit for bit; so is the plan of every other spider
-    rooted at its hub or at an arm's end."""
+    """Each family's spider shape in FAMILIES, its arms in ascending order
+    of their first vertex, gives the very plan _tree_plan walks, so the
+    convergence radius is radius_of's bit for bit, with no graph; so is the
+    plan of every other spider rooted at its hub or at an arm's end."""
     sizes = list(range(1, 41)) + [63, 124, 250, 500, 800]
     for family, (build, _, takes_n_fixed, shape) in FAMILIES.items():
         for n_fixed in ((0, 1, 2, 5, 10) if takes_n_fixed else (None,)):
             for size in sizes:
                 g = build(size, n_fixed)
                 hub, arms, root = shape(size, n_fixed)
-                assert spectral._neighbours(g, hub) == g.adj[hub]
-                plan = spectral._spider_plan(hub, [arms[w] for w in g.adj[hub]], root)
+                plan = spectral._spider_plan(hub, arms, root)
                 assert plan == spectral._tree_plan(g, root), (family, n_fixed, size)
                 for alpha in TREE_ALPHAS:
-                    assert (spectral._spider_radius(g, hub, arms, root, alpha)
+                    assert (spectral._spider_radius(hub, arms, root, alpha)
                             == radius_of(g, alpha)), (family, n_fixed, size, alpha)
     for lengths in ((1, 1, 1), (3, 1, 2), (5, 1, 1, 7), (2, 9, 4, 1, 6)):
         g = spider(lengths)
-        ends = [sum(lengths[:i + 1]) for i in range(len(lengths))]
-        arms = {end - m + 1: (end, m) for end, m in zip(ends, lengths)}
-        for root in [0] + ends:
-            plan = spectral._spider_plan(0, [arms[w] for w in g.adj[0]], root)
+        arms = spider_arms(lengths)
+        for root in [0] + [end for end, _ in arms]:
+            plan = spectral._spider_plan(0, arms, root)
             assert plan == spectral._tree_plan(g, root), (lengths, root)
+
+
+def test_spider_limit_equals_the_pendant_limit_of_the_built_spider():
+    """With three to five arms the hub's sum depends on their order, and
+    _spider_limit still gives _pendant_limit's bits, with no graph."""
+    for lengths in ((1, 2, 3), (3, 1, 2), (5, 1, 1, 7), (2, 9, 4, 1, 6)):
+        g, arms = spider(lengths), spider_arms(lengths)
+        for alpha in (0.0, 0.3, 0.5, 0.8):
+            for paths in (1, 2):
+                assert (spectral._spider_limit(0, arms, alpha, paths)
+                        == spectral._pendant_limit(g, 0, alpha, paths)), (lengths, alpha, paths)
 
 
 def test_leaves_first_orders(monkeypatch):
