@@ -70,7 +70,6 @@ from .verify import (
     PropertyResult,
     bn_charpoly_closed,
     difference_poly_f,
-    omega2_closed_form,
     path_charpoly_closed,
     random_connected_graph,
     random_tree,

@@ -40,7 +40,10 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         norm = set()
         for e in self.edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertices") from None
             try:
                 u, v = operator.index(u), operator.index(v)
             except TypeError:

@@ -15,7 +15,7 @@ double at which a vertex's root pivot, loaded with infinite pendant paths,
 is positive. The pendant-path limit operators work on any connected graph;
 psi and omega2 are such limits on P_2 and P_5, taken from their spider
 plans with no graph. The routes kept only to cross-check these (the theta
-substitution, omega2's closed form and the one-step difference of
+substitution, omega2's quartic root and the one-step difference of
 phi_version1) live in verify. BracketError is spectral's, the one class
 both modules raise.
 """
@@ -154,11 +154,12 @@ def phi_version2(n: int, alpha: float) -> HalfPoly:
 def beta_n(n: int) -> float:
     """Unique root >= 1 of x^(n+1) - (1 + x + ... + x^(n-1)); beta_1 = 1.
 
-    That is Hoffman's classical sequence polynomial, phi_version2(n, 0).
+    That is Hoffman's classical sequence polynomial, phi_version2(n, 0), so
+    beta_n = gamma_tilde_n(n, 0).
     """
-    p = phi_version2(n, 0.0)
-    t = _bisect(p.eval_t, 1.0, math.sqrt(2.0))
-    return t * t
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return gamma_tilde_n(n, 0.0)
 
 
 def eta_classic(n: int) -> float:
@@ -289,15 +290,6 @@ def _psi_surds(alpha: float) -> dict:
     return {"g0": g0, "g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5}
 
 
-def _real_part(val: complex, alpha: float, residue_tol: float) -> float:
-    """val.real, or BranchSelectionError when |val.imag| > residue_tol."""
-    if abs(val.imag) > residue_tol:
-        raise BranchSelectionError(
-            f"imaginary residue {val.imag:.3e} at alpha={alpha}"
-        )
-    return val.real
-
-
 def psi_closed_form(alpha: float) -> float:
     """Surd expression for psi, evaluated in complex arithmetic.
 
@@ -310,7 +302,9 @@ def psi_closed_form(alpha: float) -> float:
     val = (1.5 * alpha
            + cmath.sqrt(g["g0"] + g["g1"] / g["g4"] + g["g2"] / cmath.sqrt(g["g5"]) - g["g4"]) / math.sqrt(6.0)
            + cmath.sqrt(g["g5"] / 12.0))
-    return _real_part(val, alpha, PSI_RESIDUE_TOL)
+    if abs(val.imag) > PSI_RESIDUE_TOL:
+        raise BranchSelectionError(f"imaginary residue {val.imag:.3e} at alpha={alpha}")
+    return val.real
 
 
 def omega1(alpha: float) -> float:
@@ -327,7 +321,8 @@ def omega2(alpha: float) -> float:
     bit, from that spider's plan (spectral._spider_limit) with no graph and
     no tol. Under psi's substitution theta is the root in (0, 1) of
     G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a). At
-    a = 0, G = F and omega2(0) = psi(0).
+    a = 0, G = F and omega2(0) = psi(0). Bisecting G is verify's second
+    route to omega2 (ordering-constants).
     """
     return _spider_limit(2, [(0, 2), (4, 2)], alpha, 1)
 

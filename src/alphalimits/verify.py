@@ -24,11 +24,13 @@ whose spectra are solved by order the same way. It solves version I's
 ladder once, as limit_table("versionI", 30, ALPHA_GRID), whose rows and
 Psi limit rows the ladder checks share. Its three two-route checks are one
 rule (_routes_agree): values within 4 ulps and roots reciprocal within
-8 eps, which for route-equality checks gamma_n * gamma~_n = 1. Of its 470
+8 eps, which for route-equality checks gamma_n * gamma~_n = 1. Of its 480
 bisections 37 repeat a root: the laplacian table's 30 theta_n, whose row
 rule rounds xi differently from 2 eta, and the 7 mu_n = gamma~_n(1/2)
-route-equality also solves. The polynomial identities bound float error
-by the polynomial with absolute coefficients.
+route-equality also solves. ordering-constants holds omega2 against the
+bisected root of its quartic, a second route with a derived bound. The
+polynomial identities bound float error by the polynomial with absolute
+coefficients.
 Every check reports a PropertyResult; a failing one carries a counterexample.
 
 The routes that exist only to cross-check limits and spectral live here,
@@ -37,13 +39,12 @@ characteristic polynomials (path_charpoly_closed, bn_charpoly_closed) and
 the exact three-term tridiagonal recurrence they are checked against
 (tridiag_charpoly_recurrence), the theta substitution lambda(theta)
 (theta_substitution), the n-free difference of consecutive version I
-polynomials (difference_poly_f) and the surd form of omega2
-(omega2_closed_form).
+polynomials (difference_poly_f) and omega2 from its quartic
+(_omega2_from_quartic).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -496,29 +497,13 @@ def difference_poly_f(x: float, alpha: float) -> float:
             + x * x + x - 1)
 
 
-def omega2_closed_form(alpha: float) -> float:
-    """Quartic-solution surd form of omega2; cross-check for the root route.
-
-    An imaginary residue above 1e-7 raises BranchSelectionError.
-    """
-    _validate_alpha(alpha, upper_open=True)
-    a = alpha
-    h1 = 4 - 8 * a - 3 * a * a
-    h2 = 19 * a * a + 8 * a - 4
-    h3 = 13 * a**4 - 32 * a**3 + 32 * a * a - 16 * a + 4
-    rad = (172800 - 2073600 * a + 11453184 * a**2 - 38499840 * a**3
-           + 87733584 * a**4 - 142826112 * a**5 + 170398080 * a**6
-           - 150197760 * a**7 + 97143840 * a**8 - 44993664 * a**9
-           + 14176512 * a**10 - 2730240 * a**11 + 243216 * a**12)
-    inner = (-416 + 2496 * a - 6300 * a**2 + 8560 * a**3 - 6624 * a**4
-             + 2784 * a**5 - 502 * a**6) - cmath.sqrt(complex(rad))
-    h4 = complex(inner) ** (1.0 / 3.0)
-    h5 = (h2 + 2 ** (1.0 / 3.0) * h3 / h4 + 2 ** (-1.0 / 3.0) * h4) / 3.0
-    h6 = 512 * a**3 - 32 * a * h2 + 112 * (-a + 2 * a * a + a**3)
-    h7 = 13 * a * a - 8 * a + 4
-    s1 = cmath.sqrt(h1 + h5)
-    val = 2 * a + 0.5 * s1 + 0.5 * cmath.sqrt(h7 - h5 + h6 / (4.0 * s1))
-    return limits._real_part(val, alpha, 1e-7)
+def _omega2_from_quartic(alpha: float) -> float:
+    """omega2 from the root theta in (0, 1) of its quartic
+    G = (1-a) theta^4 + a theta^3 + (1-a) theta^2 + a theta - (1-a),
+    bisected as the ladder's roots are: lambda = 2a + (1-a)(theta + 1/theta)."""
+    s = 1.0 - alpha
+    theta = limits._bisect(limits.HalfPoly((-s, alpha, s, alpha, s)).eval_t, 0.0, 1.0)
+    return limits._eta_from_root(theta * theta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +661,34 @@ def check_laplacian_agreement() -> PropertyResult:
 
 
 def check_ordering_constants(psis: dict) -> PropertyResult:
-    """Psi = psis[alpha] < omega1 on the grid; omega2 never dips below Psi.
-    Psi lies within EQUALITY_TOL of psi_closed_form and omega2 within 1e-7
-    of omega2_closed_form, each constant's second route."""
+    """Psi = psis[alpha] < omega1 on the grid, and Psi lies within
+    EQUALITY_TOL of psi_closed_form. omega2 is at most 2 ulps below Psi and
+    at most 13 ulps from its quartic route, _omega2_from_quartic.
+
+    Both thresholds lie in (r, r + 2 ulps] of their exact root r: each is
+    at most an ulp above the least double at which its exact loaded pivot
+    is positive (pinned in the tests), which is at most an ulp above r.
+    omega2's root is at least Psi's (equal at alpha 0), so omega2 > its
+    root >= Psi's root >= Psi - 2 ulps.
+
+    The quartic route, to first order in eps = ulp(1), with u = eps/2 and
+    s = 1 - a. G's one negative coefficient is -s, so at the root G's
+    positive terms sum to s. Rounding s moves G there by at most u s;
+    Horner's first seven roundings, all on positive values, move it by at
+    most 7u s, and its last, the subtraction of s, is exact there
+    (Sterbenz). theta G'(theta) >= s at the root, so G's computed sign is
+    the true one beyond a relative 4 eps of theta, and bisection to
+    adjacent doubles lands within a relative 5 eps. lambda = 2a +
+    s(theta + 1/theta) has |theta dlambda/dtheta| = s(1/theta - theta) <
+    lambda - 2a, so lambda moves under 5 eps (lambda - 2a). Computing it,
+    t = sqrt(fl(theta^2)) is theta exactly, and the roundings of s, 1/t,
+    t + 1/t and the product add 2 eps (lambda - 2a), the sum with 2a
+    eps lambda / 2. That is under 7.5 eps lambda. omega2 lies in [2, 3],
+    3 bounding every A_alpha radius of maximum degree 3 (row sums), and an
+    ulp there is 2 eps: under 11.25 ulps. With the threshold's 2 ulps the
+    routes are under 13.25 ulps apart, and doubles in [2, 4) are a whole
+    number of ulps apart: at most 13.
+    """
     bad = []
     checked = 0
     for alpha in ALPHA_GRID:
@@ -689,10 +699,10 @@ def check_ordering_constants(psis: dict) -> PropertyResult:
             bad.append(f"alpha={alpha} psi off its closed form")
         if not p < limits.omega1(alpha):
             bad.append(f"alpha={alpha} psi >= omega1")
-        if o2 < p - 1e-9:
+        if o2 < p - 2 * math.ulp(p):
             bad.append(f"alpha={alpha} omega2 below psi")
-        if abs(o2 - omega2_closed_form(alpha)) > 1e-7:
-            bad.append(f"alpha={alpha} omega2 off its closed form")
+        if abs(o2 - _omega2_from_quartic(alpha)) > 13 * math.ulp(o2):
+            bad.append(f"alpha={alpha} omega2 off its quartic root")
     return _result("ordering-constants", checked, bad)
 
 

@@ -52,6 +52,13 @@ def test_graph_rejects_non_integer_endpoints():
     assert g.edges == {(0, 2)} and all(type(x) is int for x in next(iter(g.edges)))
 
 
+def test_graph_names_an_edge_that_is_not_a_pair():
+    for edge in (5, (0, 1, 2), (1,)):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset({edge}))
+        assert str(exc.value) == f"edge {edge!r} is not a pair of vertices"
+
+
 def test_graph_normalizes_edge_orientation():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == frozenset({(0, 2), (1, 2)})

@@ -32,8 +32,8 @@ from alphalimits.spectral import (
 )
 from alphalimits.verify import (
     ALPHA_GRID,
+    _omega2_from_quartic,
     difference_poly_f,
-    omega2_closed_form,
     random_connected_graph,
     random_tree,
     theta_substitution,
@@ -333,12 +333,12 @@ def test_omega1_surds():
         assert psi(float(a)) < omega1(float(a))
 
 
-def test_omega2_anchors_and_closed_form():
+def test_omega2_anchors_and_quartic_root():
     assert abs(omega2(0.0) - SQRT_2_PLUS_SQRT5) < 1e-9
     for a in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
         o = omega2(a)
-        assert abs(o - omega2_closed_form(a)) < 1e-7
-        assert o >= psi(a) - 1e-9
+        assert abs(o - _omega2_from_quartic(a)) <= 13 * math.ulp(o)
+        assert o >= psi(a) - 2 * math.ulp(o)
 
 
 def psi_equation(lam, a):

@@ -46,6 +46,7 @@ from alphalimits.verify import (
     random_tree,
     run_lemma_suite,
 )
+from test_spectral import exact_loaded_positive
 
 # Seeds whose subdivision gaps at alpha 0.8 (+1.0e-13 to +2.5e-13) fall
 # inside STRICT_MARGIN: the lemma holds, and a fixed margin alone would
@@ -294,16 +295,17 @@ def test_identity_suite_solves_its_spectra_by_order(monkeypatch):
 
 
 def test_identity_suite_solves_each_root_once(monkeypatch):
-    """470 bisections: version I's ladder, 10 alphas x n = 1..30 (gamma_0
+    """480 bisections: version I's ladder, 10 alphas x n = 1..30 (gamma_0
     takes none), solved once by limit_table; route-equality's version II
     roots, 7 n x 10 alphas; the classic table's 30 beta_n; the laplacian
     table's 30 theta_n and laplacian-agreement's 30 mu_n (n = 0 takes
-    none); and eta-converges' 10 eta_50. 300 + 70 + 30 + 30 + 30 + 10."""
+    none); eta-converges' 10 eta_50; and ordering-constants' 10 roots of
+    omega2's quartic. 300 + 70 + 30 + 30 + 30 + 10 + 10."""
     calls = []
     bisect = limits._bisect
     monkeypatch.setattr(limits, "_bisect", lambda *args: calls.append(1) or bisect(*args))
     verify.run_identity_suite(0)
-    assert len(calls) == 470
+    assert len(calls) == 480
 
 
 def test_identity_suite_solves_psi_once_per_alpha(monkeypatch):
@@ -351,14 +353,50 @@ def test_phi_increasing_fails_on_a_negative_middle_coefficient(monkeypatch):
     assert result.detail == "n=1 alpha=0.0; n=1 alpha=0.25; n=1 alpha=0.5"
 
 
-def test_ordering_constants_fail_on_an_omega2_closed_form_off_by_1e_6(monkeypatch):
+def test_ordering_constants_fail_on_an_omega2_off_by_26_ulps(monkeypatch):
+    """Twice the derived 13-ulp bound between omega2 and its quartic route;
+    the 1e-7 bound this replaced let 2.3e8 ulps through."""
     psis = {alpha: limits.psi(alpha) for alpha in verify.ALPHA_GRID}
-    assert verify.check_ordering_constants(psis).passed
-    closed = verify.omega2_closed_form
-    monkeypatch.setattr(verify, "omega2_closed_form", lambda a: closed(a) + 1e-6)
+    assert verify.check_ordering_constants(psis) == verify.PropertyResult(
+        "ordering-constants", True, 40)
+    omega2 = limits.omega2
+    monkeypatch.setattr(limits, "omega2", lambda a: omega2(a) + 26 * math.ulp(omega2(a)))
     result = verify.check_ordering_constants(psis)
-    assert not result.passed
-    assert result.detail.startswith("alpha=0.0 omega2 off its closed form")
+    assert (result.passed, result.checked) == (False, 40)
+    assert result.detail.startswith("alpha=0.0 omega2 off its quartic root")
+    assert "below psi" not in result.detail
+
+
+def test_ordering_constants_fail_on_an_omega2_3_ulps_below_psi(monkeypatch):
+    """One ulp past the derived 2-ulp bound, at alpha 0 where omega2 =
+    Psi; the 1e-9 bound this replaced let 2.3e6 ulps through."""
+    psis = {alpha: limits.psi(alpha) for alpha in verify.ALPHA_GRID}
+    omega2 = limits.omega2
+    psi0 = psis[0.0]
+    assert omega2(0.0) == psi0
+    monkeypatch.setattr(limits, "omega2",
+                        lambda a: psi0 - 3 * math.ulp(psi0) if a == 0.0 else omega2(a))
+    result = verify.check_ordering_constants(psis)
+    assert (result.passed, result.checked) == (False, 40)
+    assert result.detail == "alpha=0.0 omega2 below psi"
+
+
+THRESHOLD_ALPHAS = verify.ALPHA_GRID + (0.95,) + tuple(
+    1.0 - 2.0**-k for k in (10, 20, 30, 40, 52))
+
+
+@pytest.mark.parametrize("threshold, g, u, paths",
+                         ((limits.psi, path(2), 0, 2), (limits.omega2, path(5), 2, 1)),
+                         ids=("psi", "omega2"))
+def test_psi_and_omega2_lie_within_an_ulp_above_their_exact_least_double(threshold, g, u, paths):
+    """The premise of ordering-constants' bounds: the exact loaded pivot is
+    positive at each threshold and not two ulps below it, so the threshold
+    is at most one ulp above the least double at which it is positive."""
+    for alpha in THRESHOLD_ALPHAS:
+        value = threshold(alpha)
+        two_below = math.nextafter(math.nextafter(value, 0.0), 0.0)
+        assert exact_loaded_positive(g, u, alpha, value, paths), alpha
+        assert not exact_loaded_positive(g, u, alpha, two_below, paths), alpha
 
 
 @pytest.mark.parametrize("name, checks", [
@@ -582,7 +620,7 @@ def test_internal_paths_equal_the_key_dedupe_walk():
 
 
 MOVED_ROUTES = ("tridiag_charpoly_recurrence", "path_charpoly_closed", "bn_charpoly_closed",
-                "theta_substitution", "difference_poly_f", "omega2_closed_form")
+                "theta_substitution", "difference_poly_f")
 
 
 def package_imports(module: str) -> set:
@@ -623,6 +661,24 @@ def names_in(path: Path) -> set:
         elif isinstance(node, ast.alias):
             found.add(node.name)
     return found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a package module imports is read in it; __init__ only
+    re-exports, so it is exempt."""
+    unused = []
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert not unused, unused
 
 
 def test_the_threshold_protocol_lives_in_spectral_alone():
