@@ -340,11 +340,11 @@ def pendant_path_limit(g: Graph, u: int, alpha: float) -> float:
     or 2 when there is none (the path-like case): the least double at which
     u's root pivot, loaded with one infinite path, is positive (see
     spectral._pendant_limit). A tree takes no eigendecomposition, any
-    other graph one. Raises ValueError for alpha outside [0, 1), a
-    disconnected G (the resolvent would see only the component of u) or u
-    not a vertex of G, checked in that order, and BracketError when the
-    loaded pivot is not positive at the degree bound, instead of returning
-    a wrong value.
+    other graph one. Raises ValueError for alpha outside [0, 1), a u that
+    is not an integer, a disconnected G (the resolvent would see only the
+    component of u) or a u outside G's vertices, checked in that order, and
+    BracketError when the loaded pivot is not positive at the degree bound,
+    instead of returning a wrong value.
     """
     return _pendant_limit(g, u, alpha, 1)
 
@@ -356,7 +356,8 @@ def two_pendant_paths_limit(g: Graph, u: int, alpha: float) -> float:
     (1 - a h) ((1 - a h) phi(G) - 2a phi(G)_u + 2(2a - 1) h phi(G)_u) = 0,
     or 2 when none exists. The factor 1 - a h is positive, so it is the
     threshold of u's root pivot loaded with two infinite paths, by the same
-    routes and errors as pendant_path_limit.
+    routes as pendant_path_limit, with its errors in its order: alpha, a
+    non-integer u, a disconnected G, then u's range.
     """
     return _pendant_limit(g, u, alpha, 2)
 

@@ -56,6 +56,7 @@ benchmark harness (bench/worker.py) calls it to warm up LAPACK.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import islice
 
 import numpy as np
@@ -279,8 +280,16 @@ def _pendant_limit(g: Graph, u: int, alpha: float, paths: int) -> float:
     eigendecomposition, r(lambda) = [(lambda*I - A_alpha)^-1]_uu =
     sum_i Q_ui^2 / (lambda - w_i), one O(n) dot product per lambda. The
     load is None below 2, and so is the pivot.
+
+    Raises ValueError for alpha outside [0, 1), then for a u that is not an
+    integer (operator.index refuses it), then for a disconnected g, then for
+    a u outside 0..n-1, in that order.
     """
     _validate_alpha(alpha, upper_open=True)
+    try:
+        u = operator.index(u)
+    except TypeError:
+        raise ValueError(f"vertex {u!r} not in graph") from None
     # a tree's plan reaches every vertex, so it shows g connected
     thresholds = _tree_thresholds(g, u, alpha, paths) if 0 <= u < g.n_vertices else None
     if thresholds is None:

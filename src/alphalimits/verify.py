@@ -23,15 +23,21 @@ deterministic grids, plus the bipartite spectra check on random trees,
 whose spectra are solved by order the same way. It solves version I's
 ladder once, as limit_table("versionI", 30, ALPHA_GRID), whose rows and
 Psi limit rows the ladder checks share. Its three two-route checks are one
-rule (_routes_agree): values within 4 ulps and roots reciprocal within
-8 eps, which for route-equality checks gamma_n * gamma~_n = 1. Of its 480
+rule (_routes_agree), two cases per pair: values within 4 ulps and roots
+reciprocal within 8 eps, which for route-equality checks gamma_n *
+gamma~_n = 1. Of its 480
 bisections 37 repeat a root: the laplacian table's 30 theta_n, whose row
 rule rounds xi differently from 2 eta, and the 7 mu_n = gamma~_n(1/2)
 route-equality also solves. ordering-constants holds omega2 against the
 bisected root of its quartic, a second route with a derived bound. The
 polynomial identities bound float error by the polynomial with absolute
-coefficients.
-Every check reports a PropertyResult; a failing one carries a counterexample.
+coefficients, duality by a multiple of it derived from its roundings.
+
+Every check is a generator of its cases, and _tally, the one
+count-and-report rule, turns it into the function that returns its
+PropertyResult: a case yields None if it holds, or its counterexample,
+formatted only then. checked counts the cases; a failing result's detail
+joins its first three counterexamples.
 
 The routes that exist only to cross-check limits and spectral live here,
 off the hot path: the s,t closed forms of the path and deleted-end path
@@ -45,6 +51,7 @@ polynomials (difference_poly_f) and omega2 from its quartic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,10 +103,29 @@ class PropertyResult:
     detail: str = ""
 
 
-def _result(name: str, checked: int, bad: list) -> PropertyResult:
-    """The check passes iff bad is empty; the detail joins its first three
-    counterexamples."""
-    return PropertyResult(name, not bad, checked, "; ".join(bad[:3]))
+def _tally(name: str):
+    """The one count-and-report rule, as a decorator: a check written as a
+    generator of its cases becomes the function that returns its
+    PropertyResult.
+
+    Each case yields None if it holds, or its counterexample, formatted
+    only then; a case that can fail two ways yields a tuple with one entry,
+    None or a counterexample, per way. checked counts the cases, the check
+    passes iff none fails, and the detail joins the first three
+    counterexamples.
+    """
+    def decorate(cases):
+        @functools.wraps(cases)
+        def check(*args, **kwargs) -> PropertyResult:
+            checked, bad = 0, []
+            for case in cases(*args, **kwargs):
+                checked += 1
+                if case is not None:
+                    bad += ([c for c in case if c is not None]
+                            if isinstance(case, tuple) else [case])
+            return PropertyResult(name, not bad, checked, "; ".join(bad[:3]))
+        return check
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -265,58 +291,50 @@ def _above(r_hi: float, r_lo: float, pair) -> bool:
     return _exceeds(q, g_lo, a_lo) and not _exceeds(q, g_hi, a_hi)
 
 
-def check_radius_bounds(graphs: list, alphas: list, rhos: list) -> PropertyResult:
+@_tally("radius-bounds")
+def check_radius_bounds(graphs: list, alphas: list, rhos: list):
     """Degree-based lower and upper bounds on the spectral radius.
 
     rhos[i] is rho(A_alpha(graphs[i])) at alphas[i]; the subgraph and
     subdivision checks take the same list.
     """
-    bad = []
-    checked = 0
     for g, alpha, rho in zip(graphs, alphas, rhos):
         lower, dmax = degree_bounds(g, alpha)
-        checked += 1
-        if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL:
-            bad.append(f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) "
-                       f"g={format_graph(g)}")
-    return _result("radius-bounds", checked, bad)
+        yield (f"alpha={alpha} rho={rho} bounds=({lower},{dmax}) g={format_graph(g)}"
+               if rho > dmax + EQUALITY_TOL or lower > rho + EQUALITY_TOL else None)
 
 
+@_tally("subgraph-strict")
 def check_subgraph_monotonicity(graphs: list, alphas: list, rhos: list,
-                                subs: list, sub_rhos: list) -> PropertyResult:
+                                subs: list, sub_rhos: list):
     """A connected proper subgraph has strictly smaller radius.
 
     subs[i] is a connected proper subgraph of graphs[i], or None if it has
-    none; sub_rhos[i] is its radius at alphas[i].
+    none, and then no case; sub_rhos[i] is its radius at alphas[i].
     """
-    bad = []
-    checked = 0
     for g, alpha, rho, h, rho_h in zip(graphs, alphas, rhos, subs, sub_rhos):
-        if h is None:
-            continue
-        checked += 1
-        if not _above(rho, rho_h, lambda: ((g, alpha), (h, alpha))):
-            bad.append(f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
-    return _result("subgraph-strict", checked, bad)
+        if h is not None:
+            yield (None if _above(rho, rho_h, lambda: ((g, alpha), (h, alpha)))
+                   else f"alpha={alpha} g={format_graph(g)} h={format_graph(h)}")
 
 
-def check_alpha_monotonicity(graphs: list, lo_rhos: list, hi_rhos: list) -> PropertyResult:
+@_tally("alpha-monotone")
+def check_alpha_monotonicity(graphs: list, lo_rhos: list, hi_rhos: list):
     """Radius grows with alpha from ALPHA_LO to ALPHA_HI; constant exactly on
     regular graphs. lo_rhos and hi_rhos are the radii at the two alphas.
     """
-    bad = []
     for g, r_lo, r_hi in zip(graphs, lo_rhos, hi_rhos):
         if is_regular(g):
-            if abs(r_hi - r_lo) > EQUALITY_TOL:
-                bad.append(f"regular but moved: {format_graph(g)}")
-        elif not _above(r_hi, r_lo, lambda: ((g, ALPHA_HI), (g, ALPHA_LO))):
-            bad.append(f"rho({ALPHA_HI})={r_hi} <= rho({ALPHA_LO})={r_lo}: "
-                       f"{format_graph(g)}")
-    return _result("alpha-monotone", len(graphs), bad)
+            yield (f"regular but moved: {format_graph(g)}"
+                   if abs(r_hi - r_lo) > EQUALITY_TOL else None)
+        else:
+            yield (None if _above(r_hi, r_lo, lambda: ((g, ALPHA_HI), (g, ALPHA_LO)))
+                   else f"rho({ALPHA_HI})={r_hi} <= rho({ALPHA_LO})={r_lo}: {format_graph(g)}")
 
 
+@_tally("subdivision-direction")
 def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
-                                subdivided: list) -> PropertyResult:
+                                subdivided: list):
     """Subdividing internal-path edges lowers the radius, other edges raise it.
 
     subdivided[i] lists the radii of graphs[i] with each edge subdivided,
@@ -324,24 +342,19 @@ def check_subdivision_direction(graphs: list, alphas: list, rhos: list,
     direction; the double snake at alpha 0 is the equality case of the
     lowering direction.
     """
-    bad = []
-    checked = 0
     for g, alpha, rho, rho_subs in zip(graphs, alphas, rhos, subdivided):
         internal = internal_path_edges(g)
         cycle = _is_cycle(g)
         snake_zero = is_double_snake(g) and alpha == 0.0
         for e, rho_sub in zip(sorted(g.edges), rho_subs):
-            checked += 1
             if e in internal:
                 ok = (abs(rho_sub - rho) <= EQUALITY_TOL if snake_zero else _above(
                     rho, rho_sub, lambda: ((g, alpha), (subdivide_edge(g, e), alpha))))
             else:
                 ok = (abs(rho_sub - rho) <= EQUALITY_TOL if cycle else _above(
                     rho_sub, rho, lambda: ((subdivide_edge(g, e), alpha), (g, alpha))))
-            if not ok:
-                bad.append(f"alpha={alpha} edge={e} rho={rho} rho_sub={rho_sub} "
-                           f"g={format_graph(g)}")
-    return _result("subdivision-direction", checked, bad)
+            yield (None if ok else f"alpha={alpha} edge={e} rho={rho} rho_sub={rho_sub} "
+                                  f"g={format_graph(g)}")
 
 
 def lemma_radii(graphs: list, alphas: list, subs: list) -> list:
@@ -519,24 +532,40 @@ def _magnitudes(p: limits.HalfPoly) -> limits.HalfPoly:
     return limits.HalfPoly(tuple(abs(c) for c in p.coeffs))
 
 
-def check_phi_increasing() -> PropertyResult:
+@_tally("phi-increasing")
+def check_phi_increasing():
     """The version I polynomial rises for x > 0: its constant is negative
     and every other coefficient non-negative, at least one positive, so it
     rises in t > 0 and so in x = t^2."""
-    bad = []
-    pairs = [(n, alpha) for n in (1, 2, 5, 10, 20) for alpha in (0.0, 0.25, 0.5, 0.75, 0.9)]
-    for n, alpha in pairs:
-        constant, *rest = limits.phi_version1(n, alpha).coeffs
-        if not (constant < 0 and min(rest) >= 0 and max(rest) > 0):
-            bad.append(f"n={n} alpha={alpha}")
-    return _result("phi-increasing", len(pairs), bad)
+    for n in (1, 2, 5, 10, 20):
+        for alpha in (0.0, 0.25, 0.5, 0.75, 0.9):
+            constant, *rest = limits.phi_version1(n, alpha).coeffs
+            yield (None if constant < 0 and min(rest) >= 0 and max(rest) > 0
+                   else f"n={n} alpha={alpha}")
 
 
-def check_duality() -> PropertyResult:
-    """Version I and II polynomials are reciprocal transforms of each other."""
-    bad = []
-    checked = 0
+@_tally("duality")
+def check_duality():
+    """Version I and II polynomials are reciprocal transforms of each other:
+    phi_version1(n)(x) + x^(n+1) phi_version2(n)(1/x) = 0.
+
+    The two coefficient lists are each other's negated reversal, built from
+    the same doubles, so the identity holds exactly for the stored
+    coefficients and only evaluation errs. To first order in u = eps/2
+    (eps = ulp(1)), with D = 2n + 2 the degree in t and m1, m2 the
+    polynomials with absolute coefficients (_magnitudes), whose terms at
+    the exact t = sqrt(x) are m1(t) = x^(n+1) m2(1/t), half of scale each.
+    The left side: Horner's D products and D sums err by at most 2D u m1(t),
+    and fl(sqrt(x)) is a relative u off t, which moves t^k by k u <= D u:
+    3D u m1(t). The right side: fl(1/fl(t)) is a relative 2u off 1/t, which
+    moves its powers by 2D u, and Horner adds 2D u; x ** (n + 1) is within
+    an ulp, 2u, and the product rounds once, u: (4D + 3) u x^(n+1) m2(1/t).
+    The residual's true value is 0, so the rounding of the sum is second
+    order. Each side is within (4D + 3) u of its half of scale: the
+    residual is within (4D + 3) u scale.
+    """
     for n in (1, 2, 3, 5, 10, 20):
+        bound = (4 * (2 * n + 2) + 3) * math.ulp(1.0) / 2
         for alpha in ALPHA_GRID:
             p1 = limits.phi_version1(n, alpha)
             p2 = limits.phi_version2(n, alpha)
@@ -546,18 +575,17 @@ def check_duality() -> PropertyResult:
                 lhs = p1.eval_t(t)
                 rhs = x ** (n + 1) * p2.eval_t(1.0 / t)
                 scale = m1.eval_t(t) + x ** (n + 1) * m2.eval_t(1.0 / t)
-                checked += 1
-                if abs(lhs + rhs) > 1e-12 * scale:
-                    bad.append(f"n={n} alpha={alpha} x={x} residual={lhs + rhs}")
-    return _result("duality", checked, bad)
+                yield (f"n={n} alpha={alpha} x={x} residual={lhs + rhs}"
+                       if abs(lhs + rhs) > bound * scale else None)
 
 
-def _routes_agree(name: str, cases) -> PropertyResult:
+def _routes_agree(cases):
     """Two routes to one ladder agree: values within 4 ulps, roots reciprocal.
 
     cases yields (label, (root, value), (root2, value2)), the first pair
-    from one route and the second from the other; the value bound is on
-    ulps of the first value. Each route bisects its t to adjacent doubles,
+    from one route and the second from the other; each pair is two cases,
+    the values and the roots. The value bound is on ulps of the first
+    value. Each route bisects its t to adjacent doubles,
     within one ulp, a relative eps (eps = ulp(1)), of its root, so t and
     the reciprocal of the other route's t are a relative 2 eps apart at
     most. The roots are squares of the t's, so root * root2 is within 4 eps
@@ -569,24 +597,20 @@ def _routes_agree(name: str, cases) -> PropertyResult:
     2^e eps, so that is under 3.2 ulps of v; the fourth ulp is the
     rounding of the two values themselves.
     """
-    bad = []
-    checked = 0
     for label, (r1, v1), (r2, v2) in cases:
-        checked += 2
-        if abs(v1 - v2) > 4 * math.ulp(v1):
-            bad.append(f"{label} values {v1} {v2}")
-        if abs(r1 * r2 - 1.0) > 8 * math.ulp(1.0):
-            bad.append(f"{label} roots {r1} * {r2} = {r1 * r2}")
-    return _result(name, checked, bad)
+        yield f"{label} values {v1} {v2}" if abs(v1 - v2) > 4 * math.ulp(v1) else None
+        yield (f"{label} roots {r1} * {r2} = {r1 * r2}"
+               if abs(r1 * r2 - 1.0) > 8 * math.ulp(1.0) else None)
 
 
-def check_route_equality(ladder: dict) -> PropertyResult:
+@_tally("route-equality")
+def check_route_equality(ladder: dict):
     """Version I's ladder[n, alpha] = (gamma_n, eta_n) against version II's
     (gamma~_n, eta_n) from the reciprocal root, by _routes_agree: gamma_n
     gamma~_n = 1 is the duality version II rests on."""
-    return _routes_agree("route-equality", (
+    yield from _routes_agree(
         (f"n={n} alpha={alpha}", ladder[n, alpha], limits._version2_term(n, alpha))
-        for n in (1, 2, 3, 5, 10, 20, 30) for alpha in ALPHA_GRID))
+        for n in (1, 2, 3, 5, 10, 20, 30) for alpha in ALPHA_GRID)
 
 
 def _strict_until_saturated(gaps) -> bool:
@@ -605,62 +629,61 @@ def _strict_until_saturated(gaps) -> bool:
     return True
 
 
-def check_strict_chain(ladder: dict, psis: dict) -> PropertyResult:
+@_tally("strict-chain")
+def check_strict_chain(ladder: dict, psis: dict):
     """eta_0 < eta_1 < ... up to Psi = psis[alpha]; the alpha=0 chain ties
     at the start. ladder[n, alpha] = (gamma_n, eta_n).
 
     Strictness is enforced while the geometric gap decay stays above the
     double-precision floor; past that the chain must still never
-    decrease, and it must never overshoot Psi by more than noise.
+    decrease, and it must never overshoot Psi by more than noise. Each
+    gap is a case, but one walk over the chain decides them all, and its
+    verdict is reported once, on the first: the rest yield None. At
+    alpha = 0 the tie eta_0 = eta_1 = 2 is two cases with one verdict.
     """
-    bad = []
-    checked = 0
     for alpha in ALPHA_GRID:
         etas = [ladder[n, alpha][1] for n in range(31)]
-        checked += 1
-        if etas[-1] > psis[alpha] + 1e-12:
-            bad.append(f"alpha={alpha} eta_30 overshoots psi")
+        yield f"alpha={alpha} eta_30 overshoots psi" if etas[-1] > psis[alpha] + 1e-12 else None
         if alpha == 0.0:
-            checked += 3
-            if abs(etas[0] - 2.0) > 1e-12 or abs(etas[1] - 2.0) > 1e-12:
-                bad.append("alpha=0 chain does not start at 2, 2")
-            if not _strict_until_saturated(np.diff(etas[1:])):
-                bad.append("alpha=0 chain not strict beyond the tie")
+            yield ("alpha=0 chain does not start at 2, 2"
+                   if abs(etas[0] - 2.0) > 1e-12 or abs(etas[1] - 2.0) > 1e-12 else None)
+            yield None
+            yield (None if _strict_until_saturated(np.diff(etas[1:]))
+                   else "alpha=0 chain not strict beyond the tie")
         else:
             gaps = np.diff(etas)
-            checked += len(gaps)
-            if not _strict_until_saturated(gaps):
-                bad.append(f"alpha={alpha} min gap={gaps.min()}")
-    return _result("strict-chain", checked, bad)
+            yield None if _strict_until_saturated(gaps) else f"alpha={alpha} min gap={gaps.min()}"
+            yield from [None] * (len(gaps) - 1)
 
 
-def check_eta_convergence(psis: dict) -> PropertyResult:
+@_tally("eta-converges")
+def check_eta_convergence(psis: dict):
     """eta_50 sits within 1e-3 of Psi = psis[alpha] across the alpha grid."""
-    bad = []
     for alpha in ALPHA_GRID:
         gap = psis[alpha] - limits.eta_n(50, alpha)
-        if abs(gap) >= 1e-3:
-            bad.append(f"alpha={alpha} gap={gap}")
-    return _result("eta-converges", len(ALPHA_GRID), bad)
+        yield f"alpha={alpha} gap={gap}" if abs(gap) >= 1e-3 else None
 
 
-def check_classic_routes(ladder: dict) -> PropertyResult:
+@_tally("classic-routes")
+def check_classic_routes(ladder: dict):
     """Version I's ladder at alpha = 0, (delta_n, zeta_n), against Hoffman's
     classical (beta_n, eta_n) rows, n = 1..30, by _routes_agree."""
-    return _routes_agree("classic-routes", (
+    yield from _routes_agree(
         (f"n={row.n}", ladder[row.n, 0.0], (row.gamma, row.eta))
-        for row in limits.limit_table("classic", 30).rows))
+        for row in limits.limit_table("classic", 30).rows)
 
 
-def check_laplacian_agreement() -> PropertyResult:
+@_tally("laplacian-agreement")
+def check_laplacian_agreement():
     """The laplacian table's (theta_n, xi_n) rows against Guo-Wang's
     (mu_n, kappa_n), n = 0..30, by _routes_agree."""
-    return _routes_agree("laplacian-agreement", (
+    yield from _routes_agree(
         (f"n={row.n}", (row.gamma, row.eta), limits.laplacian_guo_wang(row.n))
-        for row in limits.limit_table("laplacian", 30).rows))
+        for row in limits.limit_table("laplacian", 30).rows)
 
 
-def check_ordering_constants(psis: dict) -> PropertyResult:
+@_tally("ordering-constants")
+def check_ordering_constants(psis: dict):
     """Psi = psis[alpha] < omega1 on the grid, and Psi lies within
     EQUALITY_TOL of psi_closed_form. omega2 is at most 2 ulps below Psi and
     at most 13 ulps from its quartic route, _omega2_from_quartic.
@@ -689,27 +712,20 @@ def check_ordering_constants(psis: dict) -> PropertyResult:
     routes are under 13.25 ulps apart, and doubles in [2, 4) are a whole
     number of ulps apart: at most 13.
     """
-    bad = []
-    checked = 0
     for alpha in ALPHA_GRID:
         p = psis[alpha]
         o2 = limits.omega2(alpha)
-        checked += 4
-        if abs(p - limits.psi_closed_form(alpha)) > EQUALITY_TOL:
-            bad.append(f"alpha={alpha} psi off its closed form")
-        if not p < limits.omega1(alpha):
-            bad.append(f"alpha={alpha} psi >= omega1")
-        if o2 < p - 2 * math.ulp(p):
-            bad.append(f"alpha={alpha} omega2 below psi")
-        if abs(o2 - _omega2_from_quartic(alpha)) > 13 * math.ulp(o2):
-            bad.append(f"alpha={alpha} omega2 off its quartic root")
-    return _result("ordering-constants", checked, bad)
+        yield (f"alpha={alpha} psi off its closed form"
+               if abs(p - limits.psi_closed_form(alpha)) > EQUALITY_TOL else None)
+        yield None if p < limits.omega1(alpha) else f"alpha={alpha} psi >= omega1"
+        yield f"alpha={alpha} omega2 below psi" if o2 < p - 2 * math.ulp(p) else None
+        yield (f"alpha={alpha} omega2 off its quartic root"
+               if abs(o2 - _omega2_from_quartic(alpha)) > 13 * math.ulp(o2) else None)
 
 
-def check_difference_identity() -> PropertyResult:
+@_tally("difference-identity")
+def check_difference_identity():
     """The one-step difference of consecutive version I polynomials is n-free."""
-    bad = []
-    checked = 0
     for n in range(1, 11):
         for alpha in (0.0, 0.3, 0.6, 0.9):
             pn = limits.phi_version1(n, alpha)
@@ -720,35 +736,28 @@ def check_difference_identity() -> PropertyResult:
                 lhs = pn1.eval_t(t) - x * pn.eval_t(t)
                 rhs = difference_poly_f(x, alpha)
                 scale = mn1.eval_t(t) + x * mn.eval_t(t)
-                checked += 1
-                if abs(lhs - rhs) > 1e-12 * max(scale, 1.0):
-                    bad.append(f"n={n} alpha={alpha} x={x}")
-    return _result("difference-identity", checked, bad)
+                yield (f"n={n} alpha={alpha} x={x}"
+                       if abs(lhs - rhs) > 1e-12 * max(scale, 1.0) else None)
 
 
-def check_theta_h_identity(ladder: dict) -> PropertyResult:
+@_tally("theta-h-identity")
+def check_theta_h_identity(ladder: dict):
     """h at the substituted lambda collapses to theta/(1 - alpha(1 - theta));
-    at theta = sqrt(gamma_n), lambda is eta_n, both from ladder[n, alpha]."""
-    bad = []
-    checked = 0
+    at theta = sqrt(gamma_n), lambda is eta_n, both from ladder[n, alpha].
+    Every substituted lambda on this grid exceeds 2 by 2.6e-4 or more."""
     for alpha in ALPHA_GRID:
         for theta in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
-            lam = theta_substitution(theta, alpha)
-            if lam <= 2.0:
-                continue
-            h = h_of_lambda(lam, alpha)
-            checked += 1
-            if abs(h - theta / (1 - alpha * (1 - theta))) > 1e-12:
-                bad.append(f"alpha={alpha} theta={theta}")
+            h = h_of_lambda(theta_substitution(theta, alpha), alpha)
+            yield (f"alpha={alpha} theta={theta}"
+                   if abs(h - theta / (1 - alpha * (1 - theta))) > 1e-12 else None)
         for n in (1, 3, 7):
             g, eta = ladder[n, alpha]
-            checked += 1
-            if abs(theta_substitution(math.sqrt(g), alpha) - eta) > 1e-11:
-                bad.append(f"eta mismatch n={n} alpha={alpha}")
-    return _result("theta-h-identity", checked, bad)
+            yield (f"eta mismatch n={n} alpha={alpha}"
+                   if abs(theta_substitution(math.sqrt(g), alpha) - eta) > 1e-11 else None)
 
 
-def check_closed_form_charpoly() -> PropertyResult:
+@_tally("closed-form-charpoly")
+def check_closed_form_charpoly():
     """Path and deleted-path closed forms track the three-term recurrence.
 
     The reference for phi(P_k) is tridiag_charpoly_recurrence on the path
@@ -756,8 +765,6 @@ def check_closed_form_charpoly() -> PropertyResult:
     order k + 1 without its last row and column. On this grid delta >= 0.15,
     so the closed forms never fall back to the recurrence themselves.
     """
-    bad = []
-    checked = 0
     lams = [float(lam) for lam in np.linspace(2.05, 4.0, 8)]
     for k in (2, 3, 5, 10, 25, 50):
         for alpha in ALPHA_GRID:
@@ -766,77 +773,63 @@ def check_closed_form_charpoly() -> PropertyResult:
             for lam in lams:
                 ref = tridiag_charpoly_recurrence(diag, off, lam)
                 closed = path_charpoly_closed(k, alpha, lam)
-                checked += 1
-                if abs(ref - closed) > 1e-9 * max(abs(ref), 1.0):
-                    bad.append(f"path k={k} alpha={alpha} lam={lam:.3f}")
-                if alpha == 0.0:
-                    continue
-                ref_b = tridiag_charpoly_recurrence(diag_b[:-1], off_b[:-1], lam)
-                closed_b = bn_charpoly_closed(k, alpha, lam)
-                checked += 1
-                if abs(ref_b - closed_b) > 1e-9 * max(abs(ref_b), 1.0):
-                    bad.append(f"bn k={k} alpha={alpha} lam={lam:.3f}")
-    return _result("closed-form-charpoly", checked, bad)
+                yield (f"path k={k} alpha={alpha} lam={lam:.3f}"
+                       if abs(ref - closed) > 1e-9 * max(abs(ref), 1.0) else None)
+                if alpha != 0.0:
+                    ref_b = tridiag_charpoly_recurrence(diag_b[:-1], off_b[:-1], lam)
+                    closed_b = bn_charpoly_closed(k, alpha, lam)
+                    yield (f"bn k={k} alpha={alpha} lam={lam:.3f}"
+                           if abs(ref_b - closed_b) > 1e-9 * max(abs(ref_b), 1.0) else None)
 
 
-def check_q_is_scaled_half(graphs: list) -> PropertyResult:
+@_tally("q-scaled-half")
+def check_q_is_scaled_half(graphs: list):
     """Signless Laplacian equals twice the half-alpha matrix, exactly."""
-    bad = []
     for g in graphs:
         q = assemble_laplacian(g, signless=True)
-        a_half = assemble_a_alpha(g, 0.5)
-        if not np.array_equal(q, 2.0 * a_half):
-            bad.append(format_graph(g))
-    return _result("q-scaled-half", len(graphs), bad)
+        yield None if np.array_equal(q, 2.0 * assemble_a_alpha(g, 0.5)) else format_graph(g)
 
 
-def check_bipartite_spectra(rng: np.random.Generator) -> PropertyResult:
+@_tally("bipartite-l-q")
+def check_bipartite_spectra(rng: np.random.Generator):
     """L and Q spectra coincide on 100 random trees.
 
     A tree is bipartite by construction, so its L and Q are similar. The
     trees' L matrices are solved by order in one full_spectrum call
     each, and so are their Q matrices.
     """
-    n_trees = 100
-    bad = []
-    trees = [random_tree(rng, int(rng.integers(4, 13))) for _ in range(n_trees)]
+    trees = [random_tree(rng, int(rng.integers(4, 13))) for _ in range(100)]
     sls = solve_by_order(full_spectrum, [assemble_laplacian(g)[None] for g in trees])
     sqs = solve_by_order(full_spectrum,
                          [assemble_laplacian(g, signless=True)[None] for g in trees])
     for g, (sl,), (sq,) in zip(trees, sls, sqs):
-        if np.max(np.abs(sl - sq)) > 1e-10:
-            bad.append(format_graph(g))
-    return _result("bipartite-l-q", n_trees, bad)
+        yield format_graph(g) if np.max(np.abs(sl - sq)) > 1e-10 else None
 
 
-def check_graph_structure(graphs: list) -> PropertyResult:
-    """Constructor invariants: symmetric two-path trees, subdivision counts, path degrees."""
-    bad = []
-    checked = 0
+@_tally("graph-structure")
+def check_graph_structure(graphs: list):
+    """Constructor invariants: symmetric two-path trees, subdivision counts, path degrees.
+
+    Each p2 pair is one case that fails two ways, its degree sequences and
+    its spectra."""
     pairs = ((1, 3), (2, 5), (4, 4))
     p2s = [(p2_two_paths(m, n), p2_two_paths(n, m)) for m, n in pairs]
     spectra = solve_by_order(full_spectrum, [
         np.stack([assemble_a_alpha(g, 0.3) for g in pair]) for pair in p2s])
     for (m, n), (g1, g2), (s1, s2) in zip(pairs, p2s, spectra):
-        checked += 1
-        if sorted(g1.degrees()) != sorted(g2.degrees()):
-            bad.append(f"p2 degree sequences differ at ({m},{n})")
-        if np.max(np.abs(s1 - s2)) > 1e-10:
-            bad.append(f"p2 spectra differ at ({m},{n})")
+        yield (f"p2 degree sequences differ at ({m},{n})"
+               if sorted(g1.degrees()) != sorted(g2.degrees()) else None,
+               f"p2 spectra differ at ({m},{n})" if np.max(np.abs(s1 - s2)) > 1e-10 else None)
     for g in graphs:
-        e = sorted(g.edges)[0]
-        gs = subdivide_edge(g, e)
-        checked += 1
-        if gs.n_vertices != g.n_vertices + 1 or gs.n_edges != g.n_edges + 1:
-            bad.append(f"subdivision counts wrong on {format_graph(g)}")
+        gs = subdivide_edge(g, sorted(g.edges)[0])
+        yield (f"subdivision counts wrong on {format_graph(g)}"
+               if gs.n_vertices != g.n_vertices + 1 or gs.n_edges != g.n_edges + 1 else None)
         deg = g.degrees()
         for p in internal_paths(g):
-            checked += 1
             ends_ok = deg[p.vertices[0]] > 2 and deg[p.vertices[-1]] > 2
             interior_ok = all(deg[v] == 2 for v in p.vertices[1:-1])
-            if not (ends_ok and interior_ok):
-                bad.append(f"bad internal path {p.vertices} in {format_graph(g)}")
-    return _result("graph-structure", checked, bad)
+            yield (None if ends_ok and interior_ok
+                   else f"bad internal path {p.vertices} in {format_graph(g)}")
 
 
 def run_identity_suite(seed: int) -> list:

@@ -9,6 +9,7 @@ radii of long finite paths and, on trees, the dense resolvent route.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -645,6 +646,21 @@ def test_pendant_limit_input_errors_in_order(op, g, monkeypatch):
                         lambda top, degree, added: 2.0 + 2.0 ** -20)
     with pytest.raises(BracketError, match="degree bound"):
         op(g, 0, 0.3)
+
+
+@pytest.mark.parametrize("op", PENDANT_OPS)
+@pytest.mark.parametrize("g", (path(4), cycle(4)), ids=("tree", "cycle"))
+def test_pendant_limits_name_a_non_integer_vertex(op, g):
+    lonely = Graph(g.n_vertices + 1, g.edges)  # plus an isolated vertex
+    for u in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(u))} not in graph$"):
+            op(g, u, 0.3)
+        # after alpha, before connectivity
+        with pytest.raises(ValueError, match="alpha"):
+            op(g, u, 1.0)
+        with pytest.raises(ValueError, match="not in graph"):
+            op(lonely, u, 0.3)
+    assert op(g, np.int64(1), 0.3).hex() == op(g, 1, 0.3).hex()
 
 
 PENDANT_TOL = 1e-13  # the dense reference's bracket width

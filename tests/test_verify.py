@@ -417,6 +417,21 @@ def test_identity_scales_catch_a_coefficient_off_by_1e_9(name, checks, monkeypat
         assert not check().passed
 
 
+def test_duality_catches_a_leading_coefficient_off_by_1e_13(monkeypatch):
+    """Under the derived (4D + 3) u scale bound, D = 2n + 2; the 1e-12 *
+    scale it replaced let this error through on every case."""
+    assert verify.check_duality() == PropertyResult("duality", True, 660)
+    build = limits.phi_version2
+
+    def off(n, alpha):
+        c = build(n, alpha).coeffs
+        return limits.HalfPoly(c[:-1] + (c[-1] * (1.0 + 1e-13),))
+
+    monkeypatch.setattr(limits, "phi_version2", off)
+    result = verify.check_duality()
+    assert (result.passed, result.checked) == (False, 660)
+
+
 def test_a_failing_check_reports_its_first_three_counterexamples():
     rng = np.random.default_rng(5)
     graphs = [random_connected_graph(rng) for _ in range(5)]
